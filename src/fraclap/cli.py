@@ -359,7 +359,8 @@ def main(argv=None) -> int:
     try:
         config = parse_config(argv)
         return _COMMANDS[config.command](config)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        # MemoryError is also what the size caps raise: a resource limit
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

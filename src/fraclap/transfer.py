@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .core import OverlayGrid
 from .mesh import MeshQuality, SimplicialMesh
@@ -33,6 +34,8 @@ __all__ = [
 
 _CONTAIN_TOL = 1e-12
 _DEFAULT_CAPS = {1: 4096, 2: 4096, 3: 256}
+# candidate (simplex, grid node) pairs located per batch in build_transfer
+_CHUNK = 1 << 16
 
 
 class TransferRankWarning(UserWarning):
@@ -79,71 +82,92 @@ def choose_grid(quality: MeshQuality, r_fd: float, mode: str = "practical",
     return OverlayGrid(dim=quality.dim, r_fd=r_fd, n_fd=n_fd)
 
 
+def _locate_nodes(mesh: SimplicialMesh, grid: OverlayGrid):
+    """Covered grid nodes, their owner simplices and barycentric coordinates.
+
+    Every simplex contributes the grid nodes of its bounding box as
+    candidates; a candidate is inside when all its barycentric coordinates
+    are >= -1e-12.  Each covered node belongs to the lowest-index simplex
+    that contains it.  Candidates are processed in element order, in chunks
+    of about _CHUNK, so memory stays bounded on large meshes.  Returns
+    (node_ids, owners, lam) with lam of shape (n_covered, dim + 1), sorted by
+    node id.
+    """
+    dim = mesh.dim
+    h = grid.h_fd
+    n = grid.n_fd
+    strides = grid.nodes_per_axis ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    pts = mesh.vertices[mesh.simplices]  # (elements, dim + 1, dim)
+    lo = np.maximum(np.ceil((pts.min(axis=1) - _CONTAIN_TOL) / h).astype(np.int64), -n)
+    hi = np.minimum(np.floor((pts.max(axis=1) + _CONTAIN_TOL) / h).astype(np.int64), n)
+    extent = np.maximum(hi - lo + 1, 0)
+    counts = extent.prod(axis=1)
+    first = np.concatenate(([0], np.cumsum(counts)))
+    # columns of spans[e] are the edge vectors from vertex 0 of simplex e
+    spans = (pts[:, 1:] - pts[:, :1]).transpose(0, 2, 1)
+
+    claimed = np.zeros(grid.n_nodes, dtype=bool)
+    found_nodes = [np.zeros(0, dtype=np.int64)]
+    found_owners = [np.zeros(0, dtype=np.int64)]
+    found_lam = [np.zeros((0, dim + 1))]
+    e0 = 0
+    while e0 < mesh.n_elements:
+        e1 = max(e0 + 1, int(np.searchsorted(first, first[e0] + _CHUNK, side="right")) - 1)
+        elem = np.repeat(np.arange(e0, e1), counts[e0:e1])
+        offset = np.arange(elem.size) - (first[elem] - first[e0])
+        k_multi = np.empty((elem.size, dim), dtype=np.int64)
+        for a in range(dim - 1, -1, -1):
+            k_multi[:, a] = lo[elem, a] + offset % extent[elem, a]
+            offset //= extent[elem, a]
+        node_ids = (k_multi + n) @ strides
+        fresh = ~claimed[node_ids]
+        elem, k_multi, node_ids = elem[fresh], k_multi[fresh], node_ids[fresh]
+
+        rhs = k_multi * h - pts[elem, 0]
+        lam_rest = np.linalg.solve(spans[elem], rhs[:, :, None])[:, :, 0]
+        lam = np.column_stack([1.0 - lam_rest.sum(axis=1), lam_rest])
+        inside = np.all(lam >= -_CONTAIN_TOL, axis=1)
+        # candidates run in element order, so the first hit is the lowest index
+        node_ids, pick = np.unique(node_ids[inside], return_index=True)
+        claimed[node_ids] = True
+        found_nodes.append(node_ids)
+        found_owners.append(elem[inside][pick])
+        found_lam.append(lam[inside][pick])
+        e0 = e1
+
+    node_ids = np.concatenate(found_nodes)
+    order = np.argsort(node_ids)
+    return (node_ids[order], np.concatenate(found_owners)[order],
+            np.concatenate(found_lam)[order])
+
+
 def build_transfer(mesh: SimplicialMesh, grid: OverlayGrid,
                    strict: bool = False) -> TransferMatrix:
     """Assemble the transfer matrix by locating every grid node inside the
     mesh.
 
-    Simplices are scanned in index order and each covered node keeps the
-    barycentric coordinates from the first (lowest-index) simplex containing
-    it, with containment tolerance 1e-12.  Columns with zero sum are reported
-    as a TransferRankWarning, or raise when strict is set.
+    The location is vectorised over (simplex, bounding-box node) pairs with
+    one batched barycentric solve per chunk and no loop over elements.  Each
+    covered node keeps the barycentric coordinates, clipped to [0, 1], from
+    the lowest-index simplex containing it, with containment tolerance
+    1e-12.  The result is a canonical CSR matrix (sorted indices, no
+    duplicates; coordinates that clip to zero stay stored).  Columns with
+    zero sum are reported as a TransferRankWarning, or raise when strict is
+    set.
     """
     if mesh.dim != grid.dim:
         raise ValueError(f"mesh dim {mesh.dim} does not match grid dim {grid.dim}")
-    h = grid.h_fd
-    n = grid.n_fd
     if np.any(np.abs(mesh.vertices) > grid.r_fd + _CONTAIN_TOL):
         raise ValueError("grid cube does not contain the mesh")
 
-    dim = mesh.dim
-    strides = np.array([grid.nodes_per_axis ** (dim - 1 - a) for a in range(dim)])
-    claimed = np.zeros(grid.n_nodes, dtype=bool)
-    rows, cols, vals = [], [], []
-
-    for e in range(mesh.n_elements):
-        simp = mesh.simplices[e]
-        pts = mesh.vertices[simp]
-        lo = np.ceil((pts.min(axis=0) - _CONTAIN_TOL) / h).astype(np.int64)
-        hi = np.floor((pts.max(axis=0) + _CONTAIN_TOL) / h).astype(np.int64)
-        lo = np.maximum(lo, -n)
-        hi = np.minimum(hi, n)
-        if np.any(hi < lo):
-            continue
-        axes = [np.arange(lo[a], hi[a] + 1) for a in range(dim)]
-        mesh_idx = np.meshgrid(*axes, indexing="ij")
-        k_multi = np.column_stack([g.ravel() for g in mesh_idx])
-        node_ids = (k_multi + n) @ strides
-        fresh = ~claimed[node_ids]
-        if not np.any(fresh):
-            continue
-        k_multi = k_multi[fresh]
-        node_ids = node_ids[fresh]
-
-        base = pts[0]
-        span = (pts[1:] - base).T  # (dim, dim)
-        lam_rest = np.linalg.solve(span, (k_multi * h - base).T).T
-        lam0 = 1.0 - lam_rest.sum(axis=1)
-        lam = np.column_stack([lam0, lam_rest])
-        inside = np.all(lam >= -_CONTAIN_TOL, axis=1)
-        if not np.any(inside):
-            continue
-        node_ids = node_ids[inside]
-        lam = np.clip(lam[inside], 0.0, 1.0)
-        claimed[node_ids] = True
-        for t in range(dim + 1):
-            j = int(simp[t])
-            if j < mesh.n_interior:
-                rows.append(node_ids)
-                cols.append(np.full(node_ids.shape[0], j, dtype=np.int64))
-                vals.append(lam[:, t])
-
-    if rows:
-        matrix = scipy.sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(grid.n_nodes, mesh.n_interior)).tocsr()
-    else:
-        matrix = scipy.sparse.csr_matrix((grid.n_nodes, mesh.n_interior))
+    node_ids, owners, lam = _locate_nodes(mesh, grid)
+    simp = mesh.simplices[owners]
+    keep = simp < mesh.n_interior
+    rows = np.broadcast_to(node_ids[:, None], simp.shape)[keep]
+    matrix = scipy.sparse.csr_matrix(
+        (np.clip(lam, 0.0, 1.0)[keep], (rows, simp[keep])),
+        shape=(grid.n_nodes, mesh.n_interior))
+    matrix.sort_indices()
     column_sums = np.asarray(matrix.sum(axis=0)).ravel()
 
     dead = np.nonzero(column_sums == 0.0)[0]
@@ -176,9 +200,18 @@ def apply_transfer_transpose(transfer: TransferMatrix, v_grid: np.ndarray) -> np
 def column_rank_check(transfer: TransferMatrix, mode: str = "auto") -> bool:
     """Full-column-rank test.
 
-    The exact path (available up to 5000 columns) factors the Gram matrix;
-    the heuristic path checks that every column sum is positive and that the
-    rows carrying each column's largest entry are pairwise distinct.
+    The exact path (up to 5000 columns, the limit "auto" uses to choose it)
+    tests lambda_min > 1e-12 lambda_max on the sparse Gram matrix I^T I
+    without forming it densely: Lanczos (ARPACK) gives lambda_max, then
+    shift-invert Lanczos at the small negative shift -1e-6 lambda_max, which
+    keeps the factorisation nonsingular when the Gram matrix is singular,
+    gives lambda_min.  A Gram matrix with a zero diagonal entry (an empty
+    column) is rank deficient without Lanczos.  If ARPACK does not converge
+    the check warns and reports False; it never reports full rank unproven.
+
+    The heuristic path checks that every column sum is positive and that
+    the rows carrying each column's largest entry (the lowest such row on
+    ties) are pairwise distinct.
     """
     if mode not in ("auto", "exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -187,22 +220,45 @@ def column_rank_check(transfer: TransferMatrix, mode: str = "auto") -> bool:
     if mode == "exact":
         if transfer.cols > 5000:
             raise ValueError("exact rank check is limited to 5000 columns")
-        if transfer.cols == 0:
-            return True
-        gram = (transfer.matrix.T @ transfer.matrix).toarray()
-        eigvals = np.linalg.eigvalsh(gram)
-        return bool(eigvals[0] > 1e-12 * max(eigvals[-1], np.finfo(float).tiny))
+        return _gram_full_rank(transfer.matrix)
     if np.any(transfer.column_sums <= 0.0):
         return False
     csc = transfer.matrix.tocsc()
-    leading = np.full(transfer.cols, -1, dtype=np.int64)
-    for j in range(transfer.cols):
-        seg = slice(csc.indptr[j], csc.indptr[j + 1])
-        data = csc.data[seg]
-        if data.size == 0:
-            return False
-        leading[j] = csc.indices[seg][np.argmax(data)]
+    csc.sort_indices()
+    counts = np.diff(csc.indptr)
+    if np.any(counts == 0):
+        return False
+    starts = csc.indptr[:-1]
+    col_max = np.maximum.reduceat(csc.data, starts)
+    is_max = csc.data == np.repeat(col_max, counts)
+    rows = np.where(is_max, csc.indices, transfer.rows)
+    leading = np.minimum.reduceat(rows, starts)
     return np.unique(leading).size == transfer.cols
+
+
+def _gram_full_rank(matrix: scipy.sparse.spmatrix) -> bool:
+    """lambda_min(I^T I) > 1e-12 lambda_max(I^T I), by sparse Lanczos."""
+    n = matrix.shape[1]
+    gram = (matrix.T @ matrix).tocsc()
+    if not np.all(gram.diagonal() > 0.0):
+        return False
+    if n <= 1:
+        return True
+    # ARPACK's default start vector is random per call; a fixed generic one
+    # makes the eigenvalues, and so the verdict, reproducible
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        lam_max = scipy.sparse.linalg.eigsh(
+            gram, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
+        lam_min = scipy.sparse.linalg.eigsh(
+            gram, k=1, sigma=-1e-6 * lam_max, which="LM", v0=v0,
+            return_eigenvectors=False)[0]
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        warnings.warn(f"exact rank check did not converge ({exc}); "
+                      "reporting the transfer as rank deficient",
+                      TransferRankWarning, stacklevel=3)
+        return False
+    return bool(lam_min > 1e-12 * lam_max)
 
 
 def write_transfer_coo(transfer: TransferMatrix, path):

@@ -132,6 +132,16 @@ class TestSolveCommand:
     def test_missing_mesh_source(self):
         assert main(["solve", "--dim", "2"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--ball", "0.2", "--rfd", "1000"],  # grid cap: n_fd 6585 > 4096
+        ["--ball", "0.0004"],                 # mesher ring budget
+    ])
+    def test_size_caps_exit_2(self, argv, tmp_path, capsys):
+        code = main(["solve", "--dim", "2", *argv, "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestConvergenceCommand:
     def test_runs_and_fits_order(self, tmp_path, capsys):
