@@ -15,7 +15,7 @@ import numpy as np
 
 from . import stiffness
 from .mesh import generate_ball_mesh, load_mesh, mesh_quality
-from .solver import build_kernel, solve_bvp
+from .solver import DEFAULT_M, build_kernel, solve_bvp
 from .stiffness import decay_profile, restrict, write_decay_csv, write_kernel_csv
 from .transfer import choose_grid
 
@@ -58,10 +58,10 @@ class ExperimentConfig:
     mesh: list | None = None
     large: bool = False
 
-    def resolved_m(self) -> int:
-        if self.m is not None:
-            return self.m
-        return 2 ** 14 if self.dim <= 2 else 2 ** 10
+    def resolved_m(self) -> int | None:
+        """The --m value, else the solver's default for dim (None for a dim
+        no kernel supports)."""
+        return self.m if self.m is not None else DEFAULT_M.get(self.dim)
 
     def config_line(self) -> str:
         parts = [f"command={self.command}", f"dim={self.dim}", f"s={self.s}",

@@ -51,7 +51,9 @@ __all__ = [
 ]
 
 _STENCILS = {1: 3, 2: 9, 3: 27}
-_DEFAULT_M = {1: 2 ** 14, 2: 2 ** 14, 3: 2 ** 10}
+# frequency grid size per axis of the fft, nufft and modspec kernels when
+# none is given; the CLI reads the same table
+DEFAULT_M = {1: 2 ** 14, 2: 2 ** 14, 3: 2 ** 10}
 
 
 @dataclass(frozen=True)
@@ -316,14 +318,16 @@ def exact_solution(dim: int, s, x) -> np.ndarray:
 
 def build_kernel(scheme: str, s, dim: int, n_fd: int, m: int | None = None,
                  n_g: int = 64) -> StiffnessKernel:
-    """Dispatch a kernel build by scheme name; m defaults to 2^14 (dim <= 2)
-    or 2^10 (dim 3) where the scheme needs it."""
+    """Dispatch a kernel build by scheme name; m defaults to DEFAULT_M[dim],
+    2^14 (dim <= 2) or 2^10 (dim 3), where the scheme needs it."""
     if scheme == "analytic":
         if dim != 1:
             raise ValueError("the analytic kernel exists in one dimension only")
         return analytic_1d(s, n_fd)
     if m is None:
-        m = _DEFAULT_M[dim]
+        if dim not in DEFAULT_M:
+            raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+        m = DEFAULT_M[dim]
     if scheme == "fft":
         return fft_uniform(s, dim, n_fd, m)
     if scheme == "nufft":

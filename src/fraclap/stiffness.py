@@ -5,11 +5,12 @@ nonnegative offset orthant 0 <= p_j <= 2*n_fd; the full tensor follows from
 the reflection symmetry T_{...,-p,...} = T_{...,p,...}.  Schemes:
 
   analytic  exact closed form, one dimension only
-  fft       trapezoid rule on a uniform frequency grid, evaluated by FFT
+  fft       trapezoid rule on a uniform frequency grid; the integrand is even
+            in every axis, so the sum is a DCT-I on the half grid [0, pi]
   nufft     trapezoid rule on nodes quadratically clustered at the origin
   spectral  radially symmetric surrogate |xi|^{2s} over a volume-matched ball,
             reduced to cumulative one-dimensional Bessel integrals
-  modspec   fft applied to the regularized integrand plus the spectral ball term
+  modspec   the fft sum of the regularized integrand plus the spectral ball term
 
 A decay-profile helper fits the tail slope of log|T_p| against log|p|.
 """
@@ -42,10 +43,12 @@ __all__ = [
 
 SCHEMES = ("analytic", "fft", "nufft", "spectral", "modspec")
 
-# largest frequency-grid tensor materialized in one piece; larger builds
-# stream in chunks (2D) or axis slabs (3D)
+# nufft: largest node tensor contracted directly, and the chunk size of the
+# 2D gridding path
 _PLAIN_LIMIT = 2 ** 24
 _CHUNK_ELEMS = 2 ** 23
+# fft/modspec: integrand samples evaluated per chunk of the half-grid DCT-I
+_DCT_CHUNK_ELEMS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,9 @@ def analytic_1d(s, n_fd: int) -> StiffnessKernel:
 
 def fft_uniform(s, dim: int, n_fd: int, m: int) -> StiffnessKernel:
     """Trapezoid-rule kernel on the uniform grid xi_j = pi (2j/M - 1),
-    j = 0..M-1 per axis, evaluated with an FFT of size M per axis.
+    j = 0..M-1 per axis.  The symbol is even in every axis, so the sum is
+    evaluated as a DCT-I over the half grid 0 <= xi <= pi: (M/2 + 1)^d symbol
+    evaluations for even M, taken in bounded chunks (see _uniform_fourier).
 
     Requires m >= 2*n_fd + 1.  The attainable accuracy improves with m like
     m^{-(d+2s)} since the rule aliases the exact coefficients.
@@ -266,19 +271,22 @@ def decay_profile(kernel: StiffnessKernel, tail_fraction: float = 0.5) -> DecayP
 
 def write_kernel_csv(kernel: StiffnessKernel, path, config_line: str | None = None):
     """Dump the nonnegative orthant as CSV with header p1[,p2[,p3]],T and
-    17-significant-digit scientific entries."""
+    17-significant-digit scientific entries, rows in C order of the offsets."""
     k = kernel.offsets_per_axis
     header = ",".join(f"p{i + 1}" for i in range(kernel.dim)) + ",T"
-    grids = np.meshgrid(*([np.arange(k)] * kernel.dim), indexing="ij")
+    # One %-format per slab of equal first offset: the later offsets are
+    # literal text, the same in every slab.
+    rows = ["%.16e"]
+    for _ in range(kernel.dim - 1):
+        rows = [f"{p},{row}" for p in range(k) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if config_line:
             fh.write(f"# config: {config_line}\n")
         fh.write(header + "\n")
-        flat = [g.ravel() for g in grids]
-        vals = kernel.coeffs.ravel()
-        for row in range(vals.shape[0]):
-            offs = ",".join(str(int(g[row])) for g in flat)
-            fh.write(f"{offs},{vals[row]:.16e}\n")
+        for p in range(k):
+            lead = f"{p},"
+            fh.write((lead + ("\n" + lead).join(rows) + "\n")
+                     % tuple(kernel.coeffs[p].ravel().tolist()))
 
 
 def write_decay_csv(profile: DecayProfile, path, config_line: str | None = None):
@@ -325,49 +333,67 @@ def _regularized_integrand(s):
 def _uniform_fourier(integrand, dim: int, n_fd: int, m: int) -> np.ndarray:
     """Coefficients C_p = (-1)^{sum p} / M^d  sum_j g(xi_j) exp(2 pi i p.j / M)
     over the nonnegative orthant p in [0, 2 n_fd]^d, for g sampled on the
-    uniform grid xi_j = pi (2j/M - 1), j = 0..M-1 per axis."""
+    uniform grid xi_j = pi (2j/M - 1), j = 0..M-1 per axis.
+
+    Since exp(2 pi i p j / M) = (-1)^p exp(i p xi_j), the signs cancel and C_p
+    is the sum of g(xi_j) exp(i p.xi_j) / M^d.  The grid is symmetric about
+    the origin apart from xi = -pi, where the sine vanishes, so for g even in
+    every axis the sum is real and folds onto the half grid xi = pi tau / M,
+    0 <= tau <= M with tau of the parity of M: a DCT-I per axis, of length
+    M/2 + 1 over t = tau/2 for even M and of length M + 1 with zeros at even
+    tau for odd M.  Outputs past the end of a short transform fold back,
+    C_p = C_{M-p} for even M.  g is evaluated in chunks along axis 0; the
+    other axes are transformed and cut to the 2 n_fd + 1 kept outputs one at
+    a time, axis 0 last.  Raises ArithmeticError if g is not even.
+    """
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
     k = 2 * n_fd + 1
     if m < k:
         raise ValueError(f"m must be at least 2*n_fd + 1 = {k}, got {m}")
-    xi = np.pi * (2.0 * np.arange(m) / m - 1.0)
+    _check_even(integrand, dim, m)
 
-    if dim == 1:
-        c = scipy.fft.ifft(integrand((xi,)))[:k]
-    elif dim == 2:
-        if m * m <= _PLAIN_LIMIT:
-            c = scipy.fft.ifft2(integrand((xi[:, None], xi[None, :])))[:k, :k]
-        else:
-            step = max(1, _CHUNK_ELEMS // m)
-            partial = np.empty((m, k), dtype=complex)
-            for i0 in range(0, m, step):
-                block = integrand((xi[i0:i0 + step, None], xi[None, :]))
-                partial[i0:i0 + step] = scipy.fft.ifft(block, axis=1)[:, :k]
-            c = scipy.fft.ifft(partial, axis=0)[:k]
+    if m % 2 == 0:
+        length = m // 2 + 1
+        tau = 2 * np.arange(length)
     else:
-        if m ** 3 <= _PLAIN_LIMIT:
-            c = scipy.fft.ifftn(integrand((xi[:, None, None], xi[None, :, None],
-                                        xi[None, None, :])))[:k, :k, :k]
-        else:
-            partial = np.empty((m, k, k), dtype=complex)
-            for j in range(m):
-                block = integrand((xi[j], xi[:, None], xi[None, :]))
-                partial[j] = scipy.fft.ifft2(block)[:k, :k]
-            c = scipy.fft.ifft(partial, axis=0)[:k]
+        length = m + 1
+        tau = np.arange(1, m + 1, 2)
+    xi = np.pi * tau / m
+    p = np.arange(k)
+    keep = np.minimum(p, 2 * (length - 1) - p)
 
-    scale = np.max(np.abs(c.real))
-    residue = np.max(np.abs(c.imag))
-    if residue > 1e-10 * max(scale, np.finfo(float).tiny):
+    def transform(x, axis):
+        if x.shape[axis] != length:        # odd m: place the odd-tau samples
+            full = np.zeros(x.shape[:axis] + (length,) + x.shape[axis + 1:])
+            full[(slice(None),) * axis + (tau,)] = x
+            x = full
+        return np.take(scipy.fft.dct(x, type=1, axis=axis), keep, axis=axis)
+
+    axes = [xi.reshape((1,) * i + (-1,) + (1,) * (dim - 1 - i)) for i in range(dim)]
+    step = max(1, _DCT_CHUNK_ELEMS // xi.size ** (dim - 1))
+    partial = np.empty((xi.size,) + (k,) * (dim - 1))
+    for i0 in range(0, xi.size, step):
+        block = integrand((axes[0][i0:i0 + step], *axes[1:]))
+        for axis in range(dim - 1, 0, -1):
+            block = transform(block, axis)
+        partial[i0:i0 + step] = block
+    return transform(partial, 0) / float(m) ** dim
+
+
+def _check_even(integrand, dim: int, m: int):
+    """Raise ArithmeticError unless g matches itself with each axis negated,
+    to 1e-10 of its scale, on a subgrid of up to 32 grid points per axis."""
+    j = np.unique(np.linspace(0, m - 1, 32).round())
+    xi = np.pi * (2.0 * j / m - 1.0)
+    axes = [xi.reshape((1,) * i + (-1,) + (1,) * (dim - 1 - i)) for i in range(dim)]
+    g = integrand(tuple(axes))
+    scale = np.max(np.abs(g))
+    odd = max(np.max(np.abs(integrand(tuple(axes[:i] + [-axes[i]] + axes[i + 1:])) - g))
+              for i in range(dim))
+    if not odd <= 1e-10 * max(scale, np.finfo(float).tiny):
         raise ArithmeticError(
-            f"imaginary residue {residue:.3e} exceeds 1e-10 of the coefficient scale {scale:.3e}")
-    signs = 1.0 - 2.0 * (np.arange(k) % 2)
-    out = c.real
-    for axis in range(dim):
-        shape = [1] * dim
-        shape[axis] = k
-        out = out * signs.reshape(shape)
-    return out
+            f"integrand is not even: odd part {odd:.3e} exceeds 1e-10 of its scale {scale:.3e}")
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,11 @@ class TestParsing:
         assert parse_config(["kernel", "--dim", "3"]).resolved_m() == 2 ** 10
         assert parse_config(["kernel", "--dim", "2", "--m", "64"]).resolved_m() == 64
 
+    def test_unsupported_dim_has_no_default_m(self, tmp_path, capsys):
+        assert parse_config(["kernel", "--dim", "4"]).resolved_m() is None
+        assert main(["kernel", "--dim", "4", "--out", str(tmp_path / "k.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: dim must be 1, 2 or 3")
+
 
 class TestKernelCommand:
     def test_analytic_self_comparison(self, tmp_path, capsys):
@@ -141,6 +146,20 @@ class TestSolveCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("h", ["0.1", "0.05"])
+    def test_spectral_circulant_not_converged_exit_1(self, h, tmp_path, capsys):
+        # the circulant surrogate of the ball-based kernel stalls CG: a
+        # reported non-convergence, not an exception
+        out = tmp_path / "solve.csv"
+        code = main(["solve", "--scheme", "spectral", "--precond", "circulant",
+                     "--ball", h, "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "converged=False" in captured.out
+        assert "preconditioner=circulant" in captured.out
+        assert captured.err == ""
+        assert read_lines(out)[1] == "iteration,relative_residual"
 
 
 class TestConvergenceCommand:

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
+from fraclap import stiffness
 from fraclap.core import gauss_legendre
 from fraclap.stiffness import (DecayProfile, StiffnessKernel, analytic_1d, ball_radius,
                                decay_profile, fft_uniform, modified_spectral, nonuniform,
                                restrict, spectral, write_decay_csv, write_kernel_csv,
-                               _modified_spectral_parts)
+                               _modified_spectral_parts, _psi_integrand,
+                               _regularized_integrand, _uniform_fourier)
 
 # max-norm errors of the 1D kernels against the closed form, N_FD = 81
 FFT_ERRORS_1D = {
@@ -110,6 +113,67 @@ class TestFftUniform:
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
             fft_uniform(0.5, 1, 81, 162)
+
+
+def reference_uniform_fourier(integrand, dim, n_fd, m):
+    """The complex-FFT trapezoid sum over the full grid xi_j = pi (2j/M - 1),
+    with its imaginary-residue check: the formulation the half-grid DCT-I
+    replaces."""
+    k = 2 * n_fd + 1
+    xi = np.pi * (2.0 * np.arange(m) / m - 1.0)
+    axes = tuple(xi.reshape((1,) * i + (-1,) + (1,) * (dim - 1 - i)) for i in range(dim))
+    c = scipy.fft.ifftn(np.broadcast_to(integrand(axes), (m,) * dim))[(slice(0, k),) * dim]
+    assert np.max(np.abs(c.imag)) <= 1e-10 * np.max(np.abs(c.real))
+    signs = 1.0 - 2.0 * (np.arange(k) % 2)
+    out = c.real
+    for axis in range(dim):
+        out = out * signs.reshape((1,) * axis + (-1,) + (1,) * (dim - 1 - axis))
+    return out
+
+
+class TestUniformFourier:
+    # per dim: m >= 4 n_fd even, even m in [2 n_fd + 1, 4 n_fd) (outputs fold
+    # to M - p), odd m, and m = 2 n_fd + 1
+    CASES = [(1, 5, m) for m in (64, 1000, 12, 16, 11, 13, 65)] \
+        + [(2, 4, m) for m in (16, 34, 10, 12, 9, 15, 33)] \
+        + [(3, 3, m) for m in (12, 24, 8, 10, 7, 9, 17)]
+
+    @pytest.mark.parametrize("dim,n_fd,m", CASES)
+    @pytest.mark.parametrize("make", [_psi_integrand, _regularized_integrand])
+    def test_matches_complex_fft(self, dim, n_fd, m, make):
+        for s in (0.3, 0.75):
+            expected = reference_uniform_fourier(make(s), dim, n_fd, m)
+            got = _uniform_fourier(make(s), dim, n_fd, m)
+            assert got.shape == (2 * n_fd + 1,) * dim
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    # budgets that give several chunks along axis 0, none dividing the
+    # number of half-grid rows (51, 33, 13 and, for odd m = 17, 9)
+    @pytest.mark.parametrize("dim,n_fd,m,budget", [(1, 5, 100, 7), (2, 4, 64, 4 * 33),
+                                                   (3, 3, 24, 3 * 13 ** 2),
+                                                   (3, 3, 17, 2 * 9 ** 2)])
+    def test_chunked_matches_complex_fft(self, monkeypatch, dim, n_fd, m, budget):
+        monkeypatch.setattr(stiffness, "_DCT_CHUNK_ELEMS", budget)
+        for make in (_psi_integrand, _regularized_integrand):
+            expected = reference_uniform_fourier(make(0.45), dim, n_fd, m)
+            got = _uniform_fourier(make(0.45), dim, n_fd, m)
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rejects_integrand_that_is_not_even(self, dim):
+        psi = _psi_integrand(0.5)
+
+        def lopsided(axes):
+            return psi(axes) + 1e-3 * np.sin(axes[-1])
+
+        with pytest.raises(ArithmeticError):
+            _uniform_fourier(lopsided, dim, 3, 16)
+
+    def test_rejects_bad_dim_and_m(self):
+        with pytest.raises(ValueError):
+            _uniform_fourier(_psi_integrand(0.5), 4, 3, 16)
+        with pytest.raises(ValueError):
+            _uniform_fourier(_psi_integrand(0.5), 2, 3, 6)
 
 
 class TestNonuniform:
@@ -261,6 +325,40 @@ class TestKernelStructure:
             wrapped = kernel.coeffs[np.ix_(fold, fold)]
             spec = scipy.fft.fftn(wrapped)
             assert np.max(np.abs(spec.imag)) <= 1e-10 * np.max(np.abs(spec.real))
+
+
+def reference_write_kernel_csv(kernel, path, config_line=None):
+    """The per-row writer that write_kernel_csv replaces."""
+    k = kernel.offsets_per_axis
+    header = ",".join(f"p{i + 1}" for i in range(kernel.dim)) + ",T"
+    grids = np.meshgrid(*([np.arange(k)] * kernel.dim), indexing="ij")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if config_line:
+            fh.write(f"# config: {config_line}\n")
+        fh.write(header + "\n")
+        flat = [g.ravel() for g in grids]
+        vals = kernel.coeffs.ravel()
+        for row in range(vals.shape[0]):
+            offs = ",".join(str(int(g[row])) for g in flat)
+            fh.write(f"{offs},{vals[row]:.16e}\n")
+
+
+class TestWriteKernelCsv:
+    @pytest.mark.parametrize("dim,n_fd", [(1, 7), (2, 6), (3, 5)])
+    @pytest.mark.parametrize("config_line", [None, "dim=2 s=0.5"])
+    def test_bytes_match_per_row_writer(self, tmp_path, dim, n_fd, config_line):
+        rng = np.random.default_rng(dim)
+        k = 2 * n_fd + 1
+        # both signs, exponents up to three digits, and a negative zero
+        coeffs = rng.standard_normal((k,) * dim) * 10.0 ** rng.integers(-300, 300, (k,) * dim)
+        coeffs.flat[0] = 1.5
+        coeffs.flat[-1] = -0.0
+        kernels = [StiffnessKernel(dim=dim, s=0.5, n_fd=n_fd, scheme="fft", coeffs=coeffs),
+                   fft_uniform(0.3, dim, n_fd, 32)]
+        for kernel in kernels:
+            write_kernel_csv(kernel, tmp_path / "new.csv", config_line)
+            reference_write_kernel_csv(kernel, tmp_path / "old.csv", config_line)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestDecayProfile:
