@@ -7,13 +7,18 @@ and their sum is folded into the pivot (the "modified" compensation), so the
 factor stays consistent with the column sums of A.  Signed compensation can
 drive a pivot nonpositive; that surfaces as IncompleteCholeskyError and the
 callers retry once with a small diagonal shift.
+
+The factor is applied through SuperLU, prepared once per factor: a lower
+triangle with positive pivots, given to ``splu`` in its natural order with
+diagonal pivoting, factors as L = (L D^-1) D without fill or pivoting, so
+each solve is one forward and one transposed substitution.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.linalg import spsolve_triangular
+from scipy.sparse.linalg import splu
 
 __all__ = ["IncompleteCholeskyError", "MicFactor", "mic_factor", "mic_factor_with_retry"]
 
@@ -26,16 +31,29 @@ class IncompleteCholeskyError(RuntimeError):
 
 
 class MicFactor:
-    """Lower-triangular factor L with A ~= L L^T; solve() applies (L L^T)^{-1}."""
+    """Lower-triangular factor L with A ~= L L^T; solve() applies (L L^T)^{-1}.
 
-    def __init__(self, lower: scipy.sparse.csr_matrix, shift: float = 0.0):
-        self.lower = lower.tocsr()
-        self.upper = lower.T.tocsr()
+    ``lower`` is the CSC triangle.  __init__ hands it once to SuperLU and
+    checks that the result is the triangle itself (identity row and column
+    permutations, diagonal U); solve() is then L y = b followed by
+    L^T x = y through that one factorization.
+    """
+
+    def __init__(self, lower: scipy.sparse.csc_matrix, shift: float = 0.0):
+        self.lower = scipy.sparse.csc_matrix(lower)
         self.shift = shift
+        n = self.lower.shape[0]
+        self._lu = splu(self.lower, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                        options=dict(SymmetricMode=True))
+        identity = np.arange(n)
+        if not (np.array_equal(self._lu.perm_r, identity)
+                and np.array_equal(self._lu.perm_c, identity)
+                and self._lu.U.nnz == n):
+            raise ArithmeticError("SuperLU permuted or filled the triangular factor")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        y = spsolve_triangular(self.lower, np.asarray(b, dtype=float), lower=True)
-        return spsolve_triangular(self.upper, y, lower=False)
+        y = self._lu.solve(np.asarray(b, dtype=float))
+        return self._lu.solve(y, trans="T")
 
 
 def mic_factor(matrix, drop_tol: float = 1e-3, shift: float = 0.0) -> MicFactor:
@@ -115,7 +133,7 @@ def mic_factor(matrix, drop_tol: float = 1e-3, shift: float = 0.0) -> MicFactor:
     indptr[1:] = np.cumsum([r.shape[0] for r in col_rows])
     lower = scipy.sparse.csc_matrix(
         (np.concatenate(col_vals), np.concatenate(col_rows), indptr), shape=(n, n))
-    return MicFactor(lower.tocsr(), shift=shift)
+    return MicFactor(lower, shift=shift)
 
 
 def mic_factor_with_retry(matrix, drop_tol: float = 1e-3) -> MicFactor:

@@ -13,7 +13,13 @@ gradients, optionally preconditioned by
             circulant diagonalized by the DFT; its inverse is conjugated back
             to mesh space through the pseudo-inverse of the transfer, realized
             with an incomplete Cholesky solve of the Gram matrix I^T I on each
-            side (solve, lift, frequency solve, restrict, solve).
+            side (solve, lift, frequency solve, restrict, solve).  The payload
+            is real and even, so the frequency solve is a real-to-real
+            transform pair over the half spectrum.
+
+Each incomplete Cholesky factor is prepared once for SuperLU, so a
+preconditioner solve is two sparse triangular substitutions.  CG reports
+why it stopped (SolveReport.stop_reason).
 """
 
 from __future__ import annotations
@@ -120,14 +126,16 @@ class CirculantPreconditioner(Preconditioner):
         self.transfer = transfer
         self.grid = grid
         self._sub = (slice(0, 2 * grid.n_fd),) * grid.dim
+        # the payload is even, so its half spectrum pairs with rfftn
+        self._half_payload = np.ascontiguousarray(payload[..., :grid.n_fd + 1])
 
     def circulant_solve(self, w_sub: np.ndarray) -> np.ndarray:
         """Frequency-diagonal solve on the 2*n_fd-per-axis sub-grid."""
-        return scipy.fft.ifftn(scipy.fft.fftn(w_sub) / self.payload).real
+        return scipy.fft.irfftn(scipy.fft.rfftn(w_sub) / self._half_payload, s=w_sub.shape)
 
     def circulant_apply(self, w_sub: np.ndarray) -> np.ndarray:
         """Action of the circulant surrogate itself (test hook)."""
-        return scipy.fft.ifftn(scipy.fft.fftn(w_sub) * self.payload).real
+        return scipy.fft.irfftn(scipy.fft.rfftn(w_sub) * self._half_payload, s=w_sub.shape)
 
     def apply(self, r):
         z = self.gram_factor.solve(r)
@@ -226,10 +234,12 @@ class SolveReport:
     converged: bool = False
     true_residual: float = float("nan")
     preconditioner: str = "none"
+    stop_reason: str = ""
 
     def to_text(self) -> str:
         lines = [
             f"converged={self.converged}",
+            f"stop_reason={self.stop_reason}",
             f"iterations={self.iterations}",
             f"l2_error={self.l2_error:.16e}",
             f"true_residual={self.true_residual:.16e}",
@@ -251,6 +261,13 @@ def cg_solve(op, b: np.ndarray, precond: Preconditioner | None = None,
     separately and cross-checks the declaration: an indefinite preconditioner
     can collapse the preconditioned norm while the true residual stagnates,
     and such runs report converged=False.
+
+    The report's stop_reason says why the iteration ended: converged; max_iter;
+    operator_not_positive (p^T A p <= 0); preconditioner_indefinite
+    (r^T M r <= 0 on a nonzero residual); true_residual_mismatch (the
+    preconditioned norm met tol but the true residual exceeds sqrt(tol));
+    non_finite (p^T A p or r^T M r is NaN or infinite).  A preconditioner that
+    is not positive on the initial residual raises ArithmeticError instead.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -262,6 +279,7 @@ def cg_solve(op, b: np.ndarray, precond: Preconditioner | None = None,
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         report.converged = True
+        report.stop_reason = "converged"
         report.true_residual = 0.0
         return np.zeros_like(b), report
 
@@ -274,11 +292,13 @@ def cg_solve(op, b: np.ndarray, precond: Preconditioner | None = None,
     rho0 = rho
     p = z.copy()
     report.residual_history.append(1.0)
+    report.stop_reason = "max_iter"
 
     for iteration in range(1, max_iter + 1):
         ap = matvec(p)
         denom = float(p @ ap)
         if not denom > 0.0:
+            report.stop_reason = "operator_not_positive" if np.isfinite(denom) else "non_finite"
             report.iterations = iteration - 1
             break
         alpha = rho / denom
@@ -286,13 +306,18 @@ def cg_solve(op, b: np.ndarray, precond: Preconditioner | None = None,
         r -= alpha * ap
         z = psolve(r)
         rho_next = float(r @ z)
-        rel = np.sqrt(max(rho_next, 0.0) / rho0)
-        report.residual_history.append(rel)
         report.iterations = iteration
+        if not np.isfinite(rho_next):
+            report.stop_reason = "non_finite"
+            break
+        if rho_next < 0.0 or (rho_next == 0.0 and np.any(r)):
+            report.stop_reason = "preconditioner_indefinite"
+            break
+        rel = np.sqrt(rho_next / rho0)
+        report.residual_history.append(rel)
         if rel <= tol:
             report.converged = True
-            break
-        if not rho_next > 0.0:
+            report.stop_reason = "converged"
             break
         p = z + (rho_next / rho) * p
         rho = rho_next
@@ -300,6 +325,7 @@ def cg_solve(op, b: np.ndarray, precond: Preconditioner | None = None,
     report.true_residual = float(np.linalg.norm(b - matvec(x)) / b_norm)
     if report.converged and report.true_residual > np.sqrt(tol):
         report.converged = False
+        report.stop_reason = "true_residual_mismatch"
     return x, report
 
 

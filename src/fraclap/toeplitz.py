@@ -3,9 +3,13 @@
 The operator is multilevel Toeplitz: acting on a grid tensor u it returns
 v_j = sum_m T_{j-m} u_m over the overlay grid (no spacing factor; the solver
 scales the right-hand side instead).  Embedding the generator into a
-circulant of length >= 4*n_fd + 1 per axis makes the product a single
-padded FFT convolution at O(N^d log N^d) cost, against O(N^{2d}) for the
-direct sum.
+circulant of length L >= 4*n_fd + 1 per axis makes the product a circular
+convolution at O(N^d log N^d) cost, against O(N^{2d}) for the direct sum.
+Only (2*n_fd + 1)^d of the L^d inputs are nonzero and only as many outputs
+are kept, so the transforms run axis by axis over the data-carrying lines
+alone: forward, the last axis first and each further axis on the lines the
+previous ones filled; inverse, in the opposite order, cutting each axis back
+to the grid right after its transform.
 
 Grid vectors are plain ndarrays of shape (2*n_fd + 1,) * dim indexed from
 the node k = -n_fd per axis.
@@ -58,13 +62,23 @@ class ToeplitzPlan:
             raise MemoryError(f"cannot plan transform of shape {self.fft_shape}") from exc
 
     def apply(self, u: np.ndarray) -> np.ndarray:
+        """v = T u as the convolution with the embedded generator, transforming
+        only the lines of the zero-padded input that carry data and keeping
+        only the lines of the output that fall on the grid."""
         u = np.asarray(u, dtype=float)
         if u.shape != self.grid_shape:
             raise ValueError(f"grid vector has shape {u.shape}, expected {self.grid_shape}")
-        padded = np.zeros(self.fft_shape)
-        padded[tuple(slice(0, n) for n in self.grid_shape)] = u
-        conv = scipy.fft.irfftn(scipy.fft.rfftn(padded) * self._spectrum, s=self.fft_shape)
-        return conv[tuple(slice(0, n) for n in self.grid_shape)].copy()
+        length = self.fft_shape[0]
+        k = self.grid_shape[0]
+        axes = range(u.ndim - 1)
+        spec = scipy.fft.rfft(u, n=length, axis=-1)
+        for axis in reversed(axes):
+            spec = scipy.fft.fft(spec, n=length, axis=axis, overwrite_x=True)
+        spec *= self._spectrum
+        for axis in axes:
+            spec = scipy.fft.ifft(spec, axis=axis, overwrite_x=True)
+            spec = spec[(slice(None),) * axis + (slice(0, k),)]
+        return scipy.fft.irfft(spec, n=length, axis=-1)[..., :k].copy()
 
 
 def plan(kernel: StiffnessKernel) -> ToeplitzPlan:

@@ -157,6 +157,7 @@ class TestSolveCommand:
         assert code == 1
         captured = capsys.readouterr()
         assert "converged=False" in captured.out
+        assert "stop_reason=preconditioner_indefinite" in captured.out
         assert "preconditioner=circulant" in captured.out
         assert captured.err == ""
         assert read_lines(out)[1] == "iteration,relative_residual"

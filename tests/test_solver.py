@@ -1,18 +1,21 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse
+from scipy.sparse.linalg import spsolve_triangular
 
 from fraclap.core import OverlayGrid, gamma
 from fraclap.ichol import IncompleteCholeskyError, mic_factor, mic_factor_with_retry
 from fraclap.mesh import mesh_quality
-from fraclap.solver import (CirculantPreconditioner, OverlayOperator, SolveReport,
-                            assemble_rhs, build_circulant_preconditioner,
+from fraclap.solver import (CirculantPreconditioner, OverlayOperator, Preconditioner,
+                            SolveReport, assemble_rhs, build_circulant_preconditioner,
                             build_sparse_preconditioner, cg_solve, circulant_payload,
                             exact_solution, operator_apply, solve_bvp,
                             _near_field_matrix)
-from fraclap.stiffness import analytic_1d, fft_uniform
+from fraclap.stiffness import analytic_1d, fft_uniform, spectral
 from fraclap.toeplitz import ToeplitzPlan, dense_materialize
 from fraclap.transfer import TransferMatrix, build_transfer, choose_grid
 
@@ -129,6 +132,101 @@ class TestCgSolve:
             assert report.true_residual <= 1e-8
 
 
+class _CraftedPreconditioner(Preconditioner):
+    """Applies apply_fn(call_number, r)."""
+
+    variant = "crafted"
+
+    def __init__(self, apply_fn):
+        self.apply_fn = apply_fn
+        self.calls = 0
+
+    def apply(self, r):
+        self.calls += 1
+        return self.apply_fn(self.calls, r)
+
+
+class TestCgStopReason:
+    def spd_system(self, n=12):
+        rng = np.random.default_rng(4)
+        q = rng.standard_normal((n, n))
+        a = q @ q.T + n * np.eye(n)
+        return a, rng.standard_normal(n)
+
+    def test_converged(self):
+        mesh, op = small_operator()
+        b = assemble_rhs(mesh, op.transfer, 0.5, 1.0)
+        x, report = cg_solve(op, b)
+        assert report.converged and report.stop_reason == "converged"
+        assert "stop_reason=converged\n" in report.to_text()
+
+    def test_zero_rhs_converged(self):
+        x, report = cg_solve(lambda v: v, np.zeros(3))
+        assert report.stop_reason == "converged"
+
+    def test_exact_zero_residual_converges(self):
+        x, report = cg_solve(lambda v: 2.0 * v, np.ones(4))
+        assert report.converged and report.stop_reason == "converged"
+        assert report.iterations == 1
+        assert report.residual_history == [1.0, 0.0]
+
+    def test_max_iter(self):
+        mesh, op = small_operator()
+        b = assemble_rhs(mesh, op.transfer, 0.5, 1.0)
+        x, report = cg_solve(op, b, max_iter=1)
+        assert not report.converged
+        assert report.stop_reason == "max_iter"
+        assert report.iterations == 1
+        assert len(report.residual_history) == 2
+
+    def test_indefinite_preconditioner(self):
+        a, b = self.spd_system()
+        # positive on b, negative definite afterwards
+        precond = _CraftedPreconditioner(lambda call, r: r if call == 1 else -r)
+        x, report = cg_solve(lambda v: a @ v, b, precond)
+        assert report.stop_reason == "preconditioner_indefinite"
+        assert not report.converged and report.iterations == 1
+        # the breaking iteration adds no entry: no fake zero
+        assert report.residual_history == [1.0]
+
+    def test_operator_not_positive(self):
+        a, b = self.spd_system()
+        x, report = cg_solve(lambda v: -(a @ v), b)
+        assert report.stop_reason == "operator_not_positive"
+        assert not report.converged and report.iterations == 0
+        assert np.all(x == 0.0)
+
+    def test_non_finite_operator(self):
+        a, b = self.spd_system()
+        x, report = cg_solve(lambda v: np.full_like(v, np.nan), b)
+        assert report.stop_reason == "non_finite"
+        assert not report.converged and report.iterations == 0
+
+    def test_non_finite_preconditioner(self):
+        a, b = self.spd_system()
+        precond = _CraftedPreconditioner(
+            lambda call, r: r if call == 1 else np.full_like(r, np.nan))
+        x, report = cg_solve(lambda v: a @ v, b, precond)
+        assert report.stop_reason == "non_finite"
+        assert not report.converged and report.iterations == 1
+
+    def test_true_residual_mismatch(self):
+        a, b = self.spd_system()
+        # shrinks every residual after the first: the preconditioned norm meets
+        # tol at once while the true residual does not
+        precond = _CraftedPreconditioner(lambda call, r: r if call == 1 else 1e-30 * r)
+        x, report = cg_solve(lambda v: a @ v, b, precond)
+        assert report.stop_reason == "true_residual_mismatch"
+        assert not report.converged and report.iterations == 1
+        assert report.true_residual > 1e-5
+
+    def test_initial_indefinite_still_raises(self):
+        a, b = self.spd_system()
+        with pytest.raises(ArithmeticError):
+            cg_solve(lambda v: a @ v, b, _CraftedPreconditioner(lambda call, r: -r))
+
+
+
 class TestMic:
     def test_no_dropping_equals_cholesky(self):
         rng = np.random.default_rng(3)
@@ -152,6 +250,73 @@ class TestMic:
         a = scipy.sparse.csc_matrix(np.diag([1.0, 2.0, 3.0]))
         factor = mic_factor_with_retry(a)
         assert factor.shift == 0.0
+
+
+def reference_mic_solve(lower, b):
+    """(L L^T)^{-1} b by two sparse triangular substitutions, as the factor
+    solved before it kept a SuperLU factorization."""
+    y = spsolve_triangular(lower.tocsr(), np.asarray(b, dtype=float), lower=True)
+    return spsolve_triangular(lower.T.tocsr(), y, lower=False)
+
+
+def grid_laplacian(n):
+    """Neumann Laplacian of an n x n grid: singular, so the compensated last
+    pivot rounds to zero and the factor needs its retry shift."""
+    path = scipy.sparse.diags([-np.ones(n - 1), np.r_[1.0, 2.0 * np.ones(n - 2), 1.0],
+                               -np.ones(n - 1)], [-1, 0, 1])
+    eye = scipy.sparse.identity(n)
+    return (scipy.sparse.kron(path, eye) + scipy.sparse.kron(eye, path)).tocsc()
+
+
+@lru_cache(maxsize=None)
+def mic_factor_cases():
+    rng = np.random.default_rng(11)
+    n = 60
+    b = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.1)
+    a = scipy.sparse.csc_matrix(b @ b.T + n * np.eye(n))
+    mesh, op = small_operator(n_r=5)
+    return {
+        "drop0": mic_factor(a, drop_tol=0.0),
+        "drop1e-3": mic_factor(a, drop_tol=1e-3),
+        "retry_shift": mic_factor_with_retry(grid_laplacian(3)),
+        "n1": mic_factor(scipy.sparse.csc_matrix([[4.0]])),
+        "sparse": build_sparse_preconditioner(op).factor,
+        "gram": build_circulant_preconditioner(op).gram_factor,
+    }
+
+
+class TestMicSolve:
+    def test_retry_case_is_shifted(self):
+        assert mic_factor_cases()["retry_shift"].shift > 0.0
+
+    @pytest.mark.parametrize("case", ["drop0", "drop1e-3", "retry_shift", "n1", "sparse",
+                                      "gram"])
+    def test_matches_triangular_substitution(self, case):
+        factor = mic_factor_cases()[case]
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            b = rng.standard_normal(factor.lower.shape[0])
+            got = factor.solve(b)
+            ref = reference_mic_solve(factor.lower, b)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", ["drop1e-3", "retry_shift", "sparse", "gram"])
+    def test_superlu_keeps_the_triangle(self, case):
+        factor = mic_factor_cases()[case]
+        lower = factor.lower
+        n = lower.shape[0]
+        assert lower.format == "csc"
+        lu = factor._lu
+        assert np.array_equal(lu.perm_r, np.arange(n))
+        assert np.array_equal(lu.perm_c, np.arange(n))
+        u = lu.U
+        assert u.nnz == n and np.all(u.diagonal() > 0.0)
+        # L D^-1 with unit diagonal, and nothing filled in
+        assert lu.L.nnz == lower.nnz
+        d = lower.diagonal()
+        scaled = (lu.L @ scipy.sparse.diags(u.diagonal())).toarray()
+        assert np.max(np.abs(scaled - lower.toarray())) <= 1e-14 * np.max(d)
+
 
 
 class TestSparsePreconditioner:
@@ -267,6 +432,23 @@ class TestCirculantPreconditioner:
         v = rng.standard_normal(16)
         round_trip = precond.circulant_solve(precond.circulant_apply(v))
         assert np.max(np.abs(round_trip - v)) < 1e-10
+
+    @pytest.mark.parametrize("dim,n_fd", [(1, 8), (2, 6), (3, 3)])
+    def test_real_transform_matches_complex(self, dim, n_fd):
+        # payloads with floored and with negative entries (spectral surrogate)
+        for kernel in (fft_uniform(0.5, dim, n_fd, 4 * n_fd + 4),
+                       spectral(0.5, dim, n_fd, 16)):
+            payload = circulant_payload(kernel)
+            grid = OverlayGrid(dim=dim, r_fd=1.0, n_fd=n_fd)
+            precond = CirculantPreconditioner(payload, None, identity_transfer(grid), grid)
+            w = np.random.default_rng(dim).standard_normal((2 * n_fd,) * dim)
+            spectrum = scipy.fft.fftn(w)
+            for got, ref in ((precond.circulant_solve(w),
+                              scipy.fft.ifftn(spectrum / payload).real),
+                             (precond.circulant_apply(w),
+                              scipy.fft.ifftn(spectrum * payload).real)):
+                assert got.shape == w.shape and got.dtype == np.float64
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_payload_positive_for_true_kernel(self):
         for kernel in (analytic_1d(0.5, 16), fft_uniform(0.5, 2, 12, 64),

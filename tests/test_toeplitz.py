@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraclap.stiffness import analytic_1d, fft_uniform, modified_spectral, nonuniform, spectral
 from fraclap.toeplitz import ToeplitzPlan, apply, dense_materialize, dft, plan
@@ -136,6 +139,48 @@ class TestPlanApply:
 
         assert interior_max(128) < interior_max(16)
 
+
+
+def reference_apply(p, u):
+    """The plan's product by one padded convolution over the whole embedding,
+    as it was computed before the transforms skipped the zero lines."""
+    padded = np.zeros(p.fft_shape)
+    padded[tuple(slice(0, n) for n in p.grid_shape)] = u
+    conv = scipy.fft.irfftn(scipy.fft.rfftn(padded) * p._spectrum, s=p.fft_shape)
+    return conv[tuple(slice(0, n) for n in p.grid_shape)].copy()
+
+
+class TestPrunedTransforms:
+    # n_fd 3, 4, 7 and 9 pad 4*n_fd + 1 to a longer fast length
+    @pytest.mark.parametrize("dim,n_fds", [(1, (1, 2, 3, 4, 7, 9, 40)),
+                                           (2, (1, 2, 3, 4, 7, 9, 13)),
+                                           (3, (1, 2, 3, 4, 7))])
+    def test_matches_padded_convolution(self, dim, n_fds):
+        rng = np.random.default_rng(dim)
+        for n_fd in n_fds:
+            p = ToeplitzPlan(fft_uniform(0.5, dim, n_fd, 4 * n_fd + 4))
+            u = rng.standard_normal(p.grid_shape)
+            got = p.apply(u)
+            ref = reference_apply(p, u)
+            assert got.shape == ref.shape and got.flags.c_contiguous
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+            if dim == 1:
+                assert np.array_equal(got, ref)
+
+    def test_padded_lengths_exercised(self):
+        for n_fd in (3, 4, 7, 9):
+            assert ToeplitzPlan(analytic_1d(0.5, n_fd)).fft_shape[0] > 4 * n_fd + 1
+
+    @settings(max_examples=20, deadline=None)
+    @given(dim=st.integers(1, 3), n_fd=st.integers(1, 4),
+           s=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 16))
+    def test_property_equals_dense(self, dim, n_fd, s, seed):
+        kernel = fft_uniform(s, dim, n_fd, 4 * n_fd + 4)
+        p = ToeplitzPlan(kernel)
+        u = np.random.default_rng(seed).standard_normal(p.grid_shape)
+        got = p.apply(u).ravel()
+        ref = dense_materialize(kernel) @ u.ravel()
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 class TestDenseMaterialize:
     def test_1d_first_row(self):
