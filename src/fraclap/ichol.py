@@ -8,13 +8,20 @@ factor stays consistent with the column sums of A.  Signed compensation can
 drive a pivot nonpositive; that surfaces as IncompleteCholeskyError and the
 callers retry once with a small diagonal shift.
 
-The factor is applied through SuperLU, prepared once per factor: a lower
-triangle with positive pivots, given to ``splu`` in its natural order with
-diagonal pivoting, factors as L = (L D^-1) D without fill or pivoting, so
-each solve is one forward and one transposed substitution.
+The loop works on Python scalars.  The working column is a dict keyed by
+row: A's rows >= j (read one column at a time), then the updates from the
+finished columns whose next entry is row j, which wait in per-row lists of
+(position, end) into the factor's flat arrays.  Dropped entries are summed
+as numpy sums them, so the factor is bitwise that of a numpy column loop
+(the tests keep one as the reference).  MicFactor solves through SuperLU.
 """
 
 from __future__ import annotations
+
+import math
+from array import array
+from functools import reduce
+from operator import add
 
 import numpy as np
 import scipy.sparse
@@ -63,76 +70,51 @@ def mic_factor(matrix, drop_tol: float = 1e-3, shift: float = 0.0) -> MicFactor:
         raise ValueError("matrix must be square")
     n = a.shape[0]
     a.sort_indices()
-    drop_ref = drop_tol * np.asarray(np.abs(a).sum(axis=0)).ravel()
+    drop_ref = (drop_tol * np.asarray(np.abs(a).sum(axis=0)).ravel()).tolist()
+    a_ptr = a.indptr.tolist()
 
-    col_rows: list[np.ndarray] = []
-    col_vals: list[np.ndarray] = []
-    ptr = np.zeros(n, dtype=np.int64)
-    heads: list[list[int]] = [[] for _ in range(n)]
-    work = np.zeros(n)
-    marked = np.zeros(n, dtype=bool)
+    # finished columns back to back, pivot first, then rows ascending
+    rows, vals, indptr = array("i"), array("d"), [0]
+    # heads[i]: (position, end) of the finished columns whose next entry is
+    # row i, in the order they reached it
+    heads: list = [[] for _ in range(n)]
 
     for j in range(n):
-        touched = []
-        seg = slice(a.indptr[j], a.indptr[j + 1])
-        rows_a = a.indices[seg]
-        vals_a = a.data[seg]
-        lower_sel = rows_a >= j
-        rows_j = rows_a[lower_sel]
-        work[rows_j] = vals_a[lower_sel]
-        marked[rows_j] = True
-        touched.append(rows_j)
+        lo, hi = a_ptr[j], a_ptr[j + 1]
+        w = {r: v for r, v in zip(a.indices[lo:hi].tolist(), a.data[lo:hi].tolist())
+             if r >= j}
         if shift:
-            if not marked[j]:
-                marked[j] = True
-                touched.append(np.array([j]))
-            work[j] += shift
+            w[j] = w.get(j, 0.0) + shift
+        get = w.get
+        pending, heads[j] = heads[j], None
+        for p, end in pending:
+            ljk = vals[p]
+            for r, v in zip(rows[p:end], vals[p:end]):
+                w[r] = get(r, 0.0) - ljk * v
+            if p + 1 < end:
+                heads[rows[p + 1]].append((p + 1, end))
 
-        for k in heads[j]:
-            t = ptr[k]
-            ljk = col_vals[k][t]
-            seg_rows = col_rows[k][t:]
-            work[seg_rows] -= ljk * col_vals[k][t:]
-            new = seg_rows[~marked[seg_rows]]
-            if new.size:
-                marked[new] = True
-                touched.append(new)
-            ptr[k] = t + 1
-            if t + 1 < col_rows[k].shape[0]:
-                heads[col_rows[k][t + 1]].append(k)
-        heads[j] = []
-
-        touched_all = np.concatenate(touched) if touched else np.empty(0, dtype=np.int64)
-        sub = touched_all[touched_all > j]
-        sub_vals = work[sub]
-        pivot = work[j]
-        dropping = np.abs(sub_vals) < drop_ref[j]
-        pivot += sub_vals[dropping].sum()
+        pivot = w.pop(j, 0.0)
+        ref = drop_ref[j]
+        dropped = [v for v in w.values() if abs(v) < ref]
+        kept = sorted((r, v) for r, v in w.items() if not abs(v) < ref)
+        # numpy's order: sequential below 8 terms (builtin sum() compensates
+        # from Python 3.12 on), pairwise from 8 on
+        pivot += reduce(add, dropped, 0.0) if len(dropped) < 8 else np.array(dropped).sum()
         if not pivot > 0.0:
-            work[touched_all] = 0.0
-            marked[touched_all] = False
-            work[j] = 0.0
-            marked[j] = False
             raise IncompleteCholeskyError(j, pivot)
-        root = np.sqrt(pivot)
-        keep = sub[~dropping]
-        keep_vals = sub_vals[~dropping]
-        order = np.argsort(keep)
-        col_rows.append(np.concatenate(([j], keep[order])))
-        col_vals.append(np.concatenate(([root], keep_vals[order] / root)))
-        ptr[j] = 1  # first subdiagonal entry is the next contribution
-        if keep.size:
-            heads[col_rows[j][1]].append(j)
+        root = math.sqrt(pivot)
+        p = len(rows)
+        rows.append(j)
+        rows.extend([r for r, _ in kept])
+        vals.append(root)
+        vals.extend([v / root for _, v in kept])
+        indptr.append(len(rows))
+        if kept:
+            heads[kept[0][0]].append((p + 1, len(rows)))
 
-        work[touched_all] = 0.0
-        marked[touched_all] = False
-        work[j] = 0.0
-        marked[j] = False
-
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([r.shape[0] for r in col_rows])
-    lower = scipy.sparse.csc_matrix(
-        (np.concatenate(col_vals), np.concatenate(col_rows), indptr), shape=(n, n))
+    lower = scipy.sparse.csc_matrix((np.array(vals), np.array(rows), np.array(indptr)),
+                                    shape=(n, n))
     return MicFactor(lower, shift=shift)
 
 

@@ -101,6 +101,7 @@ class Preconditioner:
     """Symmetric positive definite map applied to residuals inside PCG."""
 
     variant = "none"
+    shift = 0.0  # diagonal shift of its MIC factor's breakdown retry
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -111,6 +112,10 @@ class SparsePreconditioner(Preconditioner):
         self.factor = factor
         self.stencil = stencil
         self.variant = f"sparse{stencil}"
+
+    @property
+    def shift(self):
+        return self.factor.shift
 
     def apply(self, r):
         return self.factor.solve(r)
@@ -128,6 +133,10 @@ class CirculantPreconditioner(Preconditioner):
         self._sub = (slice(0, 2 * grid.n_fd),) * grid.dim
         # the payload is even, so its half spectrum pairs with rfftn
         self._half_payload = np.ascontiguousarray(payload[..., :grid.n_fd + 1])
+
+    @property
+    def shift(self):
+        return self.gram_factor.shift
 
     def circulant_solve(self, w_sub: np.ndarray) -> np.ndarray:
         """Frequency-diagonal solve on the 2*n_fd-per-axis sub-grid."""
@@ -235,6 +244,7 @@ class SolveReport:
     true_residual: float = float("nan")
     preconditioner: str = "none"
     stop_reason: str = ""
+    precond_shift: float = 0.0
 
     def to_text(self) -> str:
         lines = [
@@ -244,6 +254,7 @@ class SolveReport:
             f"l2_error={self.l2_error:.16e}",
             f"true_residual={self.true_residual:.16e}",
             f"preconditioner={self.preconditioner}",
+            f"precond_shift={self.precond_shift:.16e}",
         ]
         for phase, seconds in self.wall_times.items():
             lines.append(f"time_{phase}={seconds:.6f}")
@@ -376,9 +387,10 @@ def solve_bvp(mesh: SimplicialMesh, s, scheme: str = "fft", *,
     solution (the closed-form unit-ball solution by default).
 
     Returns the nodal solution over all vertices (boundary entries zero) and
-    a SolveReport with per-phase timings.  precond "auto" selects the
-    circulant preconditioner except for the spectral scheme, which runs
-    unpreconditioned.
+    a SolveReport with per-phase timings and the diagonal shift that the
+    preconditioner's MIC factor retried with (precond_shift, 0.0 if none).
+    precond "auto" selects the circulant preconditioner except for the
+    spectral scheme, which runs unpreconditioned.
     """
     s = order_value(s)
     times = {}
@@ -438,6 +450,7 @@ def solve_bvp(mesh: SimplicialMesh, s, scheme: str = "fft", *,
         fallback = preconditioner.variant
         u_interior, report = cg_solve(op, b, None, tol=tol, max_iter=max_iter)
         report.preconditioner = f"none(fallback from {fallback})"
+    report.precond_shift = preconditioner.shift if preconditioner is not None else 0.0
     times["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -5,16 +5,20 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve_triangular
 
+from fraclap import ichol
 from fraclap.core import OverlayGrid, gamma
-from fraclap.ichol import IncompleteCholeskyError, mic_factor, mic_factor_with_retry
+from fraclap.ichol import (IncompleteCholeskyError, MicFactor, mic_factor,
+                           mic_factor_with_retry)
 from fraclap.mesh import mesh_quality
 from fraclap.solver import (CirculantPreconditioner, OverlayOperator, Preconditioner,
-                            SolveReport, assemble_rhs, build_circulant_preconditioner,
-                            build_sparse_preconditioner, cg_solve, circulant_payload,
-                            exact_solution, operator_apply, solve_bvp,
-                            _near_field_matrix)
+                            SolveReport, SparsePreconditioner, assemble_rhs,
+                            build_circulant_preconditioner, build_sparse_preconditioner,
+                            cg_solve, circulant_payload, exact_solution, operator_apply,
+                            solve_bvp, _near_field_matrix)
 from fraclap.stiffness import analytic_1d, fft_uniform, spectral
 from fraclap.toeplitz import ToeplitzPlan, dense_materialize
 from fraclap.transfer import TransferMatrix, build_transfer, choose_grid
@@ -22,10 +26,10 @@ from fraclap.transfer import TransferMatrix, build_transfer, choose_grid
 from conftest import ball_mesh
 
 
-def small_operator(n_r=3, s=0.5, m=32):
-    mesh = ball_mesh(2, n_r)
+def small_operator(n_r=3, s=0.5, m=32, dim=2):
+    mesh = ball_mesh(dim, n_r)
     grid = choose_grid(mesh_quality(mesh), 1.2)
-    kernel = fft_uniform(s, 2, grid.n_fd, max(m, 2 * grid.n_fd + 1))
+    kernel = fft_uniform(s, dim, grid.n_fd, max(m, 2 * grid.n_fd + 1))
     transfer = build_transfer(mesh, grid)
     op = OverlayOperator(transfer=transfer, plan=ToeplitzPlan(kernel), grid=grid, s=s)
     return mesh, op
@@ -245,11 +249,179 @@ class TestMic:
             mic_factor(a, drop_tol=0.0)
 
     def test_retry_shift(self):
-        # barely indefinite after compensation: the retry shift must also fail,
-        # while a clean SPD matrix succeeds directly
+        # a clean SPD matrix factors on the first attempt, without the shift
         a = scipy.sparse.csc_matrix(np.diag([1.0, 2.0, 3.0]))
         factor = mic_factor_with_retry(a)
         assert factor.shift == 0.0
+
+    def test_retry_reraises_when_the_shift_also_breaks_down(self):
+        # the 1e-8 shift cannot lift column 1's pivot 1 - 2^2 = -3
+        a = scipy.sparse.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(IncompleteCholeskyError) as err:
+            mic_factor_with_retry(a)
+        assert err.value.column == 1 and err.value.pivot < -2.9
+
+
+def reference_mic_factor(matrix, drop_tol=1e-3, shift=0.0):
+    """The numpy column loop that mic_factor replaced, kept as its bitwise
+    reference: a dense working column updated by fancy indexing, the touched
+    rows tracked by a mask.  The factor's most_dropped is the most entries
+    dropped from one column."""
+    a = scipy.sparse.csc_matrix(matrix)
+    n = a.shape[0]
+    a.sort_indices()
+    drop_ref = drop_tol * np.asarray(np.abs(a).sum(axis=0)).ravel()
+
+    col_rows, col_vals = [], []
+    ptr = np.zeros(n, dtype=np.int64)
+    heads = [[] for _ in range(n)]
+    work = np.zeros(n)
+    marked = np.zeros(n, dtype=bool)
+    most_dropped = 0
+
+    for j in range(n):
+        touched = []
+        seg = slice(a.indptr[j], a.indptr[j + 1])
+        rows_a = a.indices[seg]
+        vals_a = a.data[seg]
+        lower_sel = rows_a >= j
+        rows_j = rows_a[lower_sel]
+        work[rows_j] = vals_a[lower_sel]
+        marked[rows_j] = True
+        touched.append(rows_j)
+        if shift:
+            if not marked[j]:
+                marked[j] = True
+                touched.append(np.array([j]))
+            work[j] += shift
+
+        for k in heads[j]:
+            t = ptr[k]
+            ljk = col_vals[k][t]
+            seg_rows = col_rows[k][t:]
+            work[seg_rows] -= ljk * col_vals[k][t:]
+            new = seg_rows[~marked[seg_rows]]
+            if new.size:
+                marked[new] = True
+                touched.append(new)
+            ptr[k] = t + 1
+            if t + 1 < col_rows[k].shape[0]:
+                heads[col_rows[k][t + 1]].append(k)
+        heads[j] = []
+
+        touched_all = np.concatenate(touched)
+        sub = touched_all[touched_all > j]
+        sub_vals = work[sub]
+        pivot = work[j]
+        dropping = np.abs(sub_vals) < drop_ref[j]
+        most_dropped = max(most_dropped, int(dropping.sum()))
+        pivot += sub_vals[dropping].sum()
+        if not pivot > 0.0:
+            raise IncompleteCholeskyError(j, pivot)
+        root = np.sqrt(pivot)
+        keep = sub[~dropping]
+        keep_vals = sub_vals[~dropping]
+        order = np.argsort(keep)
+        col_rows.append(np.concatenate(([j], keep[order])))
+        col_vals.append(np.concatenate(([root], keep_vals[order] / root)))
+        ptr[j] = 1
+        if keep.size:
+            heads[col_rows[j][1]].append(j)
+
+        work[touched_all] = 0.0
+        marked[touched_all] = False
+        work[j] = 0.0
+        marked[j] = False
+
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([r.shape[0] for r in col_rows])
+    lower = scipy.sparse.csc_matrix(
+        (np.concatenate(col_vals), np.concatenate(col_rows), indptr), shape=(n, n))
+    factor = MicFactor(lower, shift=shift)
+    factor.most_dropped = most_dropped
+    return factor
+
+
+def mic_outcome(factorize, matrix, drop_tol):
+    """What a factorization returns, as comparable values: the exact CSC
+    arrays and shift, or the breakdown's column and pivot."""
+    try:
+        factor = factorize(matrix, drop_tol=drop_tol)
+    except IncompleteCholeskyError as exc:
+        return "breakdown", exc.column, exc.pivot
+    lower = factor.lower
+    return ("factor", lower.indptr.tolist(), lower.indices.tolist(), lower.data.tolist(),
+            factor.shift)
+
+
+@lru_cache(maxsize=None)
+def mic_equivalence_cases():
+    """(matrix, drop_tol) per case: a random SPD matrix at three thresholds,
+    the singular grid Laplacian (needs the retry shift), n=1, and the sparse
+    and Gram matrices of a small 2D and 3D ball."""
+    rng = np.random.default_rng(21)
+    n = 60
+    b = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.1)
+    spd = scipy.sparse.csc_matrix(b @ b.T + n * np.eye(n))
+    cases = {f"spd_drop{tol:g}": (spd, tol) for tol in (0.0, 1e-3, 1e-1)}
+    cases["retry_shift"] = (grid_laplacian(3), 1e-3)
+    # x ** 0.5 rounds this one a unit in the last place off sqrt(x)
+    cases["n1"] = (scipy.sparse.csc_matrix([[2.293947877959665]]), 1e-3)
+    for dim, n_r in ((2, 5), (3, 3)):
+        mesh, op = small_operator(n_r=n_r, dim=dim)
+        near = _near_field_matrix(op.plan.kernel, op.grid)
+        t = op.transfer.matrix
+        cases[f"sparse{dim}d"] = ((t.T @ (near @ t)).tocsc(), 1e-3)
+        cases[f"gram{dim}d"] = ((t.T @ t).tocsc(), 1e-3)
+    return cases
+
+
+class TestMicMatchesReference:
+    @pytest.mark.parametrize("case", ["spd_drop0", "spd_drop0.001", "spd_drop0.1",
+                                      "retry_shift", "n1", "sparse2d", "gram2d",
+                                      "sparse3d", "gram3d"])
+    def test_bitwise_equal(self, case):
+        matrix, drop_tol = mic_equivalence_cases()[case]
+        factor = mic_factor_with_retry(matrix, drop_tol=drop_tol)
+        ref = reference_mic_factor(matrix, drop_tol=drop_tol, shift=factor.shift)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(factor.lower, name), getattr(ref.lower, name)), name
+        assert factor.shift == ref.shift
+
+    def test_retry_case_breaks_down_unshifted(self):
+        matrix, drop_tol = mic_equivalence_cases()["retry_shift"]
+        assert mic_factor_with_retry(matrix, drop_tol=drop_tol).shift > 0.0
+        assert mic_outcome(mic_factor, matrix, drop_tol)[0] == "breakdown"
+
+    def test_cases_drop_eight_or_more_from_a_column(self):
+        # from eight terms on the dropped sum takes numpy's pairwise order
+        for case in ("spd_drop0.1", "sparse3d", "gram3d"):
+            matrix, drop_tol = mic_equivalence_cases()[case]
+            assert reference_mic_factor(matrix, drop_tol=drop_tol).most_dropped >= 8, case
+
+    @pytest.mark.parametrize("case", ["2x2", "grid_laplacian"])
+    def test_breakdown_matches(self, case):
+        matrix = {"2x2": scipy.sparse.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])),
+                  "grid_laplacian": grid_laplacian(3)}[case]
+        got = mic_outcome(mic_factor, matrix, 1e-3)
+        assert got[0] == "breakdown"
+        assert got == mic_outcome(reference_mic_factor, matrix, 1e-3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 30), density=st.floats(0.05, 0.6),
+           dominance=st.floats(0.0, 1.5), drop_tol=st.sampled_from([0.0, 1e-3, 1e-1, 0.5]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_symmetric(self, n, density, dominance, drop_tol, seed):
+        # diagonal = dominance x off-diagonal row sum: SPD from 1 on, often
+        # indefinite below
+        rng = np.random.default_rng(seed)
+        b = scipy.sparse.random(n, n, density=density, random_state=rng,
+                                data_rvs=rng.standard_normal)
+        off = b + b.T
+        diag = dominance * np.asarray(abs(off).sum(axis=1)).ravel() + 1e-3
+        matrix = (off + scipy.sparse.diags(diag)).tocsc()
+        assert (mic_outcome(mic_factor, matrix, drop_tol)
+                == mic_outcome(reference_mic_factor, matrix, drop_tol))
 
 
 def reference_mic_solve(lower, b):
@@ -515,6 +687,37 @@ class TestSolveBvp:
         with pytest.raises(ValueError):
             solve_bvp(mesh, 0.5, "analytic")
 
+    def test_precond_shift_unshifted(self):
+        mesh = ball_mesh(2, 5)
+        for precond in ("none", "sparse", "circulant"):
+            _, report = solve_bvp(mesh, 0.5, "fft", m=512, precond=precond)
+            assert report.converged and report.precond_shift == 0.0
+        assert "\nprecond_shift=0.0000000000000000e+00\n" in report.to_text()
+
+    def test_precond_shift_after_retry(self, monkeypatch):
+        # the first attempt breaks down, so the build takes the retry path
+        real, shifts = ichol.mic_factor, []
+
+        def first_attempt_breaks(matrix, drop_tol=1e-3, shift=0.0):
+            if not shift:
+                raise IncompleteCholeskyError(0, -1.0)
+            shifts.append(shift)
+            return real(matrix, drop_tol=drop_tol, shift=shift)
+
+        monkeypatch.setattr(ichol, "mic_factor", first_attempt_breaks)
+        mesh = ball_mesh(2, 5)
+        for precond in ("sparse", "circulant"):
+            _, report = solve_bvp(mesh, 0.5, "fft", m=512, precond=precond)
+            assert report.converged
+            assert report.precond_shift == shifts[-1] > 0.0
+            assert f"\nprecond_shift={shifts[-1]:.16e}\n" in report.to_text()
+
+    def test_preconditioner_carries_retry_shift(self):
+        factor = mic_factor_with_retry(grid_laplacian(3))
+        assert factor.shift > 0.0
+        assert SparsePreconditioner(factor, 9).shift == factor.shift
+        assert Preconditioner().shift == 0.0
+
     def test_report_serialization(self):
         report = SolveReport(iterations=3, residual_history=[1.0, 0.1],
                              l2_error=0.5, wall_times={"solve": 0.1}, converged=True,
@@ -523,3 +726,4 @@ class TestSolveBvp:
         assert "converged=True" in text
         assert "iterations=3" in text
         assert "time_solve=" in text
+        assert "preconditioner=none\nprecond_shift=0.0000000000000000e+00\n" in text
