@@ -359,8 +359,10 @@ def main(argv=None) -> int:
     try:
         config = parse_config(argv)
         return _COMMANDS[config.command](config)
-    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
-        # MemoryError is also what the size caps raise: a resource limit
+    except (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as exc:
+        # MemoryError is also what the size caps raise: a resource limit;
+        # ArithmeticError is a numerical breakdown (an indefinite
+        # preconditioner, a permuted incomplete Cholesky triangle)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -201,13 +201,10 @@ def column_rank_check(transfer: TransferMatrix, mode: str = "auto") -> bool:
     """Full-column-rank test.
 
     The exact path (up to 5000 columns, the limit "auto" uses to choose it)
-    tests lambda_min > 1e-12 lambda_max on the sparse Gram matrix I^T I
-    without forming it densely: Lanczos (ARPACK) gives lambda_max, then
-    shift-invert Lanczos at the small negative shift -1e-6 lambda_max, which
-    keeps the factorisation nonsingular when the Gram matrix is singular,
-    gives lambda_min.  A Gram matrix with a zero diagonal entry (an empty
-    column) is rank deficient without Lanczos.  If ARPACK does not converge
-    the check warns and reports False; it never reports full rank unproven.
+    proves lambda_min(I^T I) > 1e-12 lambda_max(I^T I) by one sparse
+    Sylvester-inertia test (see _gram_full_rank).  It has no start vector
+    and no iteration that can fail to converge; what it cannot prove it
+    reports as False.
 
     The heuristic path checks that every column sum is positive and that
     the rows carrying each column's largest entry (the lowest such row on
@@ -237,28 +234,32 @@ def column_rank_check(transfer: TransferMatrix, mode: str = "auto") -> bool:
 
 
 def _gram_full_rank(matrix: scipy.sparse.spmatrix) -> bool:
-    """lambda_min(I^T I) > 1e-12 lambda_max(I^T I), by sparse Lanczos."""
+    """lambda_min(G) > sigma = 1e-12 rho for G = I^T I, by Sylvester inertia.
+
+    rho = max_i sum_j |G_ij| >= lambda_max(G).  SuperLU factors G - sigma I
+    under the symmetric ordering MMD_AT_PLUS_A with diagonal pivots only.
+    When the row and column permutations agree this is P (G - sigma I) P^T
+    = L D L^T with D = diag(U), so G - sigma I is positive definite exactly
+    when every pivot is positive.  An off-diagonal pivot, a nonpositive
+    pivot or an exactly singular factor leaves full rank unproven: False.
+    A zero diagonal entry (an empty column) needs no factorisation: False.
+    """
     n = matrix.shape[1]
     gram = (matrix.T @ matrix).tocsc()
-    if not np.all(gram.diagonal() > 0.0):
+    diagonal = gram.diagonal()
+    if not np.all(diagonal > 0.0):
         return False
     if n <= 1:
         return True
-    # ARPACK's default start vector is random per call; a fixed generic one
-    # makes the eigenvalues, and so the verdict, reproducible
-    v0 = np.random.default_rng(0).standard_normal(n)
+    sigma = 1e-12 * abs(gram).sum(axis=1).max()
+    # every diagonal entry is stored (all are positive), so this keeps the pattern
+    gram.setdiag(diagonal - sigma)
     try:
-        lam_max = scipy.sparse.linalg.eigsh(
-            gram, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
-        lam_min = scipy.sparse.linalg.eigsh(
-            gram, k=1, sigma=-1e-6 * lam_max, which="LM", v0=v0,
-            return_eigenvectors=False)[0]
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        warnings.warn(f"exact rank check did not converge ({exc}); "
-                      "reporting the transfer as rank deficient",
-                      TransferRankWarning, stacklevel=3)
+        lu = scipy.sparse.linalg.splu(gram, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                      options={"SymmetricMode": True})
+    except RuntimeError:
         return False
-    return bool(lam_min > 1e-12 * lam_max)
+    return bool(np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0))
 
 
 def write_transfer_coo(transfer: TransferMatrix, path):

@@ -1,6 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import fraclap.ichol
+import fraclap.solver
 from fraclap.cli import main, parse_config
 from fraclap.mesh import save_mesh
 
@@ -146,6 +150,29 @@ class TestSolveCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_indefinite_initial_residual_exit_2(self, tmp_path, capsys, monkeypatch):
+        def indefinite(*args, **kwargs):
+            raise ArithmeticError("preconditioner is not positive definite on the initial residual")
+        monkeypatch.setattr(fraclap.solver, "cg_solve", indefinite)
+        code = main(["solve", "--dim", "2", "--m", "256", "--ball", "0.25",
+                     "--precond", "sparse", "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: preconditioner is not positive definite")
+        assert "Traceback" not in err
+
+    def test_permuted_mic_triangle_exit_2(self, tmp_path, capsys, monkeypatch):
+        def permuting(lower, **kwargs):
+            order = np.arange(lower.shape[0])[::-1].copy()
+            return SimpleNamespace(perm_r=order, perm_c=order, U=lower)
+        monkeypatch.setattr(fraclap.ichol, "splu", permuting)
+        code = main(["solve", "--dim", "2", "--m", "256", "--ball", "0.25",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SuperLU permuted")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("h", ["0.1", "0.05"])
     def test_spectral_circulant_not_converged_exit_1(self, h, tmp_path, capsys):

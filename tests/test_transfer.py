@@ -1,9 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fraclap.transfer as transfer_module
 from fraclap.core import OverlayGrid
@@ -396,14 +399,78 @@ class TestSparseRankCheck:
         assert not dense_full_rank(t.matrix)
         assert not column_rank_check(t, mode="exact")
 
-    def test_no_convergence_is_never_full_rank(self, monkeypatch):
-        def stalled(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.zeros(0), None)
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+    @pytest.mark.parametrize("dim,n_r", [(2, 6), (3, 3)])
+    def test_appended_duplicate_column(self, dim, n_r):
+        mesh = ball_mesh(dim, n_r)
+        matrix = build_transfer(mesh, choose_grid(mesh_quality(mesh), 1.2)).matrix
+        t = as_transfer(scipy.sparse.hstack([matrix, matrix[:, [n_r]]]).toarray())
+        assert np.all(t.column_sums > 0.0)
+        assert not column_rank_check(t, mode="exact")
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 8), cols=st.integers(1, 6))
+    def test_random_small_matrices_match_dense(self, data, rows, cols):
+        entries = st.sampled_from([0.0, 0.0, 0.0, 0.25, 0.5, 1.0, 3.0])
+        dense = np.array(data.draw(st.lists(entries, min_size=rows * cols,
+                                            max_size=rows * cols))).reshape(rows, cols)
+        copies = data.draw(st.lists(st.tuples(st.integers(0, cols - 1),
+                                              st.sampled_from([1.0, 0.5, 3.0])),
+                                    max_size=2))
+        for col, scale in copies:
+            dense = np.column_stack([dense, scale * dense[:, col]])
+        t = as_transfer(dense)
+        assert column_rank_check(t, mode="exact") is dense_full_rank(t.matrix)
+
+
+class TestInertiaFailureModes:
+    """Every outcome of the factorisation other than a symmetric one with
+    positive pivots reads as rank deficient, never as an error."""
+
+    @staticmethod
+    def ball_transfer():
         mesh = ball_mesh(2, 3)
         t = build_transfer(mesh, choose_grid(mesh_quality(mesh), 1.2))
-        with pytest.warns(TransferRankWarning):
-            assert not column_rank_check(t, mode="exact")
+        assert column_rank_check(t, mode="exact")
+        return t
+
+    @staticmethod
+    def patch_factor(monkeypatch, edit):
+        real = scipy.sparse.linalg.splu
+
+        def factor(*args, **kwargs):
+            lu = real(*args, **kwargs)
+            fake = SimpleNamespace(perm_r=lu.perm_r.copy(), perm_c=lu.perm_c.copy(),
+                                   U=lu.U.tocsc())
+            edit(fake)
+            return fake
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", factor)
+
+    def test_exactly_singular_factor(self, monkeypatch):
+        t = self.ball_transfer()
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        assert column_rank_check(t, mode="exact") is False
+
+    def test_unsymmetric_permutation(self, monkeypatch):
+        t = self.ball_transfer()
+
+        def swap(lu):
+            lu.perm_r[[0, 1]] = lu.perm_r[[1, 0]]
+        self.patch_factor(monkeypatch, swap)
+        assert column_rank_check(t, mode="exact") is False
+
+    @pytest.mark.parametrize("pivot", [0.0, -1e-12])
+    def test_nonpositive_pivot(self, monkeypatch, pivot):
+        t = self.ball_transfer()
+
+        def spoil(lu):
+            diagonal = lu.U.diagonal()
+            diagonal[len(diagonal) // 2] = pivot
+            lu.U.setdiag(diagonal)
+        self.patch_factor(monkeypatch, spoil)
+        assert column_rank_check(t, mode="exact") is False
 
 
 class TestHeuristicRankCheck:
