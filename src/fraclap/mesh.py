@@ -142,8 +142,12 @@ def _boundary_vertex_mask(simplices, n_vertices, dim):
     faces = np.concatenate(
         [simplices[:, list(c)] for c in combinations(range(dim + 1), dim)])
     faces = np.sort(faces, axis=1)
-    uniq, counts = np.unique(faces, axis=0, return_counts=True)
-    mask[uniq[counts == 1].ravel()] = True
+    faces = faces[np.lexsort(faces.T)]
+    # runs of equal rows: a facet owned by one simplex lies on the boundary
+    starts = np.flatnonzero(np.concatenate(
+        ([True], np.any(faces[1:] != faces[:-1], axis=1))))
+    counts = np.diff(np.append(starts, faces.shape[0]))
+    mask[faces[starts[counts == 1]].ravel()] = True
     return mask
 
 
@@ -194,10 +198,12 @@ def load_mesh(path) -> SimplicialMesh:
     simplices = np.asarray(idx, dtype=np.int64).reshape(n_simplices, dim + 1) - 1
     if simplices.size and (simplices.min() < 0 or simplices.max() >= n_vertices):
         raise MeshFormatError("simplex vertex index out of range")
-    for e in range(n_simplices):
-        if len(set(simplices[e])) != dim + 1:
-            raise DegenerateElementError(
-                f"simplex {e} repeats a vertex index: {(simplices[e] + 1).tolist()}")
+    ordered = np.sort(simplices, axis=1)
+    repeats = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
+    if repeats.size:
+        e = repeats[0]
+        raise DegenerateElementError(
+            f"simplex {e} repeats a vertex index: {(simplices[e] + 1).tolist()}")
 
     explicit_boundary = None
     if pos < len(tokens):

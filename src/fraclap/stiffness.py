@@ -12,12 +12,19 @@ the reflection symmetry T_{...,-p,...} = T_{...,p,...}.  Schemes:
             reduced to cumulative one-dimensional Bessel integrals
   modspec   the fft sum of the regularized integrand plus the spectral ball term
 
+The fft, modspec and nufft-direct schemes evaluate their integrand in
+independent chunks, run on a thread pool of up to the usable cores; every
+chunk writes only its own slice, so the coefficients are bitwise the same
+for any worker count.
+
 A decay-profile helper fits the tail slope of log|T_p| against log|p|.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +54,8 @@ SCHEMES = ("analytic", "fft", "nufft", "spectral", "modspec")
 # 2D gridding path
 _PLAIN_LIMIT = 2 ** 24
 _CHUNK_ELEMS = 2 ** 23
-# fft/modspec: integrand samples evaluated per chunk of the half-grid DCT-I
+# integrand samples evaluated per chunk of the fft/modspec half-grid DCT-I
+# and of the nufft direct sample tensor
 _DCT_CHUNK_ELEMS = 2 ** 17
 
 
@@ -120,7 +128,9 @@ def fft_uniform(s, dim: int, n_fd: int, m: int) -> StiffnessKernel:
     """Trapezoid-rule kernel on the uniform grid xi_j = pi (2j/M - 1),
     j = 0..M-1 per axis.  The symbol is even in every axis, so the sum is
     evaluated as a DCT-I over the half grid 0 <= xi <= pi: (M/2 + 1)^d symbol
-    evaluations for even M, taken in bounded chunks (see _uniform_fourier).
+    evaluations for even M, taken in bounded chunks on up to the usable
+    cores (see _uniform_fourier); the result does not depend on the number of
+    workers.
 
     Requires m >= 2*n_fd + 1.  The attainable accuracy improves with m like
     m^{-(d+2s)} since the rule aliases the exact coefficients.
@@ -140,7 +150,9 @@ def nonuniform(s, dim: int, n_fd: int, m: int, method: str = "auto") -> Stiffnes
     sum with per-axis cosine factors (exact up to rounding), "gridding"
     spreads the nodes onto an oversampled uniform grid with a Gaussian window
     and finishes with an FFT.  "auto" takes the direct path while the node
-    tensor stays at or below 2^24 points.
+    tensor stays at or below 2^24 points.  The direct path fills its sample
+    tensor in row (2D) or plane (3D) blocks on up to the usable cores; the
+    result does not depend on the number of workers.
     """
     s = order_value(s)
     n_fd = _check_n_fd(n_fd)
@@ -313,7 +325,8 @@ def _psi_integrand(s):
         for a in axes:
             q = 4.0 * np.sin(0.5 * a) ** 2
             total = q if total is None else total + q
-        return total ** s
+        total **= s
+        return total
     return evaluate
 
 
@@ -326,8 +339,34 @@ def _regularized_integrand(s):
             sin_total = q if sin_total is None else sin_total + q
             r = a * a
             sq_total = r if sq_total is None else sq_total + r
-        return sin_total ** s - sq_total ** s
+        sin_total **= s
+        sq_total **= s
+        sin_total -= sq_total
+        return sin_total
     return evaluate
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _for_each_chunk(run, n: int, step: int):
+    """Call run(i0) for i0 = 0, step, 2 step, ... below n, on a thread pool
+    of min(usable cores, chunk count) workers created for this call; one
+    worker runs the loop inline.  Each call must write only its own slice of
+    the output, so the result is the same for any worker count."""
+    starts = range(0, n, step)
+    workers = min(_usable_cores(), len(starts))
+    if workers <= 1:
+        for i0 in starts:
+            run(i0)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for _ in pool.map(run, starts):     # re-raises a chunk's exception
+            pass
 
 
 def _uniform_fourier(integrand, dim: int, n_fd: int, m: int) -> np.ndarray:
@@ -342,9 +381,12 @@ def _uniform_fourier(integrand, dim: int, n_fd: int, m: int) -> np.ndarray:
     0 <= tau <= M with tau of the parity of M: a DCT-I per axis, of length
     M/2 + 1 over t = tau/2 for even M and of length M + 1 with zeros at even
     tau for odd M.  Outputs past the end of a short transform fold back,
-    C_p = C_{M-p} for even M.  g is evaluated in chunks along axis 0; the
-    other axes are transformed and cut to the 2 n_fd + 1 kept outputs one at
-    a time, axis 0 last.  Raises ArithmeticError if g is not even.
+    C_p = C_{M-p} for even M.  g is evaluated in chunks along axis 0, run on
+    up to the usable cores; in each chunk the other axes are transformed and
+    cut to the 2 n_fd + 1 kept outputs one at a time, and axis 0 is
+    transformed last, serially.  The chunks write disjoint rows, so the result
+    does not depend on the number of workers.  Raises ArithmeticError if g is
+    not even.
     """
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
@@ -368,16 +410,20 @@ def _uniform_fourier(integrand, dim: int, n_fd: int, m: int) -> np.ndarray:
             full = np.zeros(x.shape[:axis] + (length,) + x.shape[axis + 1:])
             full[(slice(None),) * axis + (tau,)] = x
             x = full
-        return np.take(scipy.fft.dct(x, type=1, axis=axis), keep, axis=axis)
+        x = scipy.fft.dct(x, type=1, axis=axis, overwrite_x=True)  # x is a temporary
+        return np.take(x, keep, axis=axis)
 
     axes = [xi.reshape((1,) * i + (-1,) + (1,) * (dim - 1 - i)) for i in range(dim)]
     step = max(1, _DCT_CHUNK_ELEMS // xi.size ** (dim - 1))
     partial = np.empty((xi.size,) + (k,) * (dim - 1))
-    for i0 in range(0, xi.size, step):
+
+    def run_chunk(i0):
         block = integrand((axes[0][i0:i0 + step], *axes[1:]))
         for axis in range(dim - 1, 0, -1):
             block = transform(block, axis)
         partial[i0:i0 + step] = block
+
+    _for_each_chunk(run_chunk, xi.size, step)
     return transform(partial, 0) / float(m) ** dim
 
 
@@ -418,12 +464,24 @@ def _nonuniform_direct(s, dim, n_fd, xi, w):
     if dim == 1:
         q = w * _psi_integrand(s)((xi,)) / (2.0 * math.pi)
         return cos_f @ q
+    n = xi.shape[0]
+    q = np.empty((n,) * dim)
+    step = max(1, _DCT_CHUNK_ELEMS // n ** (dim - 1))
+    psi = _psi_integrand(s)
+
+    def fill_2d(i0):
+        rows = slice(i0, i0 + step)
+        q[rows] = np.outer(w[rows], w) * psi((xi[rows, None], xi[None, :])) / (2.0 * math.pi) ** 2
+
+    def fill_3d(i0):
+        planes = slice(i0, i0 + step)
+        q[planes] = (w[planes, None, None] * w[None, :, None] * w[None, None, :]
+                     * psi((xi[planes, None, None], xi[None, :, None], xi[None, None, :]))
+                     / (2.0 * math.pi) ** 3)
+
+    _for_each_chunk(fill_2d if dim == 2 else fill_3d, n, step)
     if dim == 2:
-        q = np.outer(w, w) * _psi_integrand(s)((xi[:, None], xi[None, :])) / (2.0 * math.pi) ** 2
         return cos_f @ q @ cos_f.T
-    q = (w[:, None, None] * w[None, :, None] * w[None, None, :]
-         * _psi_integrand(s)((xi[:, None, None], xi[None, :, None], xi[None, None, :]))
-         / (2.0 * math.pi) ** 3)
     out = np.tensordot(cos_f, q, axes=(1, 0))
     out = np.tensordot(out, cos_f, axes=(1, 1))          # contract former axis 1
     out = np.tensordot(out, cos_f, axes=(1, 1))          # contract former axis 2

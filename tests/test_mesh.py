@@ -1,13 +1,14 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from fraclap.mesh import (DegenerateElementError, MeshFormatError, SimplicialMesh,
-                          generate_ball_mesh, load_mesh, lumped_l2_error, mesh_quality,
-                          save_mesh)
+                          _boundary_vertex_mask, generate_ball_mesh, load_mesh,
+                          lumped_l2_error, mesh_quality, save_mesh)
 
-from conftest import ball_mesh
+from conftest import ball_mesh, scattered_ball
 
 
 def write_lines(path, lines):
@@ -172,6 +173,70 @@ class TestBoundaryDetection:
         boundary_a = {tuple(v) for v in mesh.vertices[mesh.n_interior:]}
         boundary_b = {tuple(v) for v in again.vertices[again.n_interior:]}
         assert boundary_a == boundary_b
+
+
+def reference_boundary_vertex_mask(simplices, n_vertices, dim):
+    """Facets counted with np.unique(axis=0): the formulation the sorted-run
+    count replaces."""
+    mask = np.zeros(n_vertices, dtype=bool)
+    faces = np.concatenate(
+        [simplices[:, list(c)] for c in combinations(range(dim + 1), dim)])
+    uniq, counts = np.unique(np.sort(faces, axis=1), axis=0, return_counts=True)
+    mask[uniq[counts == 1].ravel()] = True
+    return mask
+
+
+def reference_first_repeat(simplices, dim):
+    """Index of the first simplex that repeats a vertex, by the per-simplex
+    set loop the sorted-row comparison replaces."""
+    for e in range(simplices.shape[0]):
+        if len(set(simplices[e])) != dim + 1:
+            return e
+    return None
+
+
+MASK_MESHES = [lambda: ball_mesh(2, 5), lambda: ball_mesh(2, 20), lambda: ball_mesh(3, 3),
+               lambda: generate_ball_mesh(3, 0.2), lambda: scattered_ball(12, 0.3)]
+
+
+class TestBoundaryMaskAgainstReference:
+    @pytest.mark.parametrize("make", MASK_MESHES)
+    def test_same_mask_as_unique_count(self, make):
+        mesh = make()
+        rng = np.random.default_rng(3)
+        # shuffled simplex order and vertex order inside each simplex
+        simplices = rng.permuted(mesh.simplices[rng.permutation(mesh.n_elements)], axis=1)
+        expected = reference_boundary_vertex_mask(simplices, mesh.n_vertices, mesh.dim)
+        got = _boundary_vertex_mask(simplices, mesh.n_vertices, mesh.dim)
+        np.testing.assert_array_equal(got, expected)
+        assert np.count_nonzero(got) == mesh.n_vertices - mesh.n_interior
+
+    def test_one_dimensional_and_empty(self):
+        path = np.array([[0, 1], [1, 2], [2, 3]])
+        np.testing.assert_array_equal(_boundary_vertex_mask(path, 4, 1),
+                                      [True, False, False, True])
+        assert not _boundary_vertex_mask(np.zeros((0, 3), dtype=np.int64), 3, 2).any()
+
+    @pytest.mark.parametrize("make", MASK_MESHES)
+    def test_repeated_vertex_names_first_simplex(self, make, tmp_path):
+        mesh = make()
+        dim = mesh.dim
+        simplices = mesh.simplices.copy()
+        rng = np.random.default_rng(11)
+        bad = np.sort(rng.choice(mesh.n_elements, size=3, replace=False))
+        for e, j in zip(bad, (1, dim, 0)):
+            simplices[e, j] = simplices[e, (j + 1) % (dim + 1)]
+        assert reference_first_repeat(simplices, dim) == bad[0]
+        path = tmp_path / "repeats.msh"
+        lines = [f"{dim} {mesh.n_vertices} {mesh.n_elements}"]
+        lines += [" ".join(repr(float(x)) for x in v) for v in mesh.vertices]
+        lines += [" ".join(str(i + 1) for i in row) for row in simplices]
+        write_lines(path, lines)
+        message = (f"simplex {bad[0]} repeats a vertex index: "
+                   f"{(simplices[bad[0]] + 1).tolist()}")
+        with pytest.raises(DegenerateElementError) as info:
+            load_mesh(path)
+        assert str(info.value) == message
 
 
 class TestMeshQuality:

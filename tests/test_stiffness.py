@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -206,6 +209,162 @@ class TestNonuniform:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             nonuniform(0.5, 1, 4, 33, method="magic")
+
+
+def reference_nonuniform_direct(s, dim, n_fd, m):
+    """The direct nufft sum with the whole sample tensor q formed in one
+    expression: the formulation the row- and plane-blocked fill replaces."""
+    xi, w = stiffness._clustered_nodes(m)
+    k = 2 * n_fd + 1
+    cos_f = np.cos(np.outer(np.arange(k), xi))
+
+    def psi(axes):
+        total = None
+        for a in axes:
+            q = 4.0 * np.sin(0.5 * a) ** 2
+            total = q if total is None else total + q
+        return total ** s
+
+    if dim == 2:
+        q = np.outer(w, w) * psi((xi[:, None], xi[None, :])) / (2.0 * math.pi) ** 2
+        return cos_f @ q @ cos_f.T
+    q = (w[:, None, None] * w[None, :, None] * w[None, None, :]
+         * psi((xi[:, None, None], xi[None, :, None], xi[None, None, :]))
+         / (2.0 * math.pi) ** 3)
+    out = np.tensordot(cos_f, q, axes=(1, 0))
+    out = np.tensordot(out, cos_f, axes=(1, 1))
+    out = np.tensordot(out, cos_f, axes=(1, 1))
+    return np.ascontiguousarray(out)
+
+
+class RecordingPool(stiffness.ThreadPoolExecutor):
+    """Thread pool that records the worker count of every pool created."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+def build_with_cores(monkeypatch, cores, build):
+    """Coefficients of build() with the usable core count forced to cores,
+    and the worker counts of the pools it created."""
+    monkeypatch.setattr(stiffness, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(stiffness, "ThreadPoolExecutor", RecordingPool)
+    RecordingPool.sizes = []
+    coeffs = build().coeffs
+    return coeffs, list(RecordingPool.sizes)
+
+
+class TestChunkPool:
+    # (dim, n_fd, m, budget): several chunks along axis 0, none dividing the
+    # number of half-grid rows (51, 50, 33, 32, 13, 9)
+    UNIFORM = [(1, 5, 100, 7), (1, 5, 99, 7), (2, 4, 64, 4 * 33), (2, 4, 63, 5 * 32),
+               (3, 3, 24, 3 * 13 ** 2), (3, 3, 17, 2 * 9 ** 2)]
+
+    @pytest.mark.parametrize("dim,n_fd,m,budget", UNIFORM)
+    @pytest.mark.parametrize("build", [fft_uniform, modified_spectral])
+    def test_pooled_equals_one_worker(self, monkeypatch, build, dim, n_fd, m, budget):
+        monkeypatch.setattr(stiffness, "_DCT_CHUNK_ELEMS", budget)
+        inline, sizes = build_with_cores(monkeypatch, 1, lambda: build(0.45, dim, n_fd, m))
+        assert sizes == []
+        pooled, sizes = build_with_cores(monkeypatch, 3, lambda: build(0.45, dim, n_fd, m))
+        assert sizes == [3]
+        assert pooled.tobytes() == inline.tobytes()
+
+    @pytest.mark.parametrize("dim,n_fd,m,budget", [(2, 4, 64, 6 * 65), (2, 4, 63, 5 * 64),
+                                                   (3, 2, 20, 4 * 21 ** 2),
+                                                   (3, 2, 19, 3 * 20 ** 2)])
+    def test_nufft_direct_pooled_equals_one_worker(self, monkeypatch, dim, n_fd, m, budget):
+        monkeypatch.setattr(stiffness, "_DCT_CHUNK_ELEMS", budget)
+
+        def build():
+            return nonuniform(0.3, dim, n_fd, m, method="direct")
+
+        inline, sizes = build_with_cores(monkeypatch, 1, build)
+        assert sizes == []
+        pooled, sizes = build_with_cores(monkeypatch, 2, build)
+        assert sizes == [2]
+        assert pooled.tobytes() == inline.tobytes()
+
+    def test_pool_never_exceeds_chunk_count(self, monkeypatch):
+        # 9 half-grid rows in chunks of 4: three chunks, so three workers
+        monkeypatch.setattr(stiffness, "_DCT_CHUNK_ELEMS", 4 * 9)
+        _, sizes = build_with_cores(monkeypatch, 8, lambda: fft_uniform(0.5, 2, 3, 16))
+        assert sizes == [3]
+
+    @pytest.mark.parametrize("dim,n_fd,m", [(2, 6, 300), (2, 6, 299), (3, 3, 40), (3, 3, 39)])
+    @pytest.mark.parametrize("budget", [None, 7 * 41 ** 2])
+    def test_nufft_direct_matches_unchunked_reference(self, monkeypatch, dim, n_fd, m, budget):
+        if budget is not None:
+            monkeypatch.setattr(stiffness, "_DCT_CHUNK_ELEMS", budget)
+        got = nonuniform(0.35, dim, n_fd, m, method="direct").coeffs
+        expected = reference_nonuniform_direct(0.35, dim, n_fd, m)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_concurrent_builds_agree(self, monkeypatch):
+        # two callers at once, each on a pool of more workers than cores, with
+        # frequent thread switches: a chunk written to the wrong slice or a
+        # shared temporary would show as a differing coefficient
+        monkeypatch.setattr(stiffness, "_DCT_CHUNK_ELEMS", 2 ** 11)
+        builds = [lambda: fft_uniform(0.5, 2, 8, 256),
+                  lambda: modified_spectral(0.5, 3, 3, 24, 16),
+                  lambda: nonuniform(0.5, 2, 8, 257)]
+        serial = [build_with_cores(monkeypatch, 1, build)[0] for build in builds]
+        monkeypatch.setattr(stiffness, "_usable_cores", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for build, expected in zip(builds, serial):
+                barrier = threading.Barrier(2, timeout=30)
+                results = [None, None]
+
+                def run(i):
+                    barrier.wait()
+                    results[i] = build().coeffs
+
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+                    assert not th.is_alive()
+                assert results[0].tobytes() == expected.tobytes()
+                assert results[1].tobytes() == expected.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_chunk_exception_propagates(self, monkeypatch):
+        monkeypatch.setattr(stiffness, "_usable_cores", lambda: 2)
+        seen = []
+
+        def run(i0):
+            seen.append(i0)
+            if i0 == 6:
+                raise FloatingPointError("chunk 6")
+
+        with pytest.raises(FloatingPointError, match="chunk 6"):
+            stiffness._for_each_chunk(run, 10, 3)
+        assert set(seen) <= {0, 3, 6, 9} and 6 in seen
+
+    def test_usable_cores_falls_back_to_cpu_count(self, monkeypatch):
+        assert stiffness._usable_cores() >= 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert stiffness._usable_cores() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("make", [_psi_integrand, _regularized_integrand])
+    def test_integrands_leave_axes_unmodified(self, dim, make):
+        xi = np.linspace(-np.pi, np.pi, 9)
+        axes = [xi.reshape((1,) * i + (-1,) + (1,) * (dim - 1 - i)) for i in range(dim)]
+        before = [a.copy() for a in axes]
+        for a in axes:
+            a.setflags(write=False)
+        out = make(0.4)(tuple(axes))
+        assert out.shape == (9,) * dim
+        for a, b in zip(axes, before):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestSpectral:
