@@ -15,12 +15,11 @@ from .mesh import (DegenerateElementError, MeshFormatError, MeshQuality, Simplic
 from .solver import (CirculantPreconditioner, OverlayOperator, Preconditioner, SolveReport,
                      SparsePreconditioner, assemble_rhs, build_circulant_preconditioner,
                      build_kernel, build_sparse_preconditioner, cg_solve, exact_solution,
-                     operator_apply, solve_bvp)
+                     solve_bvp)
 from .stiffness import (SCHEMES, DecayProfile, StiffnessKernel, analytic_1d, decay_profile,
                         fft_uniform, modified_spectral, nonuniform, restrict, spectral,
                         write_decay_csv, write_kernel_csv)
-from .toeplitz import ToeplitzPlan, dense_materialize, dft, plan
-from .toeplitz import apply as toeplitz_apply
+from .toeplitz import ToeplitzPlan, dense_materialize, dft
 from .transfer import (TransferMatrix, TransferRankWarning, apply_transfer,
                        apply_transfer_transpose, build_transfer, choose_grid,
                        column_rank_check)

@@ -164,24 +164,36 @@ def _interior_first(vertices, simplices, dim):
 def load_mesh(path) -> SimplicialMesh:
     """Read a mesh file, reorder interior-first, and orient all simplices
     positively.  Parse failures carry the offending line number; repeated
-    vertex indices in a simplex surface as degenerate-element errors."""
-    tokens = []  # (line_number, token)
+    vertex indices in a simplex surface as degenerate-element errors.
+
+    Each section converts with one numpy call; only when that fails are the
+    section's tokens walked one by one, with their line numbers, to name the
+    first that does not convert."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0]
-            for tok in body.split():
-                tokens.append((lineno, tok))
+        lines = fh.readlines()
+    text = "".join(lines)
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in lines)
+    tokens = text.split()
     pos = 0
+
+    def numbered():
+        """(line number, token) for every token, as the error messages need."""
+        return [(lineno, tok) for lineno, line in enumerate(lines, start=1)
+                for tok in line.split("#", 1)[0].split()]
 
     def take(count, kind, what):
         nonlocal pos
-        if pos + count > len(tokens):
-            last = tokens[-1][0] if tokens else 0
+        start, pos = pos, pos + max(count, 0)
+        if pos > len(tokens):
+            last = numbered()[-1][0] if tokens else 0
             raise MeshFormatError(f"line {last}: unexpected end of file while reading {what}")
+        try:
+            return np.array(tokens[start:pos], dtype=kind)
+        except (ValueError, OverflowError):
+            pass
         out = []
-        for _ in range(count):
-            lineno, tok = tokens[pos]
-            pos += 1
+        for lineno, tok in numbered()[start:pos]:
             try:
                 out.append(kind(tok))
             except ValueError:
@@ -189,9 +201,9 @@ def load_mesh(path) -> SimplicialMesh:
                                       f"got {tok!r}") from None
         return out
 
-    dim, n_vertices, n_simplices = take(3, int, "the header")
+    dim, n_vertices, n_simplices = (int(v) for v in take(3, int, "the header"))
     if dim not in (1, 2, 3):
-        raise MeshFormatError(f"line {tokens[0][0]}: dim must be 1, 2 or 3, got {dim}")
+        raise MeshFormatError(f"line {numbered()[0][0]}: dim must be 1, 2 or 3, got {dim}")
     coords = take(n_vertices * dim, float, "vertex coordinates")
     vertices = np.asarray(coords, dtype=float).reshape(n_vertices, dim)
     idx = take(n_simplices * (dim + 1), int, "simplex indices")
@@ -207,13 +219,14 @@ def load_mesh(path) -> SimplicialMesh:
 
     explicit_boundary = None
     if pos < len(tokens):
-        lineno, tok = tokens[pos]
-        if tok != "boundary":
-            raise MeshFormatError(f"line {lineno}: expected optional 'boundary' section, "
-                                  f"got {tok!r}")
-        pos += 1
-        explicit_boundary = np.asarray([int(t) for _, t in tokens[pos:]], dtype=np.int64) - 1
-        pos = len(tokens)
+        if tokens[pos] != "boundary":
+            raise MeshFormatError(f"line {numbered()[pos][0]}: expected optional 'boundary' "
+                                  f"section, got {tokens[pos]!r}")
+        try:
+            explicit_boundary = np.array(tokens[pos + 1:], dtype=np.int64) - 1
+        except (ValueError, OverflowError):
+            explicit_boundary = np.asarray([int(t) for t in tokens[pos + 1:]],
+                                           dtype=np.int64) - 1
 
     simplices = _orient_positive(vertices, simplices, dim)
     vertices, simplices, n_interior = _interior_first(vertices, simplices, dim)

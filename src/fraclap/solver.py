@@ -1,10 +1,11 @@
 """Assembly and iterative solution of the overlay-grid linear system.
 
 The mesh-space operator is A = I^T A_grid I with I the sparse transfer and
-A_grid the dense Toeplitz operator applied through its FFT plan; the
-right-hand side is h_fd^{2s} D f at the interior vertices, so no spacing
-factor appears in the operator itself.  The system is solved by conjugate
-gradients, optionally preconditioned by
+A_grid the dense Toeplitz operator applied through its FFT plan on the
+bounding box of the grid rows that I touches; the right-hand side is
+h_fd^{2s} D f at the interior vertices, so no spacing factor appears in the
+operator itself.  The system is solved by conjugate gradients, optionally
+preconditioned by
 
   sparse    modified incomplete Cholesky of I^T A_grid^(near) I, where
             A_grid^(near) keeps the kernel entries at offsets with Chebyshev
@@ -45,7 +46,6 @@ __all__ = [
     "SparsePreconditioner",
     "CirculantPreconditioner",
     "SolveReport",
-    "operator_apply",
     "assemble_rhs",
     "cg_solve",
     "build_sparse_preconditioner",
@@ -64,25 +64,45 @@ DEFAULT_M = {1: 2 ** 14, 2: 2 ** 14, 3: 2 ** 10}
 
 @dataclass(frozen=True)
 class OverlayOperator:
-    """Matrix-free action u -> I^T (A_grid (I u)) on interior-vertex vectors."""
+    """Matrix-free action u -> I^T (A_grid (I u)) on interior-vertex vectors.
+
+    I u vanishes outside the bounding box of the grid rows that hold entries
+    of the transfer, and I^T reads nothing there, so the Toeplitz product runs
+    on that box alone: the transfer's rows inside it and a plan of the box's
+    shape built from ``plan.kernel`` (the block of a Toeplitz matrix on any
+    box has the same generator).  When the box is the whole grid, or the
+    transfer has no entries, the rows are the transfer's own and the plan is
+    ``plan``.  ``plan`` stays the whole-grid plan that the preconditioners
+    read.
+    """
 
     transfer: TransferMatrix
     plan: ToeplitzPlan
     grid: OverlayGrid
     s: float
 
+    def __post_init__(self):
+        matrix = self.transfer.matrix
+        rows, box_plan = matrix, self.plan
+        touched = np.flatnonzero(np.diff(matrix.indptr))
+        if touched.size:
+            nodes = np.unravel_index(touched, self.grid.shape)
+            ranges = [np.arange(k.min(), k.max() + 1) for k in nodes]
+            shape = tuple(r.size for r in ranges)
+            if shape != self.grid.shape:
+                rows = matrix[np.ravel_multi_index(np.ix_(*ranges), self.grid.shape).ravel()]
+                box_plan = ToeplitzPlan(self.plan.kernel, shape)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_box_plan", box_plan)
+
     def apply(self, u: np.ndarray) -> np.ndarray:
-        g = self.transfer.matrix @ np.asarray(u, dtype=float)
-        v = self.plan.apply(g.reshape(self.grid.shape))
-        return self.transfer.matrix.T @ v.ravel()
+        g = self._rows @ np.asarray(u, dtype=float)
+        v = self._box_plan.apply(g.reshape(self._box_plan.grid_shape))
+        return self._rows.T @ v.ravel()
 
     @property
     def n_unknowns(self) -> int:
         return self.transfer.cols
-
-
-def operator_apply(op: OverlayOperator, u: np.ndarray) -> np.ndarray:
-    return op.apply(u)
 
 
 def assemble_rhs(mesh: SimplicialMesh, transfer: TransferMatrix, s, f=1.0) -> np.ndarray:

@@ -1,28 +1,34 @@
 """Application of the dense grid operator through a circulant embedding.
 
 The operator is multilevel Toeplitz: acting on a grid tensor u it returns
-v_j = sum_m T_{j-m} u_m over the overlay grid (no spacing factor; the solver
-scales the right-hand side instead).  Embedding the generator into a
-circulant of length L >= 4*n_fd + 1 per axis makes the product a circular
-convolution at O(N^d log N^d) cost, against O(N^{2d}) for the direct sum.
-Only (2*n_fd + 1)^d of the L^d inputs are nonzero and only as many outputs
-are kept, so the transforms run axis by axis over the data-carrying lines
-alone: forward, the last axis first and each further axis on the lines the
-previous ones filled; inverse, in the opposite order, cutting each axis back
-to the grid right after its transform.
+v_j = sum_m T_{j-m} u_m over a box of b_1 x ... x b_d grid nodes (no spacing
+factor; the solver scales the right-hand side instead).  The box is the whole
+overlay grid, b = 2*n_fd + 1 per axis, unless the plan is given a smaller
+shape; wherever the box sits on the grid, its block of the operator has the
+same generator restricted to offsets |p| <= b - 1.  Embedding that generator
+into a circulant of length L >= 2*b - 1 per axis makes the product a circular
+convolution at O(L^d log L^d) cost, against O(b^{2d}) for the direct sum.
+Only the b_1 x ... x b_d inputs of the L^d are nonzero and only as many
+outputs are kept, so the transforms run axis by axis over the data-carrying
+lines alone: forward, the last axis first and each further axis on the lines
+the previous ones filled; inverse, in the opposite order, cutting each axis
+back to the box right after its transform.
 
-Grid vectors are plain ndarrays of shape (2*n_fd + 1,) * dim indexed from
-the node k = -n_fd per axis.
+Grid vectors are plain ndarrays of the plan's shape, (2*n_fd + 1,) * dim for
+the whole grid, indexed from the box's first node per axis.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 import numpy as np
 import scipy.fft
 
 from .stiffness import StiffnessKernel
 
-__all__ = ["dft", "ToeplitzPlan", "plan", "apply", "dense_materialize"]
+__all__ = ["dft", "ToeplitzPlan", "dense_materialize"]
 
 _DENSE_LIMIT = 20000
 
@@ -41,23 +47,37 @@ def dft(values, direction: str = "forward") -> np.ndarray:
 
 
 class ToeplitzPlan:
-    """Precomputed transform of the zero-extended generator, reusable for any
-    number of applications to grid vectors of the matching shape."""
+    """Transform of the zero-extended generator for grid tensors of one shape,
+    reusable for any number of applications.
 
-    def __init__(self, kernel: StiffnessKernel):
+    ``shape`` gives the nodes per axis, each between 1 and 2*n_fd + 1; the
+    default is the whole grid.  The generator's transform is built on the
+    first apply and kept, so a plan that is never applied costs nothing.
+    """
+
+    def __init__(self, kernel: StiffnessKernel, shape=None):
         self.kernel = kernel
-        n = kernel.n_fd
-        self.grid_shape = (2 * n + 1,) * kernel.dim
-        # next FFT-friendly length at least 4n + 1 so no offset pair collides
-        # modulo the transform size
-        length = scipy.fft.next_fast_len(4 * n + 1)
-        self.fft_shape = (length,) * kernel.dim
-        offsets = np.arange(-2 * n, 2 * n + 1)
-        place = np.mod(offsets, length)
-        generator = np.zeros(self.fft_shape)
-        generator[np.ix_(*([place] * kernel.dim))] = kernel.full_tensor()
+        full = kernel.offsets_per_axis
         try:
-            self._spectrum = scipy.fft.rfftn(generator)
+            shape = (full,) * kernel.dim if shape is None else tuple(map(operator.index, shape))
+        except TypeError:
+            raise ValueError(f"plan shape {shape!r} is not a sequence of integers") from None
+        if len(shape) != kernel.dim or not all(1 <= b <= full for b in shape):
+            raise ValueError(f"plan shape {shape} must have {kernel.dim} axes of 1 to "
+                             f"{full} nodes")
+        self.grid_shape = shape
+        # next FFT-friendly length at least 2b - 1 so no offset pair collides
+        # modulo the transform size
+        self.fft_shape = tuple(scipy.fft.next_fast_len(2 * b - 1) for b in shape)
+
+    @functools.cached_property
+    def _spectrum(self) -> np.ndarray:
+        offsets = [np.arange(1 - b, b) for b in self.grid_shape]
+        place = [np.mod(o, length) for o, length in zip(offsets, self.fft_shape)]
+        generator = np.zeros(self.fft_shape)
+        generator[np.ix_(*place)] = self.kernel.coeffs[np.ix_(*[np.abs(o) for o in offsets])]
+        try:
+            return scipy.fft.rfftn(generator)
         except MemoryError as exc:
             raise MemoryError(f"cannot plan transform of shape {self.fft_shape}") from exc
 
@@ -68,27 +88,16 @@ class ToeplitzPlan:
         u = np.asarray(u, dtype=float)
         if u.shape != self.grid_shape:
             raise ValueError(f"grid vector has shape {u.shape}, expected {self.grid_shape}")
-        length = self.fft_shape[0]
-        k = self.grid_shape[0]
+        lengths, sizes = self.fft_shape, self.grid_shape
         axes = range(u.ndim - 1)
-        spec = scipy.fft.rfft(u, n=length, axis=-1)
+        spec = scipy.fft.rfft(u, n=lengths[-1], axis=-1)
         for axis in reversed(axes):
-            spec = scipy.fft.fft(spec, n=length, axis=axis, overwrite_x=True)
+            spec = scipy.fft.fft(spec, n=lengths[axis], axis=axis, overwrite_x=True)
         spec *= self._spectrum
         for axis in axes:
             spec = scipy.fft.ifft(spec, axis=axis, overwrite_x=True)
-            spec = spec[(slice(None),) * axis + (slice(0, k),)]
-        return scipy.fft.irfft(spec, n=length, axis=-1)[..., :k].copy()
-
-
-def plan(kernel: StiffnessKernel) -> ToeplitzPlan:
-    """Precompute the generator transform for ``kernel``."""
-    return ToeplitzPlan(kernel)
-
-
-def apply(plan_: ToeplitzPlan, u: np.ndarray) -> np.ndarray:
-    """v_j = sum_m T_{j-m} u_m over the grid."""
-    return plan_.apply(u)
+            spec = spec[(slice(None),) * axis + (slice(0, sizes[axis]),)]
+        return scipy.fft.irfft(spec, n=lengths[-1], axis=-1)[..., :sizes[-1]].copy()
 
 
 def dense_materialize(kernel: StiffnessKernel) -> np.ndarray:

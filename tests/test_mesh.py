@@ -4,9 +4,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from fraclap.mesh import (DegenerateElementError, MeshFormatError, SimplicialMesh,
-                          _boundary_vertex_mask, generate_ball_mesh, load_mesh,
-                          lumped_l2_error, mesh_quality, save_mesh)
+                          _boundary_vertex_mask, _interior_first, _orient_positive,
+                          generate_ball_mesh, load_mesh, lumped_l2_error, mesh_quality,
+                          save_mesh)
 
 from conftest import ball_mesh, scattered_ball
 
@@ -237,6 +241,186 @@ class TestBoundaryMaskAgainstReference:
         with pytest.raises(DegenerateElementError) as info:
             load_mesh(path)
         assert str(info.value) == message
+
+
+def reference_load_mesh(path) -> SimplicialMesh:
+    """The per-token parser that the per-section numpy conversion replaces."""
+    tokens = []  # (line_number, token)
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            body = line.split("#", 1)[0]
+            for tok in body.split():
+                tokens.append((lineno, tok))
+    pos = 0
+
+    def take(count, kind, what):
+        nonlocal pos
+        if pos + count > len(tokens):
+            last = tokens[-1][0] if tokens else 0
+            raise MeshFormatError(f"line {last}: unexpected end of file while reading {what}")
+        out = []
+        for _ in range(count):
+            lineno, tok = tokens[pos]
+            pos += 1
+            try:
+                out.append(kind(tok))
+            except ValueError:
+                raise MeshFormatError(f"line {lineno}: expected {kind.__name__} for {what}, "
+                                      f"got {tok!r}") from None
+        return out
+
+    dim, n_vertices, n_simplices = take(3, int, "the header")
+    if dim not in (1, 2, 3):
+        raise MeshFormatError(f"line {tokens[0][0]}: dim must be 1, 2 or 3, got {dim}")
+    coords = take(n_vertices * dim, float, "vertex coordinates")
+    vertices = np.asarray(coords, dtype=float).reshape(n_vertices, dim)
+    idx = take(n_simplices * (dim + 1), int, "simplex indices")
+    simplices = np.asarray(idx, dtype=np.int64).reshape(n_simplices, dim + 1) - 1
+    if simplices.size and (simplices.min() < 0 or simplices.max() >= n_vertices):
+        raise MeshFormatError("simplex vertex index out of range")
+    ordered = np.sort(simplices, axis=1)
+    repeats = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
+    if repeats.size:
+        e = repeats[0]
+        raise DegenerateElementError(
+            f"simplex {e} repeats a vertex index: {(simplices[e] + 1).tolist()}")
+
+    explicit_boundary = None
+    if pos < len(tokens):
+        lineno, tok = tokens[pos]
+        if tok != "boundary":
+            raise MeshFormatError(f"line {lineno}: expected optional 'boundary' section, "
+                                  f"got {tok!r}")
+        pos += 1
+        explicit_boundary = np.asarray([int(t) for _, t in tokens[pos:]], dtype=np.int64) - 1
+        pos = len(tokens)
+
+    simplices = _orient_positive(vertices, simplices, dim)
+    vertices, simplices, n_interior = _interior_first(vertices, simplices, dim)
+    mesh = SimplicialMesh(dim=dim, vertices=vertices, simplices=simplices,
+                          n_interior=n_interior)
+    if explicit_boundary is not None and explicit_boundary.size != n_vertices - n_interior:
+        raise MeshFormatError(
+            "boundary section does not match the facet-incidence boundary "
+            f"({explicit_boundary.size} listed, {n_vertices - n_interior} detected)")
+    return mesh
+
+
+def load_outcome(loader, path):
+    """The mesh's bits, or the type and text of what the loader raised."""
+    try:
+        mesh = loader(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (mesh.dim, mesh.n_interior, mesh.vertices.view(np.int64).tolist(),
+            mesh.simplices.tolist())
+
+
+def assert_same_outcome(path):
+    expected = load_outcome(reference_load_mesh, path)
+    assert load_outcome(load_mesh, path) == expected
+    return expected
+
+
+# the pentagon fan with a boundary section; each slot names (line, token) of
+# the base file that an unusual token replaces
+FAN_WITH_BOUNDARY = PENTAGON_FAN + ["boundary", "2 3 4 5 6"]
+SLOTS = {"dim": (0, 0), "n_vertices": (0, 1), "coordinate": (2, 1), "index": (7, 0),
+         "boundary": (13, 2)}
+UNUSUAL = ["+1", "1_000", "1.0", "nan", "inf", "1e400", "-nan", "-0", "1e", "zap", "0x1",
+           "99999999999999999999999", "\u0663", "1__0", "Infinity"]
+
+
+# nan coordinates reach np.linalg.det in both loaders
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
+class TestLoadMeshAgainstReference:
+    @pytest.mark.parametrize("make", MASK_MESHES + [lambda: ball_mesh(3, 2)])
+    def test_round_trip_matches_reference(self, make, tmp_path):
+        mesh = make()
+        path = tmp_path / "mesh.msh"
+        save_mesh(mesh, path)
+        dim, n_interior, bits, simplices = assert_same_outcome(path)
+        assert (dim, n_interior) == (mesh.dim, mesh.n_interior)
+        assert bits == mesh.vertices.view(np.int64).tolist()
+        assert simplices == mesh.simplices.tolist()
+
+    def test_comments_blank_lines_and_split_records(self, tmp_path):
+        plain = tmp_path / "plain.msh"
+        save_mesh(ball_mesh(2, 4), plain)
+        lines = plain.read_text(encoding="utf-8").splitlines()
+        edited = ["# leading comment", "", lines[0] + "  # header", ""]
+        for k, line in enumerate(lines[1:], start=1):
+            if k == 3:
+                first, rest = line.split(" ", 1)
+                edited += [first, "", rest]           # a record split mid-line
+            elif k % 5 == 0:
+                edited.append(line + "#glued comment 1 2 3")
+            elif k % 7 == 0:
+                edited += ["   ", "\t" + line + "\t"]
+            else:
+                edited.append(line)
+        edited.append("# trailing comment")
+        path = tmp_path / "commented.msh"
+        write_lines(path, edited)
+        assert assert_same_outcome(path) == load_outcome(load_mesh, plain)
+        crlf = tmp_path / "crlf.msh"
+        crlf.write_bytes("\r\n".join(edited).encode("utf-8"))
+        assert assert_same_outcome(crlf) == load_outcome(load_mesh, plain)
+
+    @pytest.mark.parametrize("slot", sorted(SLOTS))
+    @pytest.mark.parametrize("token", UNUSUAL)
+    def test_unusual_token(self, slot, token, tmp_path):
+        line, k = SLOTS[slot]
+        lines = list(FAN_WITH_BOUNDARY)
+        words = lines[line].split()
+        words[k] = token
+        lines[line] = " ".join(words)
+        path = tmp_path / "unusual.msh"
+        write_lines(path, lines)
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("slot,token,expected", [
+        ("index", "+1", None), ("boundary", "1_000", None), ("coordinate", "nan", None),
+        ("coordinate", "1e400", DegenerateElementError),
+        ("index", "1.0", "line 8: expected int for simplex indices, got '1.0'"),
+        ("dim", "1_000", "line 1: dim must be 1, 2 or 3, got 1000"),
+        ("boundary", "99999999999999999999999", OverflowError)])
+    def test_unusual_token_outcomes(self, slot, token, expected, tmp_path):
+        # pinned, so that the comparison with the reference is not vacuous
+        line, k = SLOTS[slot]
+        lines = list(FAN_WITH_BOUNDARY)
+        words = lines[line].split()
+        words[k] = token
+        lines[line] = " ".join(words)
+        path = tmp_path / "unusual.msh"
+        write_lines(path, lines)
+        outcome = load_outcome(load_mesh, path)
+        if expected is None:
+            assert isinstance(outcome[0], int)
+        elif isinstance(expected, str):
+            assert outcome == (MeshFormatError, expected)
+        else:
+            assert outcome[0] is expected
+
+    def test_truncated_and_trailing(self, tmp_path):
+        path = tmp_path / "t.msh"
+        for lines in (["2 4 2", "0.0 0.0", "# end"], [], ["# only a comment"], ["2"],
+                      ["4 1 1", "0 0 0 0", "1 1 1 1 1"], ["2 -1 0"], ["2 0 0", "7"],
+                      SQUARE + ["boundary"], SQUARE + ["bound", "1 2 3 4"],
+                      SQUARE + ["boundary", "1 2 3 x"], ["2 4 2", "0 0", "1 0", "1 1"]):
+            write_lines(path, lines)
+            assert_same_outcome(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(
+        ["0", "1", "2", "3", "4", "0.5", "-1", "1e400", "nan", "+2", "2.0", "boundary",
+         "#", "x", "1_0"]), max_size=5), max_size=12))
+    def test_random_token_files(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("fuzz") / "f.msh"
+        write_lines(path, ["2 3 1", "0 0", "1 0", "0 1"] + [" ".join(r) for r in rows])
+        assert_same_outcome(path)
+        write_lines(path, [" ".join(r) for r in rows])
+        assert_same_outcome(path)
 
 
 class TestMeshQuality:

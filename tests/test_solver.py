@@ -13,17 +13,17 @@ from fraclap import ichol
 from fraclap.core import OverlayGrid, gamma
 from fraclap.ichol import (IncompleteCholeskyError, MicFactor, mic_factor,
                            mic_factor_with_retry)
-from fraclap.mesh import mesh_quality
+from fraclap.mesh import SimplicialMesh, mesh_quality
 from fraclap.solver import (CirculantPreconditioner, OverlayOperator, Preconditioner,
                             SolveReport, SparsePreconditioner, assemble_rhs,
                             build_circulant_preconditioner, build_sparse_preconditioner,
-                            cg_solve, circulant_payload, exact_solution, operator_apply,
+                            cg_solve, circulant_payload, exact_solution,
                             solve_bvp, _near_field_matrix)
 from fraclap.stiffness import analytic_1d, fft_uniform, spectral
 from fraclap.toeplitz import ToeplitzPlan, dense_materialize
 from fraclap.transfer import TransferMatrix, build_transfer, choose_grid
 
-from conftest import ball_mesh
+from conftest import ball_mesh, scattered_ball
 
 
 def small_operator(n_r=3, s=0.5, m=32, dim=2):
@@ -57,7 +57,7 @@ class TestOperator:
         dense = dense_operator_matrix(op)
         rng = np.random.default_rng(0)
         u = rng.standard_normal(op.n_unknowns)
-        got = operator_apply(op, u)
+        got = op.apply(u)
         ref = dense @ u
         assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
 
@@ -77,6 +77,92 @@ class TestOperator:
         for _ in range(20):
             u = rng.standard_normal(op.n_unknowns)
             assert op.apply(u) @ u > 0.0
+
+
+def mapped(mesh, matrix, shift):
+    """The mesh under x -> matrix x + shift (orientation-preserving)."""
+    vertices = mesh.vertices @ np.asarray(matrix, dtype=float).T + shift
+    return SimplicialMesh(dim=mesh.dim, vertices=vertices, simplices=mesh.simplices,
+                          n_interior=mesh.n_interior)
+
+
+def rotation_3d(a, b):
+    rz = np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1]])
+    rx = np.array([[1, 0, 0], [0, math.cos(b), -math.sin(b)], [0, math.sin(b), math.cos(b)]])
+    return rz @ rx
+
+
+def overlay_operator(mesh, s=0.5):
+    grid = choose_grid(mesh_quality(mesh), 1.2)
+    kernel = fft_uniform(s, mesh.dim, grid.n_fd, 2 * grid.n_fd + 2)
+    return OverlayOperator(transfer=build_transfer(mesh, grid), plan=ToeplitzPlan(kernel),
+                           grid=grid, s=s)
+
+
+def full_grid_product(op, u):
+    """I^T (A_grid (I u)) with the whole-grid plan, as the operator computed
+    it before the product ran on a box."""
+    g = op.transfer.matrix @ u
+    return op.transfer.matrix.T @ op.plan.apply(g.reshape(op.grid.shape)).ravel()
+
+
+def touched_extent(op):
+    rows = np.flatnonzero(op.transfer.matrix.getnnz(axis=1))
+    nodes = np.unravel_index(rows, op.grid.shape)
+    return tuple(int(k.max() - k.min() + 1) for k in nodes)
+
+
+BOX_MESHES = {
+    "rotated 2D ball": lambda: mapped(ball_mesh(2, 8), [[0.6, -0.8], [0.8, 0.6]], 0.0),
+    "rotated 3D ball": lambda: mapped(ball_mesh(3, 3), rotation_3d(0.7, 1.1), 0.0),
+    "scattered ball": lambda: scattered_ball(8, 0.3),
+    "off-centre 2D ellipse": lambda: mapped(ball_mesh(2, 8), np.diag([0.9, 0.45]),
+                                            [0.15, -0.3]),
+    "off-centre 3D ellipsoid": lambda: mapped(ball_mesh(3, 3), np.diag([0.8, 0.5, 0.95]),
+                                              [0.1, 0.25, -0.15]),
+}
+
+
+class TestOperatorBox:
+    @pytest.mark.parametrize("name", sorted(BOX_MESHES))
+    def test_box_equals_full_grid_product(self, name):
+        op = overlay_operator(BOX_MESHES[name]())
+        box = op._box_plan.grid_shape
+        assert box == touched_extent(op)
+        assert all(b < n for b, n in zip(box, op.grid.shape))
+        if name.startswith("off-centre"):
+            assert len(set(box)) > 1
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            u = rng.standard_normal(op.n_unknowns)
+            ref = full_grid_product(op, u)
+            got = op.apply(u)
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("dim,n_r", [(2, 6), (3, 3)])
+    def test_whole_grid_box_reuses_the_plan(self, dim, n_r):
+        # a ball of radius r_fd = 1.2 has vertices on the grid's edge nodes,
+        # whose rows hold (zero) entries of the transfer
+        op = overlay_operator(mapped(ball_mesh(dim, n_r), 1.2 * np.eye(dim), 0.0))
+        assert touched_extent(op) == op.grid.shape
+        assert op._box_plan is op.plan
+        assert op._rows is op.transfer.matrix
+        u = np.random.default_rng(1).standard_normal(op.n_unknowns)
+        np.testing.assert_array_equal(op.apply(u), full_grid_product(op, u))
+
+    def test_empty_transfer_keeps_the_whole_grid(self):
+        grid = OverlayGrid(dim=2, r_fd=1.2, n_fd=3)
+        transfer = TransferMatrix(matrix=scipy.sparse.csr_matrix((grid.n_nodes, 2)),
+                                  column_sums=np.zeros(2), grid=grid)
+        plan = ToeplitzPlan(fft_uniform(0.5, 2, 3, 16))
+        op = OverlayOperator(transfer=transfer, plan=plan, grid=grid, s=0.5)
+        assert op._box_plan is plan
+        assert np.all(op.apply(np.ones(2)) == 0.0)
+
+    def test_preconditioners_read_the_whole_grid_plan(self):
+        op = overlay_operator(BOX_MESHES["off-centre 2D ellipse"]())
+        assert op.plan.grid_shape == op.grid.shape
+        assert op._box_plan.kernel is op.plan.kernel
 
 
 class TestAssembleRhs:

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -5,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraclap.stiffness import analytic_1d, fft_uniform, modified_spectral, nonuniform, spectral
-from fraclap.toeplitz import ToeplitzPlan, apply, dense_materialize, dft, plan
+from fraclap.toeplitz import ToeplitzPlan, dense_materialize, dft
 
 
 def naive_dft(values):
@@ -50,14 +53,14 @@ def all_scheme_kernels(dim, n_fd, s=0.5):
 class TestPlanApply:
     def test_impulse_returns_central_column(self):
         kernel = analytic_1d(0.5, 2)
-        p = plan(kernel)
+        p = ToeplitzPlan(kernel)
         u = np.zeros(5)
         u[2] = 1.0
         expected = kernel.full_tensor()[2:7]
         np.testing.assert_allclose(p.apply(u), expected, rtol=1e-12)
 
     def test_zero_input(self):
-        p = plan(fft_uniform(0.5, 2, 3, 16))
+        p = ToeplitzPlan(fft_uniform(0.5, 2, 3, 16))
         assert np.all(p.apply(np.zeros((7, 7))) == 0.0)
 
     @pytest.mark.parametrize("dim,n_fd", [(1, 6), (2, 4), (3, 3)])
@@ -104,11 +107,11 @@ class TestPlanApply:
             b = np.sum(u * p.apply(w))
             assert abs(a - b) <= 1e-11 * max(abs(a), 1.0)
 
-    def test_module_level_apply(self):
+    def test_explicit_full_shape_apply(self):
         kernel = analytic_1d(0.5, 3)
-        p = plan(kernel)
+        p = ToeplitzPlan(kernel, (7,))
         u = np.arange(7.0)
-        np.testing.assert_array_equal(apply(p, u), p.apply(u))
+        np.testing.assert_array_equal(ToeplitzPlan(kernel).apply(u), p.apply(u))
 
     def test_shape_mismatch(self):
         p = ToeplitzPlan(analytic_1d(0.5, 3))
@@ -181,6 +184,120 @@ class TestPrunedTransforms:
         got = p.apply(u).ravel()
         ref = dense_materialize(kernel) @ u.ravel()
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+def reference_full_grid_apply(kernel, u):
+    """The whole-grid product as computed before plans took a shape: one
+    embedding length next_fast_len(4 n_fd + 1) on every axis."""
+    n = kernel.n_fd
+    length = scipy.fft.next_fast_len(4 * n + 1)
+    place = np.mod(np.arange(-2 * n, 2 * n + 1), length)
+    generator = np.zeros((length,) * kernel.dim)
+    generator[np.ix_(*([place] * kernel.dim))] = kernel.full_tensor()
+    spectrum = scipy.fft.rfftn(generator)
+    k = 2 * n + 1
+    axes = range(u.ndim - 1)
+    spec = scipy.fft.rfft(u, n=length, axis=-1)
+    for axis in reversed(axes):
+        spec = scipy.fft.fft(spec, n=length, axis=axis, overwrite_x=True)
+    spec *= spectrum
+    for axis in axes:
+        spec = scipy.fft.ifft(spec, axis=axis, overwrite_x=True)
+        spec = spec[(slice(None),) * axis + (slice(0, k),)]
+    return scipy.fft.irfft(spec, n=length, axis=-1)[..., :k].copy()
+
+
+# (dim, n_fd, box shapes): 1 and 2*n_fd + 1 nodes on some axis, even and odd
+# sizes, never a cube unless it is the whole grid
+BOX_SHAPES = [(1, 4, [(1,), (2,), (5,), (8,), (9,)]),
+              (2, 3, [(1, 7), (7, 1), (2, 5), (4, 7), (6, 3), (1, 1)]),
+              (3, 2, [(1, 5, 2), (5, 4, 3), (2, 1, 5), (4, 5, 1)])]
+
+
+class TestPlanShape:
+    @pytest.mark.parametrize("dim,n_fd,shapes", BOX_SHAPES)
+    def test_box_equals_dense_block(self, dim, n_fd, shapes):
+        rng = np.random.default_rng(10 + dim)
+        full = (2 * n_fd + 1,) * dim
+        for kernel in all_scheme_kernels(dim, n_fd):
+            dense = dense_materialize(kernel)
+            for shape in shapes:
+                # the block is the same wherever the box sits on the grid
+                lo = [rng.integers(0, f - b + 1) for f, b in zip(full, shape)]
+                ranges = [np.arange(a, a + b) for a, b in zip(lo, shape)]
+                idx = np.ravel_multi_index(np.ix_(*ranges), full).ravel()
+                p = ToeplitzPlan(kernel, shape)
+                assert p.grid_shape == shape
+                assert p.fft_shape == tuple(scipy.fft.next_fast_len(2 * b - 1) for b in shape)
+                u = rng.standard_normal(shape)
+                got = p.apply(u).ravel()
+                ref = dense[np.ix_(idx, idx)] @ u.ravel()
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("shape", [(0, 7), (8, 7), (7, -1), (7,), (7, 7, 7), (), (2.5, 3),
+                                       ("a", 3), 7])
+    def test_rejects_shape(self, shape):
+        with pytest.raises(ValueError):
+            ToeplitzPlan(fft_uniform(0.5, 2, 3, 16), shape)
+
+    @pytest.mark.parametrize("dim,n_fds", [(1, (1, 3, 4, 7, 9, 40)), (2, (1, 3, 4, 7, 13)),
+                                           (3, (1, 3, 4))])
+    def test_full_grid_bitwise_unchanged(self, dim, n_fds):
+        rng = np.random.default_rng(20 + dim)
+        for n_fd in n_fds:
+            kernel = fft_uniform(0.5, dim, n_fd, 4 * n_fd + 4)
+            p = ToeplitzPlan(kernel)
+            assert p.fft_shape == (scipy.fft.next_fast_len(4 * n_fd + 1),) * dim
+            u = rng.standard_normal(p.grid_shape)
+            np.testing.assert_array_equal(p.apply(u), reference_full_grid_apply(kernel, u))
+
+    def test_spectrum_built_on_first_apply(self):
+        p = ToeplitzPlan(fft_uniform(0.5, 2, 3, 16), (4, 6))
+        assert "_spectrum" not in vars(p)
+        u = np.ones((4, 6))
+        first = p.apply(u)
+        spectrum = vars(p)["_spectrum"]
+        np.testing.assert_array_equal(p.apply(u), first)
+        assert p._spectrum is spectrum
+
+    def test_spectrum_memory_error(self, monkeypatch):
+        p = ToeplitzPlan(fft_uniform(0.5, 2, 3, 16), (5, 2))
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(scipy.fft, "rfftn", out_of_memory)
+        with pytest.raises(MemoryError, match=r"cannot plan transform of shape \(9, 3\)"):
+            p.apply(np.ones((5, 2)))
+
+    def test_threads_build_the_spectrum_at_once(self):
+        kernel = fft_uniform(0.5, 3, 12, 32)
+        shape = (17, 25, 12)
+        u = np.random.default_rng(3).standard_normal(shape)
+        expected = ToeplitzPlan(kernel, shape).apply(u)
+        workers = 4
+        for _ in range(3):
+            p = ToeplitzPlan(kernel, shape)
+            barrier = threading.Barrier(workers, timeout=60)
+            results = [None] * workers
+
+            def work(i):
+                barrier.wait()
+                results[i] = p.apply(u)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            for got in results:
+                np.testing.assert_array_equal(got, expected)
+
 
 class TestDenseMaterialize:
     def test_1d_first_row(self):
