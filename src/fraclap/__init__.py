@@ -8,8 +8,8 @@ kernel constructions and two preconditioners (sparse near-field and circulant)
 are provided, plus an experiment command line (``fraclap``).
 """
 
-from .core import (FractionalOrder, OverlayGrid, QuadratureRule, bessel_j0,
-                   bessel_j_half_order, gamma, gauss_legendre, symbol)
+from .core import (FractionalOrder, OverlayGrid, QuadratureRule, bessel_j_half_order,
+                   gamma, gauss_legendre, symbol)
 from .mesh import (DegenerateElementError, MeshFormatError, MeshQuality, SimplicialMesh,
                    generate_ball_mesh, load_mesh, lumped_l2_error, mesh_quality, save_mesh)
 from .solver import (CirculantPreconditioner, OverlayOperator, Preconditioner, SolveReport,
@@ -19,9 +19,8 @@ from .solver import (CirculantPreconditioner, OverlayOperator, Preconditioner, S
 from .stiffness import (SCHEMES, DecayProfile, StiffnessKernel, analytic_1d, decay_profile,
                         fft_uniform, modified_spectral, nonuniform, restrict, spectral,
                         write_decay_csv, write_kernel_csv)
-from .toeplitz import ToeplitzPlan, dense_materialize, dft
-from .transfer import (TransferMatrix, TransferRankWarning, apply_transfer,
-                       apply_transfer_transpose, build_transfer, choose_grid,
+from .toeplitz import ToeplitzPlan, dense_materialize
+from .transfer import (TransferMatrix, TransferRankWarning, build_transfer, choose_grid,
                        column_rank_check)
 
 __version__ = "0.1.0"

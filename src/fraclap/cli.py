@@ -8,6 +8,7 @@ Exit code 0 means every requested run completed and converged.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from dataclasses import dataclass
 
@@ -15,30 +16,12 @@ import numpy as np
 
 from . import stiffness
 from .mesh import generate_ball_mesh, load_mesh, mesh_quality
-from .solver import DEFAULT_M, build_kernel, solve_bvp
+from .solver import DEFAULT_M, build_kernel, select_grid, solve_bvp
 from .stiffness import decay_profile, restrict, write_decay_csv, write_kernel_csv
 from .transfer import choose_grid
 
 __all__ = ["ExperimentConfig", "cmd_kernel", "cmd_decay", "cmd_impact", "cmd_solve",
            "cmd_convergence", "cmd_precond", "main"]
-
-_DEFAULTS = {
-    "dim": 2,
-    "s": 0.5,
-    "scheme": "fft",
-    "n_fd": None,       # kernel/decay default to 81; solve commands pick from the mesh
-    "m": None,          # per-dim default applied later
-    "n_g": 64,
-    "r_fd": 1.2,
-    "precond": "auto",
-    "tol": 1e-10,
-    "delta": 12,
-    "out": None,
-    "ball": None,
-    "mesh": None,
-    "large": False,
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -46,8 +29,8 @@ class ExperimentConfig:
     dim: int = 2
     s: float = 0.5
     scheme: str = "fft"
-    n_fd: int | None = None
-    m: int | None = None
+    n_fd: int | None = None  # kernel/decay default to 81; solve commands pick from the mesh
+    m: int | None = None     # per-dim default applied later
     n_g: int = 64
     r_fd: float = 1.2
     precond: str = "auto"
@@ -87,13 +70,17 @@ def _meshes(config: ExperimentConfig):
     raise ValueError("provide a mesh source with --mesh or --ball")
 
 
-def _desk_guard(config: ExperimentConfig, mesh=None):
+def _desk_guard(config: ExperimentConfig, mesh):
+    """3D mesh size cap; the n_fd cap is the solver's (transfer.N_FD_CAPS)."""
     if config.large or config.dim != 3:
         return
-    if config.n_fd is not None and config.n_fd > 128:
-        raise ValueError("3D runs cap n_fd at 128 by default; pass --large to lift")
-    if mesh is not None and mesh.n_elements > 200_000:
+    if mesh.n_elements > 200_000:
         raise ValueError("3D runs cap the mesh at 2e5 elements by default; pass --large to lift")
+
+
+def _max_n_fd(config: ExperimentConfig):
+    """max_n_fd for the solver: its default cap, or none under --large."""
+    return None if not config.large else 10 ** 9
 
 
 def cmd_kernel(config: ExperimentConfig) -> int:
@@ -177,7 +164,7 @@ def cmd_solve(config: ExperimentConfig) -> int:
     u, report = solve_bvp(
         mesh, config.s, config.scheme, n_fd=config.n_fd, m=config.m, n_g=config.n_g,
         r_fd=config.r_fd, precond=config.precond, tol=config.tol,
-        max_n_fd=None if not config.large else 10 ** 9)
+        max_n_fd=_max_n_fd(config))
     path = config.default_out()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config: {config.config_line()}\n")
@@ -195,7 +182,7 @@ def cmd_convergence(config: ExperimentConfig) -> int:
         raise ValueError("convergence studies need at least 3 refinement levels")
     # one kernel at the finest grid is sliced per level (entries depend only
     # on the offset, never on the grid size)
-    cap = None if not config.large else 10 ** 9
+    cap = _max_n_fd(config)
     grids = [choose_grid(mesh_quality(m), config.r_fd, max_n_fd=cap) for m in meshes]
     shared = build_kernel(config.scheme, config.s, config.dim,
                           max(g.n_fd for g in grids), config.m, config.n_g)
@@ -207,7 +194,7 @@ def cmd_convergence(config: ExperimentConfig) -> int:
             u, report = solve_bvp(
                 mesh, config.s, config.scheme, n_fd=grid.n_fd,
                 kernel=restrict(shared, grid.n_fd), n_g=config.n_g,
-                r_fd=config.r_fd, precond=config.precond, tol=config.tol)
+                r_fd=config.r_fd, precond=config.precond, tol=config.tol, max_n_fd=cap)
         except Exception as exc:
             raise RuntimeError(f"convergence level {level} failed: {exc}") from exc
         if not report.converged:
@@ -234,6 +221,11 @@ def cmd_convergence(config: ExperimentConfig) -> int:
 def cmd_precond(config: ExperimentConfig) -> int:
     mesh = _meshes(config)[0]
     _desk_guard(config, mesh)
+    # one grid and one kernel serve every variant; a failure to build them
+    # is the run's, not a variant's, and reaches main (exit 2)
+    cap = _max_n_fd(config)
+    grid = select_grid(mesh, config.r_fd, config.n_fd, cap)
+    kernel = build_kernel(config.scheme, config.s, mesh.dim, grid.n_fd, config.m, config.n_g)
     variants = ("none", "sparse", "circulant")
     histories = {}
     iterations = {}
@@ -241,8 +233,8 @@ def cmd_precond(config: ExperimentConfig) -> int:
     for variant in variants:
         try:
             u, report = solve_bvp(
-                mesh, config.s, config.scheme, n_fd=config.n_fd, m=config.m,
-                n_g=config.n_g, r_fd=config.r_fd, precond=variant, tol=config.tol)
+                mesh, config.s, config.scheme, n_fd=grid.n_fd, kernel=kernel,
+                r_fd=config.r_fd, precond=variant, tol=config.tol, max_n_fd=cap)
             histories[variant] = report.residual_history
             iterations[variant] = report.iterations if report.converged else None
             status = report.iterations if report.converged else "no convergence"
@@ -323,7 +315,7 @@ _CASTS = {"dim": int, "s": float, "scheme": str, "n_fd": int, "m": int, "n_g": i
 
 def parse_config(argv=None) -> ExperimentConfig:
     args = build_parser().parse_args(argv)
-    merged = dict(_DEFAULTS)
+    merged = {}
     if args.config:
         for key, value in _load_config_file(args.config).items():
             if key in ("ball", "mesh"):
@@ -332,8 +324,7 @@ def parse_config(argv=None) -> ExperimentConfig:
                 merged[key] = _CASTS[key](value)
             else:
                 raise ValueError(f"unknown config key {key!r}")
-    for key in ("dim", "s", "scheme", "n_fd", "m", "n_g", "r_fd", "precond",
-                "tol", "delta", "out", "large", "ball", "mesh"):
+    for key in (f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "command"):
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value

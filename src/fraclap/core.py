@@ -1,6 +1,8 @@
 """Shared numerics: fractional order, overlay-grid geometry, the discrete
-symbol of the uniform-grid operator, and small special-function utilities
-(gamma, Bessel J0, Gauss-Legendre rules).
+symbol of the uniform-grid operator, and thin layers over scipy.special for
+the gamma function, the Bessel functions J_{d/2-1} and Gauss-Legendre rules
+that keep this package's contracts (poles raise, r <= 0 is rejected, rules
+are exactly symmetric).
 
 Everything here is pure and the types are immutable, so all of it is safe
 to share across threads.
@@ -8,10 +10,10 @@ to share across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 
 __all__ = [
     "FractionalOrder",
@@ -21,7 +23,6 @@ __all__ = [
     "symbol",
     "gamma",
     "gauss_legendre",
-    "bessel_j0",
     "bessel_j_half_order",
 ]
 
@@ -103,126 +104,21 @@ def symbol(xi, s) -> np.ndarray:
     return total ** s
 
 
-# Lanczos approximation with g = 7 and 9 coefficients; relative accuracy is
-# around 1e-15 on the positive axis, comfortably past 13 significant digits.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = np.array([
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-])
-
-
 def gamma(x):
-    """Gamma function via the Lanczos approximation, with reflection for x < 0.5.
-
-    Accepts scalars or arrays.  Poles (x a nonpositive integer) raise.
-    """
+    """Gamma function (scipy.special.gamma) for scalars or arrays; a scalar
+    gives a float.  Poles (x a nonpositive integer) raise."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     if np.any((x <= 0.0) & (x == np.floor(x))):
         raise ValueError("gamma is not defined at nonpositive integers")
-
-    out = np.empty_like(x)
-    small = x < 0.5
-    z = np.where(small, 1.0 - x, x) - 1.0
-    acc = np.full(z.shape, _LANCZOS_COEFFS[0])
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    val = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * np.exp(-t) * acc
-    # reflection: gamma(x) = pi / (sin(pi x) gamma(1 - x))
-    out[~small] = val[~small]
-    if np.any(small):
-        out[small] = np.pi / (np.sin(np.pi * x[small]) * val[small])
-    return float(out[0]) if scalar else out
-
-
-# Rational approximations for J0 on (8, inf) in the Hankel form
-# sqrt(2/(pi x)) * (P(z) cos(x - pi/4) - (5/x) Q(z) sin(x - pi/4)), z = (5/x)^2,
-# coefficients from the Cephes library (double precision fits).
-_J0_PP = np.array([
-    7.96936729297347051624e-4, 8.28352392107440799803e-2, 1.23953371646414299388e0,
-    5.44725003058768775090e0, 8.74716500199817011941e0, 5.30324038235394892183e0,
-    9.99999999999999997821e-1,
-])
-_J0_PQ = np.array([
-    9.24408810558863637013e-4, 8.56288474354474431428e-2, 1.25352743901058953537e0,
-    5.47097740330417105182e0, 8.76190883237069594232e0, 5.30605288235394617618e0,
-    1.00000000000000000218e0,
-])
-_J0_QP = np.array([
-    -1.13663838898469149931e-2, -1.28252718670509318512e0, -1.95539544257735972385e1,
-    -9.32060152123768231369e1, -1.77681167980488050595e2, -1.47077505154951170175e2,
-    -5.14105326766599330220e1, -6.05014350600728481186e0,
-])
-_J0_QQ = np.array([
-    # leading coefficient 1.0 implied
-    6.43178256118178023184e1, 8.56430025976980587198e2, 3.88240183605401609683e3,
-    7.24046774195652478189e3, 5.93072701187316984827e3, 2.06209331660327847417e3,
-    2.42005740240291393179e2,
-])
-_SQ2OPI = math.sqrt(2.0 / math.pi)
-
-
-def _polevl(x, coef):
-    acc = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        acc = acc * x + c
-    return acc
-
-
-def _p1evl(x, coef):
-    acc = x + coef[0]
-    for c in coef[1:]:
-        acc = acc * x + c
-    return acc
-
-
-def bessel_j0(r):
-    """Bessel function J0: ascending power series for r <= 8, Hankel-type
-    rational asymptotics beyond.  Absolute accuracy is better than 1e-12
-    everywhere (about 1e-13 near the splice, 1e-15 elsewhere)."""
-    r = np.abs(np.asarray(r, dtype=float))
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    out = np.empty_like(r)
-
-    small = r <= 8.0
-    if np.any(small):
-        x = r[small]
-        q = 0.25 * x * x
-        term = np.ones_like(x)
-        acc = np.ones_like(x)
-        # largest term at r = 8 is ~114, so 40 terms leave the truncation
-        # error far below double rounding
-        for k in range(1, 40):
-            term *= -q / (k * k)
-            acc += term
-        out[small] = acc
-    if np.any(~small):
-        x = r[~small]
-        w = 5.0 / x
-        z = w * w
-        p = _polevl(z, _J0_PP) / _polevl(z, _J0_PQ)
-        q = _polevl(z, _J0_QP) / _p1evl(z, _J0_QQ)
-        xn = x - 0.25 * math.pi
-        out[~small] = _SQ2OPI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(x)
-    return float(out[0]) if scalar else out
+    out = scipy.special.gamma(x)
+    return float(out) if x.ndim == 0 else out
 
 
 def bessel_j_half_order(dim: int, r):
     """J_{d/2 - 1}(r) for d in {1, 2, 3} and r > 0.
 
     d = 1 and d = 3 reduce to the closed forms sqrt(2/(pi r)) cos(r) and
-    sqrt(2/(pi r)) sin(r); d = 2 is J0.
+    sqrt(2/(pi r)) sin(r); d = 2 is J0 (scipy.special.j0).
     """
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
@@ -230,7 +126,7 @@ def bessel_j_half_order(dim: int, r):
     if np.any(r <= 0.0):
         raise ValueError("bessel_j_half_order requires r > 0")
     if dim == 2:
-        return bessel_j0(r)
+        return scipy.special.j0(r)
     amp = np.sqrt(2.0 / (np.pi * r))
     if dim == 1:
         return amp * np.cos(r)
@@ -272,38 +168,11 @@ class QuadratureRule:
 
 
 def gauss_legendre(n_g: int) -> QuadratureRule:
-    """Gauss-Legendre nodes and weights on (-1, 1) by Newton iteration on the
-    Legendre polynomial, started from the Chebyshev-angle guesses
-    cos(pi (4k + 3) / (4 n + 2))."""
+    """Gauss-Legendre nodes and weights on (-1, 1) (scipy.special.roots_legendre),
+    made exactly symmetric: x_k = -x_{n-1-k} and w_k = w_{n-1-k} bitwise, with
+    a centre node of exactly 0 for odd n_g."""
     if int(n_g) != n_g or n_g < 1:
         raise ValueError(f"quadrature order must be an integer >= 1, got {n_g}")
-    n_g = int(n_g)
-
-    def _legendre_pair(x):
-        # P_n and P_{n-1} by the three-term recurrence
-        pn_prev = np.ones_like(x)
-        pn = x.copy()
-        for deg in range(2, n_g + 1):
-            pn, pn_prev = ((2 * deg - 1) * x * pn - (deg - 1) * pn_prev) / deg, pn
-        return pn, pn_prev
-
-    k = np.arange(n_g)
-    x = np.cos(np.pi * (4.0 * k + 3.0) / (4.0 * n_g + 2.0))
-    for _ in range(100):
-        pn, pn_prev = _legendre_pair(x)
-        dpn = n_g * (x * pn - pn_prev) / (x * x - 1.0)
-        dx = pn / dpn
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    pn, pn_prev = _legendre_pair(x)
-    dpn = n_g * (x * pn - pn_prev) / (x * x - 1.0)
-    w = 2.0 / ((1.0 - x * x) * dpn * dpn)
-
-    order_idx = np.argsort(x)
-    x = x[order_idx]
-    w = w[order_idx]
-    # enforce exact symmetry of the computed rule
-    x = 0.5 * (x - x[::-1])
-    w = 0.5 * (w + w[::-1])
-    return QuadratureRule(nodes=x, weights=w, order=n_g)
+    x, w = scipy.special.roots_legendre(int(n_g))
+    return QuadratureRule(nodes=0.5 * (x - x[::-1]), weights=0.5 * (w + w[::-1]),
+                          order=int(n_g))

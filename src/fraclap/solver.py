@@ -38,7 +38,8 @@ from .mesh import SimplicialMesh, lumped_l2_error, mesh_quality
 from .stiffness import (StiffnessKernel, analytic_1d, fft_uniform, modified_spectral,
                         nonuniform, spectral)
 from .toeplitz import ToeplitzPlan
-from .transfer import TransferMatrix, build_transfer, choose_grid, column_rank_check
+from .transfer import (TransferMatrix, build_transfer, capped_grid, choose_grid,
+                       column_rank_check)
 
 __all__ = [
     "OverlayOperator",
@@ -53,10 +54,10 @@ __all__ = [
     "circulant_payload",
     "build_kernel",
     "exact_solution",
+    "select_grid",
     "solve_bvp",
 ]
 
-_STENCILS = {1: 3, 2: 9, 3: 27}
 # frequency grid size per axis of the fft, nufft and modspec kernels when
 # none is given; the CLI reads the same table
 DEFAULT_M = {1: 2 ** 14, 2: 2 ** 14, 3: 2 ** 10}
@@ -200,27 +201,14 @@ def _near_field_matrix(kernel: StiffnessKernel, grid: OverlayGrid) -> scipy.spar
     return mat.tocsr()
 
 
-def build_sparse_preconditioner(op: OverlayOperator, stencil: int | None = None,
+def build_sparse_preconditioner(op: OverlayOperator,
                                 drop_tol: float = 1e-3) -> SparsePreconditioner:
-    """Near-field mesh operator I^T A_grid^(near) I factored by modified
-    incomplete Cholesky with the given drop threshold."""
-    expected = _STENCILS[op.grid.dim]
-    if stencil is None:
-        stencil = expected
-    if stencil != expected:
-        raise ValueError(f"stencil {stencil} requires dim {_dim_for_stencil(stencil)}, "
-                         f"operator has dim {op.grid.dim}")
+    """Near-field mesh operator I^T A_grid^(near) I (the 3^dim-point pattern)
+    factored by modified incomplete Cholesky with the given drop threshold."""
     near = _near_field_matrix(op.plan.kernel, op.grid)
     a_mesh = (op.transfer.matrix.T @ (near @ op.transfer.matrix)).tocsc()
     factor = mic_factor_with_retry(a_mesh, drop_tol=drop_tol)
-    return SparsePreconditioner(factor, stencil)
-
-
-def _dim_for_stencil(stencil: int) -> int:
-    for d, st in _STENCILS.items():
-        if st == stencil:
-            return d
-    raise ValueError(f"stencil must be one of {sorted(_STENCILS.values())}, got {stencil}")
+    return SparsePreconditioner(factor, 3 ** op.grid.dim)
 
 
 def circulant_payload(kernel: StiffnessKernel) -> np.ndarray:
@@ -396,15 +384,27 @@ def build_kernel(scheme: str, s, dim: int, n_fd: int, m: int | None = None,
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def select_grid(mesh: SimplicialMesh, r_fd: float = 1.2, n_fd: int | None = None,
+                max_n_fd: int | None = None) -> OverlayGrid:
+    """solve_bvp's grid: n_fd's when given, else the practical choice of
+    choose_grid for the mesh; either way n_fd is capped as in capped_grid
+    (max_n_fd lifts the cap)."""
+    if n_fd is None:
+        return choose_grid(mesh_quality(mesh), r_fd, max_n_fd=max_n_fd)
+    return capped_grid(mesh.dim, r_fd, n_fd, max_n_fd)
+
+
 def solve_bvp(mesh: SimplicialMesh, s, scheme: str = "fft", *,
               n_fd: int | None = None, m: int | None = None, n_g: int = 64,
               r_fd: float = 1.2, precond: str = "auto", tol: float = 1e-10,
-              max_iter: int = 5000, f=1.0, exact=None, grid_mode: str = "practical",
-              max_n_fd: int | None = None, kernel: StiffnessKernel | None = None,
-              rank_check: str = "auto"):
+              max_iter: int = 5000, f=1.0, exact=None, max_n_fd: int | None = None,
+              kernel: StiffnessKernel | None = None):
     """End-to-end pipeline: grid selection, kernel build, transfer assembly,
     rank check, preconditioned CG, and the lumped L2 error against the exact
     solution (the closed-form unit-ball solution by default).
+
+    The grid is select_grid's, so the n_fd cap holds before any kernel is
+    built.  The rank check is column_rank_check's "auto" mode.
 
     Returns the nodal solution over all vertices (boundary entries zero) and
     a SolveReport with per-phase timings and the diagonal shift that the
@@ -415,11 +415,7 @@ def solve_bvp(mesh: SimplicialMesh, s, scheme: str = "fft", *,
     s = order_value(s)
     times = {}
     t0 = time.perf_counter()
-    if n_fd is None:
-        quality = mesh_quality(mesh)
-        grid = choose_grid(quality, r_fd, mode=grid_mode, max_n_fd=max_n_fd)
-    else:
-        grid = OverlayGrid(dim=mesh.dim, r_fd=r_fd, n_fd=n_fd)
+    grid = select_grid(mesh, r_fd, n_fd, max_n_fd)
     times["grid"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -435,9 +431,9 @@ def solve_bvp(mesh: SimplicialMesh, s, scheme: str = "fft", *,
     times["transfer"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if rank_check != "skip" and not column_rank_check(transfer, mode=rank_check):
+    if not column_rank_check(transfer):
         raise RuntimeError("rank_check: transfer matrix is rank deficient; "
-                           "refine the overlay grid (strict mode) or the mesh")
+                           "refine the overlay grid (a larger n_fd) or the mesh")
     times["rank_check"] = time.perf_counter() - t0
 
     op = OverlayOperator(transfer=transfer, plan=plan_, grid=grid, s=s)

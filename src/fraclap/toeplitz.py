@@ -28,22 +28,9 @@ import scipy.fft
 
 from .stiffness import StiffnessKernel
 
-__all__ = ["dft", "ToeplitzPlan", "dense_materialize"]
+__all__ = ["ToeplitzPlan", "dense_materialize"]
 
 _DENSE_LIMIT = 20000
-
-
-def dft(values, direction: str = "forward") -> np.ndarray:
-    """Multi-dimensional DFT of any size per axis: unnormalized forward,
-    (1/N)-normalized inverse.  Sizes with large prime factors go through the
-    Bluestein fallback of the underlying mixed-radix engine, so round trips
-    hold at any length."""
-    a = np.asarray(values)
-    if direction == "forward":
-        return scipy.fft.fftn(a)
-    if direction == "inverse":
-        return scipy.fft.ifftn(a)
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
 class ToeplitzPlan:

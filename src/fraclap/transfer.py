@@ -24,16 +24,18 @@ from .mesh import MeshQuality, SimplicialMesh
 __all__ = [
     "TransferMatrix",
     "TransferRankWarning",
+    "N_FD_CAPS",
+    "capped_grid",
     "choose_grid",
     "build_transfer",
-    "apply_transfer",
-    "apply_transfer_transpose",
     "column_rank_check",
     "write_transfer_coo",
 ]
 
 _CONTAIN_TOL = 1e-12
-_DEFAULT_CAPS = {1: 4096, 2: 4096, 3: 256}
+# default cap on n_fd per dimension, for chosen and explicit grids alike;
+# a max_n_fd argument replaces it
+N_FD_CAPS = {1: 4096, 2: 4096, 3: 128}
 # candidate (simplex, grid node) pairs located per batch in build_transfer
 _CHUNK = 1 << 16
 
@@ -64,7 +66,7 @@ def choose_grid(quality: MeshQuality, r_fd: float, mode: str = "practical",
 
     "practical" requires h_fd <= a_h; "strict" uses the conservative bound
     h_fd <= a_h / ((d+1) sqrt(d)) that guarantees full column rank of the
-    transfer.  A configurable cap on n_fd guards the memory budget.
+    transfer.  The n_fd cap of capped_grid guards the memory budget.
     """
     if mode not in ("practical", "strict"):
         raise ValueError(f"mode must be 'practical' or 'strict', got {mode!r}")
@@ -74,12 +76,19 @@ def choose_grid(quality: MeshQuality, r_fd: float, mode: str = "practical",
     if mode == "strict":
         target = quality.a_h / ((quality.dim + 1) * math.sqrt(quality.dim))
     n_fd = max(1, math.ceil(r_fd / target - 1e-12))
-    cap = _DEFAULT_CAPS[quality.dim] if max_n_fd is None else max_n_fd
-    if n_fd > cap:
+    return capped_grid(quality.dim, r_fd, n_fd, max_n_fd)
+
+
+def capped_grid(dim: int, r_fd: float, n_fd: int, max_n_fd: int | None = None) -> OverlayGrid:
+    """OverlayGrid(dim, r_fd, n_fd), refused with MemoryError when n_fd
+    exceeds the cap: N_FD_CAPS[dim], or max_n_fd when given."""
+    grid = OverlayGrid(dim=dim, r_fd=r_fd, n_fd=n_fd)
+    cap = N_FD_CAPS[grid.dim] if max_n_fd is None else max_n_fd
+    if grid.n_fd > cap:
         raise MemoryError(
-            f"admissible grid needs n_fd = {n_fd}, beyond the cap {cap}; "
+            f"the grid needs n_fd = {grid.n_fd}, beyond the cap {cap}; "
             "raise max_n_fd explicitly to proceed")
-    return OverlayGrid(dim=quality.dim, r_fd=r_fd, n_fd=n_fd)
+    return grid
 
 
 def _locate_nodes(mesh: SimplicialMesh, grid: OverlayGrid):
@@ -178,23 +187,6 @@ def build_transfer(mesh: SimplicialMesh, grid: OverlayGrid,
             raise ValueError(message)
         warnings.warn(message, TransferRankWarning, stacklevel=2)
     return TransferMatrix(matrix=matrix, column_sums=column_sums, grid=grid)
-
-
-def apply_transfer(transfer: TransferMatrix, u_mesh: np.ndarray) -> np.ndarray:
-    """Mesh-to-grid interpolation, returned as a flat grid vector."""
-    u_mesh = np.asarray(u_mesh, dtype=float)
-    if u_mesh.shape != (transfer.cols,):
-        raise ValueError(f"mesh vector must have shape ({transfer.cols},)")
-    return transfer.matrix @ u_mesh
-
-
-def apply_transfer_transpose(transfer: TransferMatrix, v_grid: np.ndarray) -> np.ndarray:
-    """Adjoint of apply_transfer; dividing the result by the column sums gives
-    the grid-to-mesh transfer that preserves constants."""
-    v_grid = np.asarray(v_grid, dtype=float).ravel()
-    if v_grid.shape != (transfer.rows,):
-        raise ValueError(f"grid vector must have {transfer.rows} entries")
-    return transfer.matrix.T @ v_grid
 
 
 def column_rank_check(transfer: TransferMatrix, mode: str = "auto") -> bool:

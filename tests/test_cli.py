@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import fraclap.cli
 import fraclap.ichol
 import fraclap.solver
 from fraclap.cli import main, parse_config
@@ -151,6 +152,14 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_3d_explicit_nfd_cap_exit_2(self, tmp_path, capsys):
+        code = main(["solve", "--dim", "3", "--ball", "0.5", "--nfd", "129",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "beyond the cap 128" in err
+        assert "Traceback" not in err
+
     def test_indefinite_initial_residual_exit_2(self, tmp_path, capsys, monkeypatch):
         def indefinite(*args, **kwargs):
             raise ArithmeticError("preconditioner is not positive definite on the initial residual")
@@ -217,3 +226,41 @@ class TestPrecondCommand:
         assert lines[1] == "iteration,none,sparse,circulant"
         text = capsys.readouterr().out
         assert text.count("precond=") == 3
+
+    def test_kernel_built_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+
+        def counting(real):
+            def build(*args, **kwargs):
+                built.append(args)
+                return real(*args, **kwargs)
+            return build
+
+        monkeypatch.setattr(fraclap.cli, "build_kernel", counting(fraclap.cli.build_kernel))
+        monkeypatch.setattr(fraclap.solver, "build_kernel",
+                            counting(fraclap.solver.build_kernel))
+        code = main(["precond", "--dim", "2", "--m", "256", "--ball", "0.2",
+                     "--out", str(tmp_path / "pc.csv")])
+        assert code == 0
+        assert len(built) == 1
+        assert capsys.readouterr().out.count("iterations=") == 3
+
+    def test_grid_cap_exit_2(self, tmp_path, capsys):
+        code = main(["precond", "--dim", "2", "--ball", "0.2", "--rfd", "1000",
+                     "--out", str(tmp_path / "pc.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "beyond the cap 4096" in captured.err
+        assert "Traceback" not in captured.err
+        assert "failed" not in captured.out
+
+    def test_large_lifts_grid_cap(self, tmp_path, capsys, monkeypatch):
+        # past the cap the kernel build is reached; stop it there
+        def stop(*args, **kwargs):
+            raise ValueError(f"kernel build reached at n_fd={args[3]}")
+
+        monkeypatch.setattr(fraclap.cli, "build_kernel", stop)
+        code = main(["precond", "--dim", "2", "--ball", "0.2", "--rfd", "1000", "--large",
+                     "--out", str(tmp_path / "pc.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: kernel build reached at n_fd=6585\n"

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fraclap.core import (FractionalOrder, OverlayGrid, QuadratureRule, bessel_j0,
-                          bessel_j_half_order, gamma, gauss_legendre, symbol)
+from fraclap.core import (FractionalOrder, OverlayGrid, QuadratureRule, bessel_j_half_order,
+                          gamma, gauss_legendre, symbol)
 
 
 def j0_series(r, terms=80):
@@ -98,6 +98,14 @@ class TestGamma:
         with pytest.raises(ValueError):
             gamma(-2.0)
 
+    def test_pole_inside_array_raises(self):
+        with pytest.raises(ValueError):
+            gamma(np.array([0.5, 1.5, -3.0, 2.5]))
+
+    def test_scalar_gives_float(self):
+        assert type(gamma(2.5)) is float
+        assert isinstance(gamma(np.array([2.5])), np.ndarray)
+
 
 class TestBessel:
     def test_dim3_at_pi(self):
@@ -113,7 +121,7 @@ class TestBessel:
 
     def test_j0_matches_series_oracle(self):
         r = np.linspace(1e-3, 10.0, 500)
-        ours = bessel_j0(r)
+        ours = bessel_j_half_order(2, r)
         ref = np.array([j0_series(x) for x in r])
         assert np.max(np.abs(ours - ref)) < 1e-10
 
@@ -165,6 +173,15 @@ class TestGaussLegendre:
             assert abs(rule.weights.sum() - 2.0) <= 1e-13
             assert np.all(np.diff(rule.nodes) > 0)
             assert np.max(np.abs(rule.nodes + rule.nodes[::-1])) <= 1e-13
+
+    def test_bitwise_symmetry(self):
+        for n_g in range(1, 130):
+            rule = gauss_legendre(n_g)
+            assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+            assert np.array_equal(rule.weights, rule.weights[::-1])
+            if n_g % 2:
+                centre = rule.nodes[n_g // 2]
+                assert centre == 0.0 and not np.signbit(centre)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve_triangular
 
+import fraclap.solver
 from fraclap import ichol
 from fraclap.core import OverlayGrid, gamma
 from fraclap.ichol import (IncompleteCholeskyError, MicFactor, mic_factor,
@@ -601,6 +602,11 @@ class TestSparsePreconditioner:
         np.testing.assert_allclose(row[5, 5], kernel.coeffs[1, 1], rtol=1e-14)
         assert row[4, 6] == 0.0
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_variant_names_the_pattern(self, dim):
+        mesh, op = small_operator(n_r=2, dim=dim)
+        assert build_sparse_preconditioner(op).variant == f"sparse{3 ** dim}"
+
     def test_factorization_quality(self):
         mesh, op = small_operator(n_r=5)
         precond = build_sparse_preconditioner(op)
@@ -624,11 +630,6 @@ class TestSparsePreconditioner:
                 pv = precond.apply(v)
                 assert u @ pu > 0.0
                 assert abs(u @ pv - v @ pu) <= 1e-10 * max(abs(u @ pv), 1.0)
-
-    def test_wrong_stencil_rejected(self):
-        mesh, op = small_operator()
-        with pytest.raises(ValueError):
-            build_sparse_preconditioner(op, stencil=27)
 
 
 def naive_circulant_column(kernel, impulse_index):
@@ -803,6 +804,27 @@ class TestSolveBvp:
         assert factor.shift > 0.0
         assert SparsePreconditioner(factor, 9).shift == factor.shift
         assert Preconditioner().shift == 0.0
+
+    @pytest.mark.parametrize("chosen", [True, False])
+    def test_3d_n_fd_cap_before_kernel(self, chosen, monkeypatch):
+        # n_fd = 129 is one past the 3D cap, both as a chosen and as an
+        # explicit grid; max_n_fd lifts the cap and the build is reached
+        class KernelBuilt(Exception):
+            pass
+
+        def no_kernel(*args, **kwargs):
+            raise KernelBuilt
+
+        monkeypatch.setattr(fraclap.solver, "build_kernel", no_kernel)
+        mesh = ball_mesh(3, 2)
+        if chosen:
+            grid = dict(r_fd=128.5 * mesh_quality(mesh).a_h)
+        else:
+            grid = dict(n_fd=129)
+        with pytest.raises(MemoryError, match="n_fd = 129, beyond the cap 128"):
+            solve_bvp(mesh, 0.5, "fft", **grid)
+        with pytest.raises(KernelBuilt):
+            solve_bvp(mesh, 0.5, "fft", max_n_fd=129, **grid)
 
     def test_report_serialization(self):
         report = SolveReport(iterations=3, residual_history=[1.0, 0.1],

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 import fraclap.transfer as transfer_module
 from fraclap.core import OverlayGrid
 from fraclap.mesh import MeshQuality, SimplicialMesh, _orient_positive, mesh_quality
-from fraclap.transfer import (TransferMatrix, TransferRankWarning, apply_transfer,
-                              apply_transfer_transpose, build_transfer, choose_grid,
-                              column_rank_check, write_transfer_coo)
+from fraclap.transfer import (N_FD_CAPS, TransferMatrix, TransferRankWarning, build_transfer,
+                              capped_grid, choose_grid, column_rank_check, write_transfer_coo)
 
 from conftest import ball_mesh, scattered_ball
 
@@ -41,6 +40,18 @@ class TestChooseGrid:
             choose_grid(quality(2, 1e-5), 1.2)
         grid = choose_grid(quality(2, 1e-3), 1.2, max_n_fd=2000)
         assert grid.n_fd == 1200
+
+    def test_one_cap_table(self):
+        assert N_FD_CAPS == {1: 4096, 2: 4096, 3: 128}
+        for dim, cap in N_FD_CAPS.items():
+            assert choose_grid(quality(dim, 1.0), float(cap)).n_fd == cap
+            assert capped_grid(dim, 1.0, cap).n_fd == cap
+            with pytest.raises(MemoryError):
+                choose_grid(quality(dim, 1.0), float(cap + 1))
+            with pytest.raises(MemoryError):
+                capped_grid(dim, 1.0, cap + 1)
+            assert choose_grid(quality(dim, 1.0), float(cap + 1), max_n_fd=cap + 1).n_fd == cap + 1
+            assert capped_grid(dim, 1.0, cap + 1, max_n_fd=cap + 1).n_fd == cap + 1
 
 
 def unit_triangle_mesh():
@@ -146,7 +157,7 @@ class TestApply:
 
     def test_constant_inside_partition_of_unity(self, transfer):
         t, mesh = transfer
-        values = apply_transfer(t, np.ones(mesh.n_interior))
+        values = t.matrix @ np.ones(mesh.n_interior)
         rows = np.asarray(t.matrix.sum(axis=1)).ravel()
         interior_only = rows > 1.0 - 1e-12
         assert interior_only.any()
@@ -154,7 +165,7 @@ class TestApply:
 
     def test_zero(self, transfer):
         t, mesh = transfer
-        assert np.all(apply_transfer_transpose(t, np.zeros(t.rows)) == 0.0)
+        assert np.all(t.matrix.T @ np.zeros(t.rows) == 0.0)
 
     def test_adjoint_identity(self, transfer):
         t, mesh = transfer
@@ -162,14 +173,14 @@ class TestApply:
         for _ in range(5):
             u = rng.standard_normal(t.cols)
             v = rng.standard_normal(t.rows)
-            a = apply_transfer(t, u) @ v
-            b = u @ apply_transfer_transpose(t, v)
+            a = (t.matrix @ u) @ v
+            b = u @ (t.matrix.T @ v)
             assert abs(a - b) <= 1e-13 * max(1.0, abs(a))
 
     def test_constant_preservation_rows(self, transfer):
         # row sums of D^-1 T^T equal one exactly
         t, mesh = transfer
-        row_sums = apply_transfer_transpose(t, np.ones(t.rows)) / t.column_sums
+        row_sums = (t.matrix.T @ np.ones(t.rows)) / t.column_sums
         np.testing.assert_allclose(row_sums, 1.0, rtol=1e-14)
 
 
