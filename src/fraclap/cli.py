@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,16 +347,24 @@ _COMMANDS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    try:
-        config = parse_config(argv)
-        return _COMMANDS[config.command](config)
-    except (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as exc:
-        # MemoryError is also what the size caps raise: a resource limit;
-        # ArithmeticError is a numerical breakdown (an indefinite
-        # preconditioner, a permuted incomplete Cholesky triangle)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # library warnings (a rank-deficient transfer) print as one line each,
+        # in the order raised, without the source location
+        warnings.showwarning = _print_warning
+        try:
+            config = parse_config(argv)
+            return _COMMANDS[config.command](config)
+        except (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as exc:
+            # MemoryError is also what the size caps raise: a resource limit;
+            # ArithmeticError is a numerical breakdown (an indefinite
+            # preconditioner, a permuted incomplete Cholesky triangle)
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

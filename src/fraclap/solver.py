@@ -67,14 +67,15 @@ DEFAULT_M = {1: 2 ** 14, 2: 2 ** 14, 3: 2 ** 10}
 class OverlayOperator:
     """Matrix-free action u -> I^T (A_grid (I u)) on interior-vertex vectors.
 
-    I u vanishes outside the bounding box of the grid rows that hold entries
-    of the transfer, and I^T reads nothing there, so the Toeplitz product runs
-    on that box alone: the transfer's rows inside it and a plan of the box's
-    shape built from ``plan.kernel`` (the block of a Toeplitz matrix on any
-    box has the same generator).  When the box is the whole grid, or the
-    transfer has no entries, the rows are the transfer's own and the plan is
-    ``plan``.  ``plan`` stays the whole-grid plan that the preconditioners
-    read.
+    I u vanishes outside the bounding box of the grid rows that hold nonzero
+    entries of the transfer, and I^T reads nothing there, so the Toeplitz
+    product runs on that box alone: the transfer's rows inside it and a plan
+    of the box's shape built from ``plan.kernel`` (the block of a Toeplitz
+    matrix on any box has the same generator).  When the box is the whole
+    grid, or the transfer has no nonzero entries, the rows are the transfer's
+    own and the plan is ``plan``.  ``plan`` stays the whole-grid plan that the
+    preconditioners read.  The rows' transpose is stored in CSR form once, so
+    no apply builds it.
     """
 
     transfer: TransferMatrix
@@ -85,7 +86,10 @@ class OverlayOperator:
     def __post_init__(self):
         matrix = self.transfer.matrix
         rows, box_plan = matrix, self.plan
-        touched = np.flatnonzero(np.diff(matrix.indptr))
+        # stored zeros (coordinates clipped to 0) do not widen the box
+        nonzero = matrix.copy()
+        nonzero.eliminate_zeros()
+        touched = np.flatnonzero(np.diff(nonzero.indptr))
         if touched.size:
             nodes = np.unravel_index(touched, self.grid.shape)
             ranges = [np.arange(k.min(), k.max() + 1) for k in nodes]
@@ -94,12 +98,13 @@ class OverlayOperator:
                 rows = matrix[np.ravel_multi_index(np.ix_(*ranges), self.grid.shape).ravel()]
                 box_plan = ToeplitzPlan(self.plan.kernel, shape)
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_rows_t", rows.T.tocsr())
         object.__setattr__(self, "_box_plan", box_plan)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         g = self._rows @ np.asarray(u, dtype=float)
         v = self._box_plan.apply(g.reshape(self._box_plan.grid_shape))
-        return self._rows.T @ v.ravel()
+        return self._rows_t @ v.ravel()
 
     @property
     def n_unknowns(self) -> int:
@@ -150,6 +155,7 @@ class CirculantPreconditioner(Preconditioner):
         self.payload = payload
         self.gram_factor = gram_factor
         self.transfer = transfer
+        self._transfer_t = transfer.matrix.T.tocsr()
         self.grid = grid
         self._sub = (slice(0, 2 * grid.n_fd),) * grid.dim
         # the payload is even, so its half spectrum pairs with rfftn
@@ -172,7 +178,7 @@ class CirculantPreconditioner(Preconditioner):
         g = (self.transfer.matrix @ z).reshape(self.grid.shape)
         out = np.zeros(self.grid.shape)
         out[self._sub] = self.circulant_solve(g[self._sub])
-        t = self.transfer.matrix.T @ out.ravel()
+        t = self._transfer_t @ out.ravel()
         return self.gram_factor.solve(t)
 
 

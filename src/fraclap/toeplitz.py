@@ -5,9 +5,12 @@ v_j = sum_m T_{j-m} u_m over a box of b_1 x ... x b_d grid nodes (no spacing
 factor; the solver scales the right-hand side instead).  The box is the whole
 overlay grid, b = 2*n_fd + 1 per axis, unless the plan is given a smaller
 shape; wherever the box sits on the grid, its block of the operator has the
-same generator restricted to offsets |p| <= b - 1.  Embedding that generator
-into a circulant of length L >= 2*b - 1 per axis makes the product a circular
-convolution at O(L^d log L^d) cost, against O(b^{2d}) for the direct sum.
+same generator restricted to offsets |p| <= b - 1.  The generator is even
+(T_{-p} = T_p), so it embeds exactly into a circulant of any length
+L >= 2*b - 2 per axis: at L = 2*b - 2 the offsets +-(b - 1) share one slot and
+carry the same value (the minimal embedding of Dietrich and Newsam, SIAM J.
+Sci. Comput. 18(4), 1997).  The product is then a circular convolution at
+O(L^d log L^d) cost, against O(b^{2d}) for the direct sum.
 Only the b_1 x ... x b_d inputs of the L^d are nonzero and only as many
 outputs are kept, so the transforms run axis by axis over the data-carrying
 lines alone: forward, the last axis first and each further axis on the lines
@@ -53,9 +56,10 @@ class ToeplitzPlan:
             raise ValueError(f"plan shape {shape} must have {kernel.dim} axes of 1 to "
                              f"{full} nodes")
         self.grid_shape = shape
-        # next FFT-friendly length at least 2b - 1 so no offset pair collides
-        # modulo the transform size
-        self.fft_shape = tuple(scipy.fft.next_fast_len(2 * b - 1) for b in shape)
+        # smallest 5-smooth length at least 2b - 2: only the offsets +-(b - 1)
+        # can collide modulo it, and the even generator gives both one value
+        self.fft_shape = tuple(scipy.fft.next_fast_len(max(1, 2 * b - 2), real=True)
+                               for b in shape)
 
     @functools.cached_property
     def _spectrum(self) -> np.ndarray:

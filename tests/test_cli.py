@@ -7,7 +7,8 @@ import fraclap.cli
 import fraclap.ichol
 import fraclap.solver
 from fraclap.cli import main, parse_config
-from fraclap.mesh import save_mesh
+from fraclap.mesh import generate_ball_mesh, save_mesh
+from fraclap.transfer import TransferRankWarning
 
 from conftest import ball_mesh
 
@@ -182,6 +183,23 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: SuperLU permuted")
         assert "Traceback" not in err
+
+    def test_rank_warning_printed_as_one_line(self, tmp_path, capsys):
+        code = main(["solve", "--dim", "2", "--nfd", "3", "--ball", "0.1", "--m", "256",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "warning: 218 interior vertex column(s) received no grid node (first few: "
+            "[1, 2, 3, 4, 5, 6, 7, 8]); the transfer is rank deficient",
+            "error: rank_check: transfer matrix is rank deficient; refine the overlay grid "
+            "(a larger n_fd) or the mesh"]
+        assert ".py:" not in err and "Traceback" not in err
+
+    def test_library_callers_still_get_the_warning(self):
+        with pytest.warns(TransferRankWarning, match="218 interior vertex column"):
+            with pytest.raises(RuntimeError, match="rank deficient"):
+                fraclap.solver.solve_bvp(generate_ball_mesh(2, 0.1), 0.5, n_fd=3, m=256)
 
     @pytest.mark.parametrize("h", ["0.1", "0.05"])
     def test_spectral_circulant_not_converged_exit_1(self, h, tmp_path, capsys):

@@ -14,7 +14,7 @@ from fraclap import ichol
 from fraclap.core import OverlayGrid, gamma
 from fraclap.ichol import (IncompleteCholeskyError, MicFactor, mic_factor,
                            mic_factor_with_retry)
-from fraclap.mesh import SimplicialMesh, mesh_quality
+from fraclap.mesh import SimplicialMesh, generate_ball_mesh, mesh_quality
 from fraclap.solver import (CirculantPreconditioner, OverlayOperator, Preconditioner,
                             SolveReport, SparsePreconditioner, assemble_rhs,
                             build_circulant_preconditioner, build_sparse_preconditioner,
@@ -107,8 +107,11 @@ def full_grid_product(op, u):
     return op.transfer.matrix.T @ op.plan.apply(g.reshape(op.grid.shape)).ravel()
 
 
-def touched_extent(op):
-    rows = np.flatnonzero(op.transfer.matrix.getnnz(axis=1))
+def touched_extent(op, stored=False):
+    """Bounding box of the grid rows holding nonzero entries of the transfer
+    (stored entries, zeros included, with stored=True)."""
+    matrix = op.transfer.matrix
+    rows = np.flatnonzero(matrix.getnnz(axis=1) if stored else matrix.count_nonzero(axis=1))
     nodes = np.unravel_index(rows, op.grid.shape)
     return tuple(int(k.max() - k.min() + 1) for k in nodes)
 
@@ -140,16 +143,64 @@ class TestOperatorBox:
             got = op.apply(u)
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("dim,n_r", [(2, 6), (3, 3)])
-    def test_whole_grid_box_reuses_the_plan(self, dim, n_r):
-        # a ball of radius r_fd = 1.2 has vertices on the grid's edge nodes,
-        # whose rows hold (zero) entries of the transfer
-        op = overlay_operator(mapped(ball_mesh(dim, n_r), 1.2 * np.eye(dim), 0.0))
+    @pytest.mark.parametrize("dim,n_fd", [(2, 6), (3, 3)])
+    def test_whole_grid_box_reuses_the_plan(self, dim, n_fd):
+        # a mesh has no interior vertex on the grid's edge nodes, so only a
+        # transfer built by hand reaches them with nonzero entries
+        grid = OverlayGrid(dim=dim, r_fd=1.2, n_fd=n_fd)
+        op = OverlayOperator(transfer=identity_transfer(grid),
+                             plan=ToeplitzPlan(fft_uniform(0.5, dim, n_fd, 2 * n_fd + 2)),
+                             grid=grid, s=0.5)
         assert touched_extent(op) == op.grid.shape
         assert op._box_plan is op.plan
         assert op._rows is op.transfer.matrix
         u = np.random.default_rng(1).standard_normal(op.n_unknowns)
         np.testing.assert_array_equal(op.apply(u), full_grid_product(op, u))
+
+    @pytest.mark.parametrize("dim,n_r", [(2, 6), (3, 3)])
+    def test_stored_zeros_do_not_widen_the_box(self, dim, n_r):
+        # a ball of radius r_fd = 1.2 has boundary vertices on the grid's
+        # edge nodes, whose rows hold only (zero) entries of the transfer
+        op = overlay_operator(mapped(ball_mesh(dim, n_r), 1.2 * np.eye(dim), 0.0))
+        assert touched_extent(op, stored=True) == op.grid.shape
+        # (a rounding residue can still reach an edge node on some axis)
+        box = op._box_plan.grid_shape
+        assert box == touched_extent(op) != op.grid.shape
+        u = np.random.default_rng(1).standard_normal(op.n_unknowns)
+        ref = full_grid_product(op, u)
+        assert np.linalg.norm(op.apply(u) - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    def test_unrotated_disk_box_by_nonzero_entries(self):
+        # the CLI's --ball 0.025 disk: stored zeros span 111 x 111 nodes
+        op = overlay_operator(generate_ball_mesh(2, 0.025))
+        assert touched_extent(op, stored=True) == (111, 111)
+        assert op._box_plan.grid_shape == (110, 111)
+        rng = np.random.default_rng(2)
+        for _ in range(2):
+            u = rng.standard_normal(op.n_unknowns)
+            ref = full_grid_product(op, u)
+            assert np.linalg.norm(op.apply(u) - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_rotated_disk_boxes_unchanged(self, seed):
+        # the h=0.025 disk rotated by a seeded angle, as the multisource
+        # benchmark workload draws it: both boxes are 109 x 109
+        angle = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi)
+        c, s = math.cos(angle), math.sin(angle)
+        op = overlay_operator(mapped(generate_ball_mesh(2, 0.025), [[c, -s], [s, c]], 0.0))
+        assert touched_extent(op, stored=True) == (109, 109)
+        assert op._box_plan.grid_shape == (109, 109)
+
+    @pytest.mark.parametrize("name", sorted(BOX_MESHES))
+    def test_stored_transposes_are_bitwise_the_transposed_products(self, name):
+        op = overlay_operator(BOX_MESHES[name]())
+        pre = build_circulant_preconditioner(op)
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal(op.n_unknowns)
+        g = op._box_plan.apply((op._rows @ u).reshape(op._box_plan.grid_shape))
+        np.testing.assert_array_equal(op.apply(u), op._rows.T @ g.ravel())
+        w = rng.standard_normal(op.grid.n_nodes)
+        np.testing.assert_array_equal(pre._transfer_t @ w, op.transfer.matrix.T @ w)
 
     def test_empty_transfer_keeps_the_whole_grid(self):
         grid = OverlayGrid(dim=2, r_fd=1.2, n_fd=3)

@@ -150,7 +150,7 @@ def reference_apply(p, u):
 
 
 class TestPrunedTransforms:
-    # n_fd 3, 4, 7 and 9 pad 4*n_fd + 1 to a longer fast length
+    # n_fd 7 and 13 pad 4*n_fd to a longer 5-smooth length
     @pytest.mark.parametrize("dim,n_fds", [(1, (1, 2, 3, 4, 7, 9, 40)),
                                            (2, (1, 2, 3, 4, 7, 9, 13)),
                                            (3, (1, 2, 3, 4, 7))])
@@ -167,8 +167,8 @@ class TestPrunedTransforms:
                 assert np.array_equal(got, ref)
 
     def test_padded_lengths_exercised(self):
-        for n_fd in (3, 4, 7, 9):
-            assert ToeplitzPlan(analytic_1d(0.5, n_fd)).fft_shape[0] > 4 * n_fd + 1
+        for n_fd in (7, 11, 13):
+            assert ToeplitzPlan(analytic_1d(0.5, n_fd)).fft_shape[0] > 4 * n_fd
 
     @settings(max_examples=20, deadline=None)
     @given(dim=st.integers(1, 3), n_fd=st.integers(1, 4),
@@ -181,11 +181,11 @@ class TestPrunedTransforms:
         ref = dense_materialize(kernel) @ u.ravel()
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-def reference_full_grid_apply(kernel, u):
+def reference_full_grid_apply(kernel, u, length):
     """The whole-grid product as computed before plans took a shape: one
-    embedding length next_fast_len(4 n_fd + 1) on every axis."""
+    embedding length on every axis, the generator placed at every offset
+    |p| <= 2 n_fd (at length 4 n_fd the offsets +-2 n_fd share a slot)."""
     n = kernel.n_fd
-    length = scipy.fft.next_fast_len(4 * n + 1)
     place = np.mod(np.arange(-2 * n, 2 * n + 1), length)
     generator = np.zeros((length,) * kernel.dim)
     generator[np.ix_(*([place] * kernel.dim))] = kernel.full_tensor()
@@ -200,6 +200,56 @@ def reference_full_grid_apply(kernel, u):
         spec = scipy.fft.ifft(spec, axis=axis, overwrite_x=True)
         spec = spec[(slice(None),) * axis + (slice(0, k),)]
     return scipy.fft.irfft(spec, n=length, axis=-1)[..., :k].copy()
+
+
+def smallest_5_smooth(target):
+    """Smallest n >= max(1, target) with no prime factor above 5, by search."""
+    n = max(1, target)
+    while not is_5_smooth(n):
+        n += 1
+    return n
+
+
+def is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+class TestEmbeddingLength:
+    @settings(max_examples=40, deadline=None)
+    @given(b=st.integers(1, 600))
+    def test_smallest_5_smooth_at_least_2b_minus_2(self, b):
+        (length,) = ToeplitzPlan(analytic_1d(0.5, 300), (b,)).fft_shape
+        assert is_5_smooth(length)
+        assert length >= max(1, 2 * b - 2)
+        assert not any(is_5_smooth(n) for n in range(max(1, 2 * b - 2), length))
+
+    # 2b - 2 is itself 5-smooth, so the embedding is exactly 2b - 2 long and
+    # the offsets +-(b - 1) share slot b - 1
+    SHARED_SLOT_B = (1, 2, 3, 4, 5, 7, 9, 13)
+
+    @pytest.mark.parametrize("dim,shapes", [
+        (1, [(b,) for b in SHARED_SLOT_B]),
+        (2, [(13, 1), (2, 9), (4, 13), (7, 5), (3, 3)]),
+        (3, [(1, 13, 4), (9, 7, 2), (3, 5, 13)])])
+    def test_minimal_embedding_equals_dense_block(self, dim, shapes):
+        n_fd = 6
+        rng = np.random.default_rng(30 + dim)
+        full = (2 * n_fd + 1,) * dim
+        for kernel in all_scheme_kernels(dim, n_fd):
+            dense = dense_materialize(kernel)
+            for shape in shapes:
+                p = ToeplitzPlan(kernel, shape)
+                assert p.fft_shape == tuple(max(1, 2 * b - 2) for b in shape)
+                lo = [rng.integers(0, f - b + 1) for f, b in zip(full, shape)]
+                ranges = [np.arange(a, a + b) for a, b in zip(lo, shape)]
+                idx = np.ravel_multi_index(np.ix_(*ranges), full).ravel()
+                u = rng.standard_normal(shape)
+                got = p.apply(u).ravel()
+                ref = dense[np.ix_(idx, idx)] @ u.ravel()
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # (dim, n_fd, box shapes): 1 and 2*n_fd + 1 nodes on some axis, even and odd
@@ -223,7 +273,7 @@ class TestPlanShape:
                 idx = np.ravel_multi_index(np.ix_(*ranges), full).ravel()
                 p = ToeplitzPlan(kernel, shape)
                 assert p.grid_shape == shape
-                assert p.fft_shape == tuple(scipy.fft.next_fast_len(2 * b - 1) for b in shape)
+                assert p.fft_shape == tuple(smallest_5_smooth(2 * b - 2) for b in shape)
                 u = rng.standard_normal(shape)
                 got = p.apply(u).ravel()
                 ref = dense[np.ix_(idx, idx)] @ u.ravel()
@@ -242,9 +292,10 @@ class TestPlanShape:
         for n_fd in n_fds:
             kernel = fft_uniform(0.5, dim, n_fd, 4 * n_fd + 4)
             p = ToeplitzPlan(kernel)
-            assert p.fft_shape == (scipy.fft.next_fast_len(4 * n_fd + 1),) * dim
+            assert p.fft_shape == (smallest_5_smooth(4 * n_fd),) * dim
             u = rng.standard_normal(p.grid_shape)
-            np.testing.assert_array_equal(p.apply(u), reference_full_grid_apply(kernel, u))
+            np.testing.assert_array_equal(p.apply(u),
+                                          reference_full_grid_apply(kernel, u, p.fft_shape[0]))
 
     def test_spectrum_built_on_first_apply(self):
         p = ToeplitzPlan(fft_uniform(0.5, 2, 3, 16), (4, 6))
@@ -262,7 +313,7 @@ class TestPlanShape:
             raise MemoryError
 
         monkeypatch.setattr(scipy.fft, "rfftn", out_of_memory)
-        with pytest.raises(MemoryError, match=r"cannot plan transform of shape \(9, 3\)"):
+        with pytest.raises(MemoryError, match=r"cannot plan transform of shape \(8, 2\)"):
             p.apply(np.ones((5, 2)))
 
     def test_threads_build_the_spectrum_at_once(self):
