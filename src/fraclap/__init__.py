@@ -17,8 +17,8 @@ from .solver import (CirculantPreconditioner, OverlayOperator, Preconditioner, S
                      build_kernel, build_sparse_preconditioner, cg_solve, exact_solution,
                      solve_bvp)
 from .stiffness import (SCHEMES, DecayProfile, StiffnessKernel, analytic_1d, decay_profile,
-                        fft_uniform, modified_spectral, nonuniform, restrict, spectral,
-                        write_decay_csv, write_kernel_csv)
+                        fft_corrected, fft_uniform, modified_spectral, nonuniform, restrict,
+                        spectral, write_decay_csv, write_kernel_csv)
 from .toeplitz import ToeplitzPlan, dense_materialize
 from .transfer import (TransferMatrix, TransferRankWarning, build_transfer, choose_grid,
                        column_rank_check)

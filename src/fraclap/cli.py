@@ -17,9 +17,9 @@ import numpy as np
 
 from . import stiffness
 from .mesh import generate_ball_mesh, load_mesh, mesh_quality
-from .solver import DEFAULT_M, build_kernel, select_grid, solve_bvp
+from .solver import build_kernel, require_full_rank, select_grid, solve_bvp
 from .stiffness import decay_profile, restrict, write_decay_csv, write_kernel_csv
-from .transfer import choose_grid
+from .transfer import build_transfer, choose_grid
 
 __all__ = ["ExperimentConfig", "cmd_kernel", "cmd_decay", "cmd_impact", "cmd_solve",
            "cmd_convergence", "cmd_precond", "main"]
@@ -31,7 +31,7 @@ class ExperimentConfig:
     s: float = 0.5
     scheme: str = "fft"
     n_fd: int | None = None  # kernel/decay default to 81; solve commands pick from the mesh
-    m: int | None = None     # per-dim default applied later
+    m: int | None = None     # None: build_kernel's default for the scheme
     n_g: int = 64
     r_fd: float = 1.2
     precond: str = "auto"
@@ -42,14 +42,10 @@ class ExperimentConfig:
     mesh: list | None = None
     large: bool = False
 
-    def resolved_m(self) -> int | None:
-        """The --m value, else the solver's default for dim (None for a dim
-        no kernel supports)."""
-        return self.m if self.m is not None else DEFAULT_M.get(self.dim)
-
     def config_line(self) -> str:
+        m = "default" if self.m is None else self.m
         parts = [f"command={self.command}", f"dim={self.dim}", f"s={self.s}",
-                 f"scheme={self.scheme}", f"n_fd={self.n_fd}", f"m={self.resolved_m()}",
+                 f"scheme={self.scheme}", f"n_fd={self.n_fd}", f"m={m}",
                  f"n_g={self.n_g}", f"r_fd={self.r_fd}", f"precond={self.precond}",
                  f"tol={self.tol}", f"delta={self.delta}"]
         if self.ball:
@@ -89,7 +85,7 @@ def cmd_kernel(config: ExperimentConfig) -> int:
     analytic closed form."""
     n_fd = config.n_fd if config.n_fd is not None else 81
     kernel = build_kernel(config.scheme, config.s, config.dim, n_fd,
-                          config.resolved_m(), config.n_g)
+                          config.m, config.n_g)
     path = config.default_out()
     write_kernel_csv(kernel, path, config.config_line())
     if config.dim == 1:
@@ -107,7 +103,7 @@ def cmd_decay(config: ExperimentConfig) -> int:
     if n_fd < 32:
         raise ValueError("decay studies need n_fd >= 32")
     kernel = build_kernel(config.scheme, config.s, config.dim, n_fd,
-                          config.resolved_m(), config.n_g)
+                          config.m, config.n_g)
     profile = decay_profile(kernel)
     path = config.default_out()
     write_decay_csv(profile, path, config.config_line())
@@ -222,11 +218,13 @@ def cmd_convergence(config: ExperimentConfig) -> int:
 def cmd_precond(config: ExperimentConfig) -> int:
     mesh = _meshes(config)[0]
     _desk_guard(config, mesh)
-    # one grid and one kernel serve every variant; a failure to build them
-    # is the run's, not a variant's, and reaches main (exit 2)
+    # one grid and one kernel serve every variant, and the transfer must be
+    # full rank for all of them; a failure there is the run's, not a
+    # variant's, and reaches main (exit 2)
     cap = _max_n_fd(config)
     grid = select_grid(mesh, config.r_fd, config.n_fd, cap)
     kernel = build_kernel(config.scheme, config.s, mesh.dim, grid.n_fd, config.m, config.n_g)
+    require_full_rank(build_transfer(mesh, grid))
     variants = ("none", "sparse", "circulant")
     histories = {}
     iterations = {}

@@ -35,8 +35,8 @@ import scipy.sparse
 from .core import OverlayGrid, gamma, order_value
 from .ichol import MicFactor, mic_factor_with_retry
 from .mesh import SimplicialMesh, lumped_l2_error, mesh_quality
-from .stiffness import (StiffnessKernel, analytic_1d, fft_uniform, modified_spectral,
-                        nonuniform, spectral)
+from .stiffness import (StiffnessKernel, analytic_1d, fft_corrected, fft_uniform,
+                        modified_spectral, nonuniform, spectral)
 from .toeplitz import ToeplitzPlan
 from .transfer import (TransferMatrix, build_transfer, capped_grid, choose_grid,
                        column_rank_check)
@@ -54,12 +54,13 @@ __all__ = [
     "circulant_payload",
     "build_kernel",
     "exact_solution",
+    "require_full_rank",
     "select_grid",
     "solve_bvp",
 ]
 
-# frequency grid size per axis of the fft, nufft and modspec kernels when
-# none is given; the CLI reads the same table
+# frequency grid size per axis of the nufft and modspec kernels when none is
+# given; the fft scheme's default is fft_corrected's own, which is far smaller
 DEFAULT_M = {1: 2 ** 14, 2: 2 ** 14, 3: 2 ** 10}
 
 
@@ -369,18 +370,24 @@ def exact_solution(dim: int, s, x) -> np.ndarray:
 
 def build_kernel(scheme: str, s, dim: int, n_fd: int, m: int | None = None,
                  n_g: int = 64) -> StiffnessKernel:
-    """Dispatch a kernel build by scheme name; m defaults to DEFAULT_M[dim],
-    2^14 (dim <= 2) or 2^10 (dim 3), where the scheme needs it."""
+    """Dispatch a kernel build by scheme name.
+
+    fft: with m=None the aliasing-corrected kernel fft_corrected at its
+    default m (2^11 in 1D and 2D and 2^8 in 3D, or the smallest power of two
+    >= 16 n_fd if larger); an explicit m gives the paper's raw trapezoid
+    rule fft_uniform at that m.  nufft and modspec: m defaults to
+    DEFAULT_M[dim], 2^14 (dim <= 2) or 2^10 (dim 3).
+    """
     if scheme == "analytic":
         if dim != 1:
             raise ValueError("the analytic kernel exists in one dimension only")
         return analytic_1d(s, n_fd)
+    if scheme == "fft":
+        return fft_corrected(s, dim, n_fd) if m is None else fft_uniform(s, dim, n_fd, m)
     if m is None:
         if dim not in DEFAULT_M:
             raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
         m = DEFAULT_M[dim]
-    if scheme == "fft":
-        return fft_uniform(s, dim, n_fd, m)
     if scheme == "nufft":
         return nonuniform(s, dim, n_fd, m)
     if scheme == "spectral":
@@ -388,6 +395,14 @@ def build_kernel(scheme: str, s, dim: int, n_fd: int, m: int | None = None,
     if scheme == "modspec":
         return modified_spectral(s, dim, n_fd, m, n_g)
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def require_full_rank(transfer: TransferMatrix):
+    """Raise RuntimeError unless column_rank_check ("auto" mode) finds the
+    transfer's columns independent."""
+    if not column_rank_check(transfer):
+        raise RuntimeError("rank_check: transfer matrix is rank deficient; "
+                           "refine the overlay grid (a larger n_fd) or the mesh")
 
 
 def select_grid(mesh: SimplicialMesh, r_fd: float = 1.2, n_fd: int | None = None,
@@ -437,9 +452,7 @@ def solve_bvp(mesh: SimplicialMesh, s, scheme: str = "fft", *,
     times["transfer"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if not column_rank_check(transfer):
-        raise RuntimeError("rank_check: transfer matrix is rank deficient; "
-                           "refine the overlay grid (a larger n_fd) or the mesh")
+    require_full_rank(transfer)
     times["rank_check"] = time.perf_counter() - t0
 
     op = OverlayOperator(transfer=transfer, plan=plan_, grid=grid, s=s)

@@ -7,6 +7,8 @@ the reflection symmetry T_{...,-p,...} = T_{...,p,...}.  Schemes:
   analytic  exact closed form, one dimension only
   fft       trapezoid rule on a uniform frequency grid; the integrand is even
             in every axis, so the sum is a DCT-I on the half grid [0, pi]
+            (fft_uniform), optionally less its leading aliasing error, a
+            lattice sum of the continuum kernel's tail (fft_corrected)
   nufft     trapezoid rule on nodes quadratically clustered at the origin
   spectral  radially symmetric surrogate |xi|^{2s} over a volume-matched ball,
             reduced to cumulative one-dimensional Bessel integrals
@@ -22,6 +24,7 @@ A decay-profile helper fits the tail slope of log|T_p| against log|p|.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 import scipy.sparse
+import scipy.special
 
 from .core import bessel_j_half_order, gamma, gauss_legendre, order_value
 
@@ -39,6 +43,7 @@ __all__ = [
     "DecayProfile",
     "analytic_1d",
     "fft_uniform",
+    "fft_corrected",
     "nonuniform",
     "spectral",
     "modified_spectral",
@@ -57,6 +62,8 @@ _CHUNK_ELEMS = 2 ** 23
 # integrand samples evaluated per chunk of the fft/modspec half-grid DCT-I
 # and of the nufft direct sample tensor
 _DCT_CHUNK_ELEMS = 2 ** 17
+# smallest default m of fft_corrected per dimension
+_CORRECTED_M_MIN = {1: 2 ** 11, 2: 2 ** 11, 3: 2 ** 8}
 
 
 @dataclass(frozen=True)
@@ -133,11 +140,48 @@ def fft_uniform(s, dim: int, n_fd: int, m: int) -> StiffnessKernel:
     workers.
 
     Requires m >= 2*n_fd + 1.  The attainable accuracy improves with m like
-    m^{-(d+2s)} since the rule aliases the exact coefficients.
+    m^{-(d+2s)} since the rule aliases the exact coefficients.  This is the
+    paper's raw scheme; fft_corrected removes the leading aliasing error and
+    reaches the same accuracy at a far smaller m.
     """
     s = order_value(s)
     n_fd = _check_n_fd(n_fd)
     coeffs = _uniform_fourier(_psi_integrand(s), dim, n_fd, m)
+    return StiffnessKernel(dim=dim, s=s, n_fd=n_fd, scheme="fft", coeffs=coeffs)
+
+
+def fft_corrected(s, dim: int, n_fd: int, m: int | None = None) -> StiffnessKernel:
+    """fft_uniform's coefficients at an even m with their leading aliasing
+    error removed.
+
+    By Poisson summation the trapezoid sum at even M is the exact coefficient
+    plus its aliases, sum_k T_{p+kM}, and far from the diagonal the exact
+    coefficients follow the continuum kernel T_q ~ C |q|^{-a}, with a = d + 2s
+    and C = 4^s Gamma(d/2 + s) / (pi^{d/2} Gamma(-s)).  So the aliases sum to
+    C M^{-a} Z_d(p/M) to leading order, Z_d(x) = sum_{k != 0} |k + x|^{-a}
+    (see _alias_lattice_sum), and that is subtracted.
+
+    The default m is the larger of 2^11 (dims 1, 2) or 2^8 (dim 3) and the
+    smallest power of two >= 16 n_fd, which keeps p/M <= 1/8 and the Taylor
+    remainder of Z_d negligible.  An explicit m must be even (an odd M gives
+    the aliases alternating signs) and >= 4 n_fd (p/M <= 1/2; past that the
+    nearest alias is a short-range coefficient, not the continuum tail).
+    Raises ValueError otherwise; the scheme tag is "fft".
+    """
+    s = order_value(s)
+    n_fd = _check_n_fd(n_fd)
+    if dim not in _CORRECTED_M_MIN:
+        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+    if m is None:
+        m = max(_CORRECTED_M_MIN[dim], 1 << (16 * n_fd - 1).bit_length())
+    elif m % 2 or m < 4 * n_fd:
+        raise ValueError(f"the aliasing correction needs an even m >= 4*n_fd = {4 * n_fd}, "
+                         f"got {m}")
+    a = dim + 2.0 * s
+    c = 4.0 ** s * gamma(0.5 * dim + s) / (math.pi ** (0.5 * dim) * gamma(-s))
+    raw = _uniform_fourier(_psi_integrand(s), dim, n_fd, m)
+    x = np.arange(2 * n_fd + 1) / m
+    coeffs = raw - c * float(m) ** -a * _alias_lattice_sum(dim, a, x)
     return StiffnessKernel(dim=dim, s=s, n_fd=n_fd, scheme="fft", coeffs=coeffs)
 
 
@@ -238,7 +282,8 @@ def modified_spectral(s, dim: int, n_fd: int, m: int, n_g: int = 64) -> Stiffnes
 def restrict(kernel: StiffnessKernel, n_fd: int) -> StiffnessKernel:
     """Kernel of a smaller grid obtained by slicing.  Entries depend only on
     the offset, never on n_fd, so this equals a fresh build with identical
-    scheme parameters."""
+    scheme parameters, m included.  A fresh fft_corrected build at its
+    default m may differ: a smaller n_fd can pick a smaller m."""
     if n_fd > kernel.n_fd:
         raise ValueError(f"cannot restrict n_fd {kernel.n_fd} to larger value {n_fd}")
     n_fd = _check_n_fd(n_fd)
@@ -440,6 +485,69 @@ def _check_even(integrand, dim: int, m: int):
     if not odd <= 1e-10 * max(scale, np.finfo(float).tiny):
         raise ArithmeticError(
             f"integrand is not even: odd part {odd:.3e} exceeds 1e-10 of its scale {scale:.3e}")
+
+
+# ---------------------------------------------------------------------------
+# lattice sums of the fft aliasing correction
+
+def _alias_lattice_sum(dim: int, a: float, x: np.ndarray) -> np.ndarray:
+    """Z_d(x) = sum of |k + x|^{-a} over k in Z^d, k != 0, at the points
+    (x[p_1], ..., x[p_d]) for 0 <= x <= 1/2, as a tensor over p.
+
+    In 1D it is the Hurwitz sum zeta(a, 1 + x) + zeta(a, 1 - x).  In 2D and
+    3D the images with |k|_inf <= 1 are summed exactly.  The rest is smooth
+    near x = 0: its gradient there vanishes by symmetry, and by cubic
+    symmetry its Hessian is a (a + 2 - d) / d R(a + 2) times the identity,
+    with R(t) the sum of |k|^{-t} over |k|_inf >= 2.  So the rest is taken as
+    R(a) + a (a + 2 - d) / (2d) R(a + 2) |x|^2, which leaves O(|x|^4).
+    """
+    if dim == 1:
+        return scipy.special.zeta(a, 1.0 + x) + scipy.special.zeta(a, 1.0 - x)
+    axes = [x.reshape((1,) * i + (-1,) + (1,) * (dim - 1 - i)) for i in range(dim)]
+    near = sum(sum((kj + ax) ** 2 for kj, ax in zip(k, axes)) ** (-0.5 * a)
+               for k in itertools.product((-1, 0, 1), repeat=dim) if any(k))
+    curvature = 0.5 * a * (a + 2.0 - dim) / dim * _far_lattice_sum(dim, a + 2.0)
+    return near + _far_lattice_sum(dim, a) + curvature * sum(ax * ax for ax in axes)
+
+
+def _far_lattice_sum(dim: int, t: float) -> float:
+    """R(t): the sum of |k|^{-t} over k in Z^d with |k|_inf >= 2 (dims 2, 3),
+    the full lattice sum less the 3^d - 1 points with coordinates in
+    {-1, 0, 1}, of which C(d, j) 2^j have j nonzero coordinates."""
+    shell = sum(math.comb(dim, j) * 2 ** j * j ** (-0.5 * t) for j in range(1, dim + 1))
+    return _lattice_sum(dim, t) - shell
+
+
+def _lattice_sum(dim: int, t: float) -> float:
+    """Sum of |k|^{-t} over k in Z^d, k != 0, for dims 2 and 3 and t > d.
+
+    2D: 4 zeta(t/2) beta(t/2), with the Dirichlet beta function
+    beta(u) = 4^{-u} (zeta(u, 1/4) - zeta(u, 3/4)).  3D: Ewald splitting of
+    the Epstein zeta function at its self-dual point.  With nu = t/2 and
+    x_k = pi |k|^2,
+      pi^{-nu} Gamma(nu) Z = sum'_k [x_k^{-nu} Gamma(nu, x_k)
+                                     + x_k^{nu - 3/2} Gamma(3/2 - nu, x_k)]
+                             + 1/(nu - 3/2) - 1/nu,
+    where both terms decay like exp(-x_k): the cube |k|_inf <= 5 leaves out
+    nothing above exp(-36 pi).
+    """
+    nu = 0.5 * t
+    if dim == 2:
+        beta = 4.0 ** -nu * (scipy.special.zeta(nu, 0.25) - scipy.special.zeta(nu, 0.75))
+        return float(4.0 * scipy.special.zeta(nu) * beta)
+    k = np.arange(-5, 6) ** 2
+    xk = math.pi * (k[:, None, None] + k[None, :, None] + k[None, None, :]).ravel()
+    xk = xk[xk > 0]
+    terms = xk ** -nu * _upper_gamma(nu, xk) + xk ** (nu - 1.5) * _upper_gamma(1.5 - nu, xk)
+    return float((np.sum(terms) + 1.0 / (nu - 1.5) - 1.0 / nu) * math.pi ** nu / gamma(nu))
+
+
+def _upper_gamma(b: float, x: np.ndarray) -> np.ndarray:
+    """Upper incomplete gamma function Gamma(b, x) for x > 0 and b not a
+    nonpositive integer; b <= 0 by Gamma(b, x) = (Gamma(b + 1, x) - x^b e^{-x}) / b."""
+    if b > 0.0:
+        return scipy.special.gammaincc(b, x) * gamma(b)
+    return (_upper_gamma(b + 1.0, x) - x ** b * np.exp(-x)) / b
 
 
 # ---------------------------------------------------------------------------

@@ -47,13 +47,14 @@ class TestParsing:
         config = parse_config(["convergence", "--ball", "0.2,0.1,0.05"])
         assert config.ball == [0.2, 0.1, 0.05]
 
-    def test_resolved_m(self):
-        assert parse_config(["kernel", "--dim", "2"]).resolved_m() == 2 ** 14
-        assert parse_config(["kernel", "--dim", "3"]).resolved_m() == 2 ** 10
-        assert parse_config(["kernel", "--dim", "2", "--m", "64"]).resolved_m() == 64
+    def test_config_line_m(self):
+        # without --m the kernel is build_kernel's default for the scheme, which
+        # for fft depends on n_fd; the line says so instead of naming a number
+        for dim in ("1", "2", "3"):
+            assert " m=default " in parse_config(["kernel", "--dim", dim]).config_line()
+        assert " m=64 " in parse_config(["kernel", "--dim", "2", "--m", "64"]).config_line()
 
     def test_unsupported_dim_has_no_default_m(self, tmp_path, capsys):
-        assert parse_config(["kernel", "--dim", "4"]).resolved_m() is None
         assert main(["kernel", "--dim", "4", "--out", str(tmp_path / "k.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: dim must be 1, 2 or 3")
 
@@ -69,6 +70,19 @@ class TestKernelCommand:
         assert lines[1] == "p1,T"
         assert "max_error=0" in capsys.readouterr().out
         assert lines[-1].startswith("# max_error=0")
+
+    def test_default_m_dumps_the_solve_kernel(self, tmp_path, capsys):
+        # no --m: the aliasing-corrected kernel that `fraclap solve` builds
+        out = tmp_path / "k.csv"
+        code = main(["kernel", "--dim", "1", "--s", "0.1", "--nfd", "81", "--out", str(out)])
+        assert code == 0
+        value = float(capsys.readouterr().out.split("max_error=")[1].split()[0])
+        assert value <= 2e-12
+        lines = read_lines(out)
+        assert " m=default " in lines[0]
+        dumped = np.array([float(line.split(",")[1]) for line in lines[2:-1]])
+        np.testing.assert_array_equal(
+            dumped, fraclap.solver.build_kernel("fft", 0.1, 1, 81).coeffs)
 
     def test_fft_error_line(self, tmp_path, capsys):
         out = tmp_path / "k.csv"
@@ -244,6 +258,19 @@ class TestPrecondCommand:
         assert lines[1] == "iteration,none,sparse,circulant"
         text = capsys.readouterr().out
         assert text.count("precond=") == 3
+
+    def test_rank_deficient_transfer_exit_2(self, tmp_path, capsys):
+        # the transfer is checked once for the run, not per variant
+        code = main(["precond", "--dim", "2", "--nfd", "3", "--ball", "0.1", "--m", "256",
+                     "--out", str(tmp_path / "pc.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "warning: 218 interior vertex column(s) received no grid node (first few: "
+            "[1, 2, 3, 4, 5, 6, 7, 8]); the transfer is rank deficient",
+            "error: rank_check: transfer matrix is rank deficient; refine the overlay grid "
+            "(a larger n_fd) or the mesh"]
 
     def test_kernel_built_once(self, tmp_path, capsys, monkeypatch):
         built = []

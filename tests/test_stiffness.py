@@ -9,11 +9,12 @@ import scipy.fft
 
 from fraclap import stiffness
 from fraclap.core import gauss_legendre
+from fraclap.solver import build_kernel
 from fraclap.stiffness import (DecayProfile, StiffnessKernel, analytic_1d, ball_radius,
-                               decay_profile, fft_uniform, modified_spectral, nonuniform,
-                               restrict, spectral, write_decay_csv, write_kernel_csv,
-                               _modified_spectral_parts, _psi_integrand,
-                               _regularized_integrand, _uniform_fourier)
+                               decay_profile, fft_corrected, fft_uniform, modified_spectral,
+                               nonuniform, restrict, spectral, write_decay_csv,
+                               write_kernel_csv, _lattice_sum, _modified_spectral_parts,
+                               _psi_integrand, _regularized_integrand, _uniform_fourier)
 
 # max-norm errors of the 1D kernels against the closed form, N_FD = 81
 FFT_ERRORS_1D = {
@@ -116,6 +117,123 @@ class TestFftUniform:
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
             fft_uniform(0.5, 1, 81, 162)
+
+
+def richardson_reference(s, dim, n_fd, m):
+    """Exact coefficients estimated from the raw trapezoid sums at m and 2m
+    alone: their error is C M^{-(d+2s)} Z_d(0) to leading order, so
+    (2^a T_2m - T_m) / (2^a - 1), a = d + 2s, cancels it without using the
+    correction formula.  Also returns the raw sum at 2m."""
+    a = dim + 2.0 * s
+    coarse = fft_uniform(s, dim, n_fd, m).coeffs
+    fine = fft_uniform(s, dim, n_fd, 2 * m).coeffs
+    return (2.0 ** a * fine - coarse) / (2.0 ** a - 1.0), fine
+
+
+def sphere_lattice_sum(dim, t, radius):
+    """Sum of |k|^{-t} over 0 < |k| <= radius in Z^dim plus the integral of
+    |x|^{-t} outside the sphere, |S^{d-1}| radius^{d-t} / (t - d)."""
+    k = np.arange(-radius, radius + 1) ** 2
+    sq = k
+    for _ in range(dim - 1):
+        sq = sq[..., None] + k
+    sq = sq[(sq > 0) & (sq <= radius ** 2)].astype(float)
+    sphere = 2.0 * math.pi if dim == 2 else 4.0 * math.pi
+    return np.sum(sq ** (-0.5 * t)) + sphere * radius ** (dim - t) / (t - dim)
+
+
+class TestFftCorrected:
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
+    @pytest.mark.parametrize("m", [2 ** 10, 2 ** 11, 2 ** 13, None])
+    def test_1d_against_analytic(self, s, m):
+        # the raw rule at 2^14 is up to 8.8e-6 off (FFT_ERRORS_1D)
+        assert max_error_vs_analytic(fft_corrected(s, 1, 81, m)) <= 2e-12
+
+    def test_2d_against_richardson(self):
+        reference, raw = richardson_reference(0.5, 2, 48, 2 ** 13)
+        # the raw 2^14 kernel is off by a near-uniform 3.3e-13
+        assert np.max(np.abs(raw - reference)) > 1e-13
+        assert np.max(np.abs(fft_corrected(0.5, 2, 48).coeffs - reference)) <= 2e-15
+
+    def test_3d_against_richardson(self):
+        reference, raw = richardson_reference(0.5, 3, 4, 2 ** 8)
+        assert np.max(np.abs(raw - reference)) > 1e-11
+        assert np.max(np.abs(fft_corrected(0.5, 3, 4).coeffs - reference)) <= 2e-13
+
+    @pytest.mark.parametrize("s,tol", [(0.5, 2.5e-14), (0.1, 2e-13)])
+    def test_3d_default_matches_doubled_m(self, s, tol):
+        coarse = fft_corrected(s, 3, 14).coeffs
+        fine = fft_corrected(s, 3, 14, 2 ** 9).coeffs
+        assert np.max(np.abs(coarse - fine)) <= tol
+
+    @pytest.mark.parametrize("dim,t", [(2, 2.2), (2, 3.0), (2, 5.0), (3, 3.2), (3, 4.0),
+                                       (3, 6.0)])
+    def test_lattice_sum_against_sphere_sum(self, dim, t):
+        radius = 200 if dim == 2 else 60
+        assert _lattice_sum(dim, t) == pytest.approx(sphere_lattice_sum(dim, t, radius),
+                                                     rel=1e-4)
+
+    def test_ewald_known_value(self):
+        assert _lattice_sum(3, 4.0) == pytest.approx(16.5323159598, rel=1e-11)
+
+    @pytest.mark.parametrize("dim,n_fd,m", [(1, 1, 2 ** 11), (1, 81, 2 ** 11), (1, 128, 2 ** 11),
+                                            (1, 129, 2 ** 12), (2, 48, 2 ** 11),
+                                            (2, 133, 2 ** 12), (3, 1, 2 ** 8), (3, 16, 2 ** 8),
+                                            (3, 17, 2 ** 9), (3, 27, 2 ** 9)])
+    def test_default_m(self, monkeypatch, dim, n_fd, m):
+        # max(2^11, 2^11, 2^8 by dim; the smallest power of two >= 16 n_fd)
+        seen = []
+
+        def record(integrand, dim_, n_fd_, m_):
+            seen.append(m_)
+            raise InterruptedError
+
+        monkeypatch.setattr(stiffness, "_uniform_fourier", record)
+        with pytest.raises(InterruptedError):
+            fft_corrected(0.5, dim, n_fd)
+        assert seen == [m]
+
+    def test_build_kernel_dispatch(self):
+        corrected = fft_corrected(0.3, 2, 6)
+        assert corrected.scheme == "fft"
+        assert np.array_equal(build_kernel("fft", 0.3, 2, 6).coeffs, corrected.coeffs)
+        assert np.array_equal(build_kernel("fft", 0.3, 2, 6, 256).coeffs,
+                              fft_uniform(0.3, 2, 6, 256).coeffs)
+
+    def test_rejects_bad_m_and_dim(self):
+        with pytest.raises(ValueError, match="even m"):
+            fft_corrected(0.5, 2, 4, 65)
+        with pytest.raises(ValueError, match="even m"):
+            fft_corrected(0.5, 2, 4, 14)
+        with pytest.raises(ValueError, match="dim must be 1, 2 or 3"):
+            fft_corrected(0.5, 4, 4)
+
+
+class TestSchemeErrors2d:
+    """Max-norm 2D kernel errors of every scheme at n_fd = 16 against the
+    corrected kernel at its default m (2^11; it moves by under 4e-16 at 2^13).
+    The ball-surrogate schemes miss the corners of the frequency cube, so in
+    2D their error does not fall with m."""
+
+    ERRORS = {
+        0.25: {"fft256": 1.231e-06, "fft1024": 3.784e-08, "nufft256": 5.321e-05,
+               "modspec256": 2.496e-01, "spectral": 2.639e-01},
+        0.5: {"fft256": 8.907e-08, "fft1024": 1.342e-09, "nufft256": 7.497e-05,
+              "modspec256": 4.753e-01, "spectral": 5.073e-01},
+        0.75: {"fft256": 4.764e-09, "fft1024": 3.507e-11, "nufft256": 1.093e-04,
+               "modspec256": 9.069e-01, "spectral": 1.067e+00},
+    }
+
+    @pytest.mark.parametrize("s", sorted(ERRORS))
+    def test_pinned_errors(self, s):
+        reference = fft_corrected(s, 2, 16).coeffs
+        kernels = {"fft256": fft_uniform(s, 2, 16, 256), "fft1024": fft_uniform(s, 2, 16, 1024),
+                   "nufft256": nonuniform(s, 2, 16, 256),
+                   "modspec256": modified_spectral(s, 2, 16, 256),
+                   "spectral": spectral(s, 2, 16, 64)}
+        errors = {name: float(np.max(np.abs(k.coeffs - reference)))
+                  for name, k in kernels.items()}
+        assert errors == pytest.approx(self.ERRORS[s], rel=0.01)
 
 
 def reference_uniform_fourier(integrand, dim, n_fd, m):
@@ -286,6 +404,21 @@ class TestChunkPool:
         assert sizes == []
         pooled, sizes = build_with_cores(monkeypatch, 2, build)
         assert sizes == [2]
+        assert pooled.tobytes() == inline.tobytes()
+
+    @pytest.mark.parametrize("dim,n_fd,m,budget", [(1, 5, 100, 7), (2, 4, 64, 4 * 33),
+                                                   (3, 3, 24, 3 * 13 ** 2),
+                                                   (2, 4, None, 2 ** 17)])
+    def test_corrected_pooled_equals_one_worker(self, monkeypatch, dim, n_fd, m, budget):
+        monkeypatch.setattr(stiffness, "_DCT_CHUNK_ELEMS", budget)
+
+        def build():
+            return fft_corrected(0.45, dim, n_fd, m)
+
+        inline, sizes = build_with_cores(monkeypatch, 1, build)
+        assert sizes == []
+        pooled, sizes = build_with_cores(monkeypatch, 3, build)
+        assert sizes == [3]
         assert pooled.tobytes() == inline.tobytes()
 
     def test_pool_never_exceeds_chunk_count(self, monkeypatch):
@@ -462,6 +595,9 @@ class TestKernelStructure:
         small = restrict(big, 4)
         fresh = fft_uniform(0.45, 2, 4, 64)
         np.testing.assert_array_equal(small.coeffs, fresh.coeffs)
+        # at the same m; the default m of a fresh corrected build may be smaller
+        small = restrict(fft_corrected(0.45, 2, 10, 256), 4)
+        np.testing.assert_array_equal(small.coeffs, fft_corrected(0.45, 2, 4, 256).coeffs)
 
     def test_restrict_rejects_growth(self):
         with pytest.raises(ValueError):
