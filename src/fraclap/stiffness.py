@@ -9,15 +9,17 @@ the reflection symmetry T_{...,-p,...} = T_{...,p,...}.  Schemes:
             in every axis, so the sum is a DCT-I on the half grid [0, pi]
             (fft_uniform), optionally less its leading aliasing error, a
             lattice sum of the continuum kernel's tail (fft_corrected)
-  nufft     trapezoid rule on nodes quadratically clustered at the origin
+  nufft     trapezoid rule on nodes quadratically clustered at the origin; the
+            nodes are symmetric and the integrand even, so the sum folds onto
+            the nonnegative half of the nodes and contracts with cosines
   spectral  radially symmetric surrogate |xi|^{2s} over a volume-matched ball,
             reduced to cumulative one-dimensional Bessel integrals
   modspec   the fft sum of the regularized integrand plus the spectral ball term
 
-The fft, modspec and nufft-direct schemes evaluate their integrand in
-independent chunks, run on a thread pool of up to the usable cores; every
-chunk writes only its own slice, so the coefficients are bitwise the same
-for any worker count.
+The fft, modspec and nufft schemes evaluate their integrand in independent
+chunks, run on a thread pool of up to the usable cores; every chunk writes
+only its own slice, so the coefficients are bitwise the same for any worker
+count.
 
 A decay-profile helper fits the tail slope of log|T_p| against log|p|.
 """
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-import scipy.sparse
 import scipy.special
 
 from .core import bessel_j_half_order, gamma, gauss_legendre, order_value
@@ -55,12 +56,8 @@ __all__ = [
 
 SCHEMES = ("analytic", "fft", "nufft", "spectral", "modspec")
 
-# nufft: largest node tensor contracted directly, and the chunk size of the
-# 2D gridding path
-_PLAIN_LIMIT = 2 ** 24
-_CHUNK_ELEMS = 2 ** 23
-# integrand samples evaluated per chunk of the fft/modspec half-grid DCT-I
-# and of the nufft direct sample tensor
+# integrand samples evaluated per chunk of the half-grid sums of the fft,
+# modspec and nufft schemes (see _chunked_sum)
 _DCT_CHUNK_ELEMS = 2 ** 17
 # smallest default m of fft_corrected per dimension
 _CORRECTED_M_MIN = {1: 2 ** 11, 2: 2 ** 11, 3: 2 ** 8}
@@ -185,17 +182,17 @@ def fft_corrected(s, dim: int, n_fd: int, m: int | None = None) -> StiffnessKern
     return StiffnessKernel(dim=dim, s=s, n_fd=n_fd, scheme="fft", coeffs=coeffs)
 
 
-def nonuniform(s, dim: int, n_fd: int, m: int, method: str = "auto") -> StiffnessKernel:
+def nonuniform(s, dim: int, n_fd: int, m: int) -> StiffnessKernel:
     """Trapezoid-rule kernel on nodes clustered quadratically at the origin,
     xi_j = pi (2j/M - 1)^2 sign(2j/M - 1) for j = 0..M, with composite
     trapezoid weights (one-sided half intervals at the two ends).
 
-    ``method`` selects the evaluation path: "direct" contracts the weighted
-    sum with per-axis cosine factors (exact up to rounding), "gridding"
-    spreads the nodes onto an oversampled uniform grid with a Gaussian window
-    and finishes with an FFT.  "auto" takes the direct path while the node
-    tensor stays at or below 2^24 points.  The direct path fills its sample
-    tensor in row (2D) or plane (3D) blocks on up to the usable cores; the
+    The nodes and weights are symmetric, xi_{M-j} = -xi_j and w_{M-j} = w_j,
+    and the symbol is even, so the sine parts cancel and the sum folds onto
+    the nodes j >= M/2 with doubled weights (the node at 0, for even M, keeps
+    its own).  Each axis then contracts with cos(p xi_j) w_j / (2 pi): that is
+    (floor(M/2) + 1)^d symbol evaluations, exact up to rounding at every size,
+    taken in bounded chunks on up to the usable cores (see _chunked_sum); the
     result does not depend on the number of workers.
     """
     s = order_value(s)
@@ -204,16 +201,17 @@ def nonuniform(s, dim: int, n_fd: int, m: int, method: str = "auto") -> Stiffnes
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
     if m < 2 * n_fd + 1:
         raise ValueError(f"m must be at least 2*n_fd + 1 = {2 * n_fd + 1}, got {m}")
-    if method not in ("auto", "direct", "gridding"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "direct" if (m + 1) ** dim <= _PLAIN_LIMIT else "gridding"
 
     xi, w = _clustered_nodes(m)
-    if method == "direct":
-        coeffs = _nonuniform_direct(s, dim, n_fd, xi, w)
-    else:
-        coeffs = _nonuniform_gridding(s, dim, n_fd, xi, w)
+    xi = xi[(m + 1) // 2:]
+    w = w[(m + 1) // 2:] * np.where(xi > 0.0, 2.0, 1.0)
+    k = 2 * n_fd + 1
+    factors = np.cos(np.outer(np.arange(k), xi)) * (w / (2.0 * math.pi))
+
+    def contract(x, axis):
+        return np.moveaxis(np.tensordot(x, factors, axes=(axis, 1)), -1, axis)
+
+    coeffs = np.ascontiguousarray(_chunked_sum(_psi_integrand(s), xi, dim, k, contract))
     return StiffnessKernel(dim=dim, s=s, n_fd=n_fd, scheme="nufft", coeffs=coeffs)
 
 
@@ -356,7 +354,7 @@ def write_decay_csv(profile: DecayProfile, path, config_line: str | None = None)
 
 
 # ---------------------------------------------------------------------------
-# uniform-grid trapezoid machinery (shared by fft and modspec)
+# trapezoid-sum machinery (fft, modspec and nufft)
 
 def _check_n_fd(n_fd) -> int:
     if int(n_fd) != n_fd or n_fd < 1:
@@ -426,12 +424,10 @@ def _uniform_fourier(integrand, dim: int, n_fd: int, m: int) -> np.ndarray:
     0 <= tau <= M with tau of the parity of M: a DCT-I per axis, of length
     M/2 + 1 over t = tau/2 for even M and of length M + 1 with zeros at even
     tau for odd M.  Outputs past the end of a short transform fold back,
-    C_p = C_{M-p} for even M.  g is evaluated in chunks along axis 0, run on
-    up to the usable cores; in each chunk the other axes are transformed and
-    cut to the 2 n_fd + 1 kept outputs one at a time, and axis 0 is
-    transformed last, serially.  The chunks write disjoint rows, so the result
-    does not depend on the number of workers.  Raises ArithmeticError if g is
-    not even.
+    C_p = C_{M-p} for even M.  Each transform is cut to the 2 n_fd + 1 kept
+    outputs, and g is evaluated in chunks by _chunked_sum, so the result does
+    not depend on the number of workers.  Raises ArithmeticError if g is not
+    even.
     """
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
@@ -458,6 +454,17 @@ def _uniform_fourier(integrand, dim: int, n_fd: int, m: int) -> np.ndarray:
         x = scipy.fft.dct(x, type=1, axis=axis, overwrite_x=True)  # x is a temporary
         return np.take(x, keep, axis=axis)
 
+    return _chunked_sum(integrand, xi, dim, k, transform) / float(m) ** dim
+
+
+def _chunked_sum(integrand, xi, dim: int, k: int, transform) -> np.ndarray:
+    """transform(..., axis 0) of ... transform(..., axis d-1) of g sampled on
+    the tensor grid xi^d, where transform(x, axis) maps that axis of x from
+    len(xi) samples to k outputs.  g is evaluated in chunks of about
+    _DCT_CHUNK_ELEMS samples along axis 0, run on up to the usable cores; in
+    each chunk the other axes are transformed one at a time, last axis first,
+    and axis 0 is transformed last, serially.  The chunks write disjoint rows,
+    so the result does not depend on the number of workers."""
     axes = [xi.reshape((1,) * i + (-1,) + (1,) * (dim - 1 - i)) for i in range(dim)]
     step = max(1, _DCT_CHUNK_ELEMS // xi.size ** (dim - 1))
     partial = np.empty((xi.size,) + (k,) * (dim - 1))
@@ -469,7 +476,7 @@ def _uniform_fourier(integrand, dim: int, n_fd: int, m: int) -> np.ndarray:
         partial[i0:i0 + step] = block
 
     _for_each_chunk(run_chunk, xi.size, step)
-    return transform(partial, 0) / float(m) ** dim
+    return transform(partial, 0)
 
 
 def _check_even(integrand, dim: int, m: int):
@@ -561,109 +568,6 @@ def _clustered_nodes(m: int):
     w[0] = 0.5 * (xi[1] - xi[0])
     w[-1] = 0.5 * (xi[-1] - xi[-2])
     return xi, w
-
-
-def _nonuniform_direct(s, dim, n_fd, xi, w):
-    """Weighted sum contracted axis by axis with cosine factors.  The node and
-    weight sets are symmetric under xi -> -xi, so the sine parts cancel
-    exactly and the cosine contraction is the symmetrized real value."""
-    k = 2 * n_fd + 1
-    cos_f = np.cos(np.outer(np.arange(k), xi))
-    if dim == 1:
-        q = w * _psi_integrand(s)((xi,)) / (2.0 * math.pi)
-        return cos_f @ q
-    n = xi.shape[0]
-    q = np.empty((n,) * dim)
-    step = max(1, _DCT_CHUNK_ELEMS // n ** (dim - 1))
-    psi = _psi_integrand(s)
-
-    def fill_2d(i0):
-        rows = slice(i0, i0 + step)
-        q[rows] = np.outer(w[rows], w) * psi((xi[rows, None], xi[None, :])) / (2.0 * math.pi) ** 2
-
-    def fill_3d(i0):
-        planes = slice(i0, i0 + step)
-        q[planes] = (w[planes, None, None] * w[None, :, None] * w[None, None, :]
-                     * psi((xi[planes, None, None], xi[None, :, None], xi[None, None, :]))
-                     / (2.0 * math.pi) ** 3)
-
-    _for_each_chunk(fill_2d if dim == 2 else fill_3d, n, step)
-    if dim == 2:
-        return cos_f @ q @ cos_f.T
-    out = np.tensordot(cos_f, q, axes=(1, 0))
-    out = np.tensordot(out, cos_f, axes=(1, 1))          # contract former axis 1
-    out = np.tensordot(out, cos_f, axes=(1, 1))          # contract former axis 2
-    return np.ascontiguousarray(out)
-
-
-# Gaussian gridding parameters: oversampling 2, window support of 12 grid
-# points on each side.  The window variance tau balances the truncation and
-# aliasing errors at about 3e-12 relative.
-_GRID_WIDTH = 12
-_GRID_OVERSAMPLING = 2
-
-
-def _spreading_matrix(xi, n_os, tau):
-    h = 2.0 * math.pi / n_os
-    centers = np.rint((xi + math.pi) / h).astype(np.int64)
-    offsets = np.arange(-_GRID_WIDTH, _GRID_WIDTH + 1)
-    idx = centers[None, :] + offsets[:, None]
-    dist = idx * h - math.pi - xi[None, :]
-    vals = np.exp(-dist * dist / (4.0 * tau))
-    rows = np.mod(idx, n_os)
-    cols = np.broadcast_to(np.arange(xi.shape[0])[None, :], rows.shape)
-    mat = scipy.sparse.coo_matrix(
-        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n_os, xi.shape[0]))
-    return mat.tocsc()
-
-
-def _nonuniform_gridding(s, dim, n_fd, xi, w):
-    k = 2 * n_fd + 1
-    n_os = scipy.fft.next_fast_len(max(2 * _GRID_OVERSAMPLING * (2 * n_fd + 1),
-                                       4 * _GRID_WIDTH + 4))
-    if n_os ** dim > 2 ** 25:
-        raise MemoryError(
-            f"gridded transform of size {n_os}^{dim} exceeds the desk-scale memory budget")
-    tau = math.sqrt(2.0) * math.pi * _GRID_WIDTH / (n_os * n_os)
-    spread = _spreading_matrix(xi, n_os, tau)
-    mpts = xi.shape[0]
-
-    if dim == 1:
-        b = spread @ (w * _psi_integrand(s)((xi,)))
-    elif dim == 2:
-        step = max(1, _CHUNK_ELEMS // mpts)
-        left = np.zeros((n_os, mpts))
-        for i0 in range(0, mpts, step):
-            block = (w[i0:i0 + step, None] * w[None, :]
-                     * _psi_integrand(s)((xi[i0:i0 + step, None], xi[None, :])))
-            left += spread[:, i0:i0 + step] @ block
-        b = (spread @ left.T).T
-    else:
-        b = np.zeros((n_os,) * 3)
-        for j in range(mpts):
-            plane = (w[j] * w[:, None] * w[None, :]
-                     * _psi_integrand(s)((xi[j], xi[:, None], xi[None, :])))
-            plane = spread @ plane
-            plane = (spread @ plane.T).T
-            col = spread.getcol(j).tocoo()
-            b[col.row] += col.data[:, None, None] * plane[None, :, :]
-
-    b_hat = scipy.fft.ifftn(b)
-    sl = (slice(0, k),) * dim
-    c = b_hat[sl].real.copy()
-    # Per-axis deconvolution of the Gaussian window plus the alternating sign
-    # from the grid starting at -pi.  The (2 pi / n_os)^d Poisson factor
-    # cancels against the n_os^d of the unnormalized mode sums and the
-    # 1/(2 pi)^d of the coefficient definition.
-    p = np.arange(k, dtype=float)
-    correction = np.exp(tau * p * p) / math.sqrt(4.0 * math.pi * tau)
-    signs = 1.0 - 2.0 * (np.arange(k) % 2)
-    factor = correction * signs
-    for axis in range(dim):
-        shape = [1] * dim
-        shape[axis] = k
-        c = c * factor.reshape(shape)
-    return c
 
 
 def _graded_origin_integral(s, dim, upper, rule):

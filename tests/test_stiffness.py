@@ -236,6 +236,31 @@ class TestSchemeErrors2d:
         assert errors == pytest.approx(self.ERRORS[s], rel=0.01)
 
 
+class TestSchemeErrors3d:
+    """Max-norm 3D kernel errors of every scheme at n_fd = 4 against the
+    corrected kernel at its default m (2^8)."""
+
+    ERRORS = {
+        0.25: {"fft32": 7.964e-06, "fft128": 5.857e-08, "nufft32": 3.787e-03,
+               "nufft128": 2.455e-04, "modspec32": 2.233e-01, "spectral": 1.931e-01},
+        0.5: {"fft32": 1.835e-06, "fft128": 6.314e-09, "nufft32": 5.849e-03,
+              "nufft128": 3.821e-04, "modspec32": 4.588e-01, "spectral": 5.357e-01},
+        0.75: {"fft32": 3.095e-07, "fft128": 4.959e-10, "nufft32": 9.390e-03,
+               "nufft128": 6.058e-04, "modspec32": 9.451e-01, "spectral": 1.365e+00},
+    }
+
+    @pytest.mark.parametrize("s", sorted(ERRORS))
+    def test_pinned_errors(self, s):
+        reference = fft_corrected(s, 3, 4).coeffs
+        kernels = {"fft32": fft_uniform(s, 3, 4, 32), "fft128": fft_uniform(s, 3, 4, 128),
+                   "nufft32": nonuniform(s, 3, 4, 32), "nufft128": nonuniform(s, 3, 4, 128),
+                   "modspec32": modified_spectral(s, 3, 4, 32),
+                   "spectral": spectral(s, 3, 4, 64)}
+        errors = {name: float(np.max(np.abs(k.coeffs - reference)))
+                  for name, k in kernels.items()}
+        assert errors == pytest.approx(self.ERRORS[s], rel=0.01)
+
+
 def reference_uniform_fourier(integrand, dim, n_fd, m):
     """The complex-FFT trapezoid sum over the full grid xi_j = pi (2j/M - 1),
     with its imaginary-residue check: the formulation the half-grid DCT-I
@@ -298,10 +323,10 @@ class TestUniformFourier:
 
 
 class TestNonuniform:
-    @pytest.mark.parametrize("s,m", [(0.1, 2 ** 10), (0.9, 2 ** 10)])
+    @pytest.mark.parametrize("s,m", sorted(NUFFT_ERRORS_1D))
     def test_reference_errors(self, s, m):
         err = max_error_vs_analytic(nonuniform(s, 1, 81, m))
-        assert err <= 2.0 * NUFFT_ERRORS_1D[(s, m)]
+        assert err == pytest.approx(NUFFT_ERRORS_1D[(s, m)], rel=0.01)
 
     def test_brute_force_oracle(self):
         s, n_fd, m = 0.4, 4, 33
@@ -318,20 +343,18 @@ class TestNonuniform:
             assert abs(oracle.imag) < 1e-15
             assert kernel.coeffs[p] == pytest.approx(oracle.real, abs=1e-13)
 
-    @pytest.mark.parametrize("dim,n_fd,m", [(1, 20, 600), (2, 8, 150), (3, 4, 40)])
-    def test_gridding_matches_direct(self, dim, n_fd, m):
-        direct = nonuniform(0.3, dim, n_fd, m, method="direct")
-        gridded = nonuniform(0.3, dim, n_fd, m, method="gridding")
-        assert np.max(np.abs(direct.coeffs - gridded.coeffs)) < 1e-10
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            nonuniform(0.5, 1, 4, 33, method="magic")
+    def test_large_3d_kernel_restricts_to_a_fresh_build(self):
+        # 81^3 outputs from 129^3 folded samples, in bounded chunks
+        big = nonuniform(0.4, 3, 40, 256)
+        small = nonuniform(0.4, 3, 4, 256)
+        got = restrict(big, 4).coeffs
+        assert np.max(np.abs(got - small.coeffs)) <= 1e-14 * np.max(np.abs(small.coeffs))
 
 
 def reference_nonuniform_direct(s, dim, n_fd, m):
-    """The direct nufft sum with the whole sample tensor q formed in one
-    expression: the formulation the row- and plane-blocked fill replaces."""
+    """The nufft sum over all (m + 1)^dim nodes with the whole sample tensor q
+    formed in one expression: the formulation the folded, chunked sum
+    replaces."""
     xi, w = stiffness._clustered_nodes(m)
     k = 2 * n_fd + 1
     cos_f = np.cos(np.outer(np.arange(k), xi))
@@ -343,6 +366,8 @@ def reference_nonuniform_direct(s, dim, n_fd, m):
             total = q if total is None else total + q
         return total ** s
 
+    if dim == 1:
+        return cos_f @ (w * psi((xi,)) / (2.0 * math.pi))
     if dim == 2:
         q = np.outer(w, w) * psi((xi[:, None], xi[None, :])) / (2.0 * math.pi) ** 2
         return cos_f @ q @ cos_f.T
@@ -391,14 +416,16 @@ class TestChunkPool:
         assert sizes == [3]
         assert pooled.tobytes() == inline.tobytes()
 
-    @pytest.mark.parametrize("dim,n_fd,m,budget", [(2, 4, 64, 6 * 65), (2, 4, 63, 5 * 64),
-                                                   (3, 2, 20, 4 * 21 ** 2),
-                                                   (3, 2, 19, 3 * 20 ** 2)])
+    # several chunks along the floor(m/2) + 1 folded node rows (33, 32, 11,
+    # 10); all but the first leave a short last chunk
+    @pytest.mark.parametrize("dim,n_fd,m,budget", [(2, 4, 64, 390), (2, 4, 63, 320),
+                                                   (3, 2, 20, 4 * 11 ** 2),
+                                                   (3, 2, 19, 3 * 10 ** 2)])
     def test_nufft_direct_pooled_equals_one_worker(self, monkeypatch, dim, n_fd, m, budget):
         monkeypatch.setattr(stiffness, "_DCT_CHUNK_ELEMS", budget)
 
         def build():
-            return nonuniform(0.3, dim, n_fd, m, method="direct")
+            return nonuniform(0.3, dim, n_fd, m)
 
         inline, sizes = build_with_cores(monkeypatch, 1, build)
         assert sizes == []
@@ -427,14 +454,19 @@ class TestChunkPool:
         _, sizes = build_with_cores(monkeypatch, 8, lambda: fft_uniform(0.5, 2, 3, 16))
         assert sizes == [3]
 
-    @pytest.mark.parametrize("dim,n_fd,m", [(2, 6, 300), (2, 6, 299), (3, 3, 40), (3, 3, 39)])
-    @pytest.mark.parametrize("budget", [None, 7 * 41 ** 2])
+    # the fold reorders the sums, so the match is to rounding, not bitwise;
+    # the budgets give one chunk, two in 2D, and several uneven ones in 2D
+    # and 3D
+    @pytest.mark.parametrize("dim,n_fd,m", [(1, 20, 600), (1, 20, 601), (2, 6, 300),
+                                            (2, 6, 299), (3, 3, 40), (3, 3, 39)])
+    @pytest.mark.parametrize("budget", [None, 7 * 41 ** 2, 8 * 21 ** 2])
     def test_nufft_direct_matches_unchunked_reference(self, monkeypatch, dim, n_fd, m, budget):
         if budget is not None:
             monkeypatch.setattr(stiffness, "_DCT_CHUNK_ELEMS", budget)
-        got = nonuniform(0.35, dim, n_fd, m, method="direct").coeffs
+        got = nonuniform(0.35, dim, n_fd, m).coeffs
         expected = reference_nonuniform_direct(0.35, dim, n_fd, m)
-        assert got.tobytes() == expected.tobytes()
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_concurrent_builds_agree(self, monkeypatch):
         # two callers at once, each on a pool of more workers than cores, with
