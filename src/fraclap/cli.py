@@ -17,8 +17,10 @@ import numpy as np
 
 from . import stiffness
 from .mesh import generate_ball_mesh, load_mesh, mesh_quality
-from .solver import build_kernel, require_full_rank, select_grid, solve_bvp
+from .solver import (OverlayOperator, build_kernel, require_full_rank, select_grid, solve,
+                     solve_bvp)
 from .stiffness import decay_profile, restrict, write_decay_csv, write_kernel_csv
+from .toeplitz import ToeplitzPlan
 from .transfer import build_transfer, choose_grid
 
 __all__ = ["ExperimentConfig", "cmd_kernel", "cmd_decay", "cmd_impact", "cmd_solve",
@@ -59,20 +61,19 @@ class ExperimentConfig:
 
 
 def _meshes(config: ExperimentConfig):
-    """Mesh sequence from --mesh paths or --ball target_h values."""
+    """Mesh sequence from --mesh paths or --ball target_h values.  Every 3D
+    mesh is held to the desk-scale cap of 2e5 elements (--large lifts it)
+    before any grid or kernel is built; the n_fd cap is the solver's
+    (transfer.N_FD_CAPS)."""
     if config.mesh:
-        return [load_mesh(path) for path in config.mesh]
-    if config.ball:
-        return [generate_ball_mesh(config.dim, h) for h in config.ball]
-    raise ValueError("provide a mesh source with --mesh or --ball")
-
-
-def _desk_guard(config: ExperimentConfig, mesh):
-    """3D mesh size cap; the n_fd cap is the solver's (transfer.N_FD_CAPS)."""
-    if config.large or config.dim != 3:
-        return
-    if mesh.n_elements > 200_000:
+        meshes = [load_mesh(path) for path in config.mesh]
+    elif config.ball:
+        meshes = [generate_ball_mesh(config.dim, h) for h in config.ball]
+    else:
+        raise ValueError("provide a mesh source with --mesh or --ball")
+    if not config.large and any(m.dim == 3 and m.n_elements > 200_000 for m in meshes):
         raise ValueError("3D runs cap the mesh at 2e5 elements by default; pass --large to lift")
+    return meshes
 
 
 def _max_n_fd(config: ExperimentConfig):
@@ -157,7 +158,6 @@ def cmd_impact(config: ExperimentConfig) -> int:
 
 def cmd_solve(config: ExperimentConfig) -> int:
     mesh = _meshes(config)[0]
-    _desk_guard(config, mesh)
     u, report = solve_bvp(
         mesh, config.s, config.scheme, n_fd=config.n_fd, m=config.m, n_g=config.n_g,
         r_fd=config.r_fd, precond=config.precond, tol=config.tol,
@@ -186,7 +186,6 @@ def cmd_convergence(config: ExperimentConfig) -> int:
     rows = []
     failures = 0
     for level, (mesh, grid) in enumerate(zip(meshes, grids)):
-        _desk_guard(config, mesh)
         try:
             u, report = solve_bvp(
                 mesh, config.s, config.scheme, n_fd=grid.n_fd,
@@ -217,23 +216,21 @@ def cmd_convergence(config: ExperimentConfig) -> int:
 
 def cmd_precond(config: ExperimentConfig) -> int:
     mesh = _meshes(config)[0]
-    _desk_guard(config, mesh)
-    # one grid and one kernel serve every variant, and the transfer must be
-    # full rank for all of them; a failure there is the run's, not a
-    # variant's, and reaches main (exit 2)
-    cap = _max_n_fd(config)
-    grid = select_grid(mesh, config.r_fd, config.n_fd, cap)
+    # one grid, kernel, transfer and operator serve every variant, and the
+    # transfer must be full rank for all of them; a failure there is the
+    # run's, not a variant's, and reaches main (exit 2)
+    grid = select_grid(mesh, config.r_fd, config.n_fd, _max_n_fd(config))
     kernel = build_kernel(config.scheme, config.s, mesh.dim, grid.n_fd, config.m, config.n_g)
-    require_full_rank(build_transfer(mesh, grid))
+    transfer = build_transfer(mesh, grid)
+    require_full_rank(transfer)
+    op = OverlayOperator(transfer=transfer, plan=ToeplitzPlan(kernel), grid=grid, s=kernel.s)
     variants = ("none", "sparse", "circulant")
     histories = {}
     iterations = {}
     failures = []
     for variant in variants:
         try:
-            u, report = solve_bvp(
-                mesh, config.s, config.scheme, n_fd=grid.n_fd, kernel=kernel,
-                r_fd=config.r_fd, precond=variant, tol=config.tol, max_n_fd=cap)
+            u, report = solve(op, mesh, variant, tol=config.tol)
             histories[variant] = report.residual_history
             iterations[variant] = report.iterations if report.converged else None
             status = report.iterations if report.converged else "no convergence"

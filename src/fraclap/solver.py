@@ -16,11 +16,14 @@ preconditioned by
             with an incomplete Cholesky solve of the Gram matrix I^T I on each
             side (solve, lift, frequency solve, restrict, solve).  The payload
             is real and even, so the frequency solve is a real-to-real
-            transform pair over the half spectrum.
+            transform pair over the half spectrum.  The Gram factor is kept
+            on the transfer (TransferMatrix.gram_factor), so it is shared.
 
 Each incomplete Cholesky factor is prepared once for SuperLU, so a
 preconditioner solve is two sparse triangular substitutions.  CG reports
-why it stopped (SolveReport.stop_reason).
+why it stopped (SolveReport.stop_reason).  solve() runs one solve on a built
+OverlayOperator, so one transfer serves many solves; solve_bvp is setup and
+one solve().
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ __all__ = [
     "exact_solution",
     "require_full_rank",
     "select_grid",
+    "solve",
     "solve_bvp",
 ]
 
@@ -151,13 +155,12 @@ class SparsePreconditioner(Preconditioner):
 class CirculantPreconditioner(Preconditioner):
     variant = "circulant"
 
-    def __init__(self, payload: np.ndarray, gram_factor: MicFactor,
-                 transfer: TransferMatrix, grid: OverlayGrid):
+    def __init__(self, payload: np.ndarray, transfer: TransferMatrix):
         self.payload = payload
-        self.gram_factor = gram_factor
         self.transfer = transfer
+        self.gram_factor = transfer.gram_factor
         self._transfer_t = transfer.matrix.T.tocsr()
-        self.grid = grid
+        self.grid = grid = transfer.grid
         self._sub = (slice(0, 2 * grid.n_fd),) * grid.dim
         # the payload is even, so its half spectrum pairs with rfftn
         self._half_payload = np.ascontiguousarray(payload[..., :grid.n_fd + 1])
@@ -208,13 +211,12 @@ def _near_field_matrix(kernel: StiffnessKernel, grid: OverlayGrid) -> scipy.spar
     return mat.tocsr()
 
 
-def build_sparse_preconditioner(op: OverlayOperator,
-                                drop_tol: float = 1e-3) -> SparsePreconditioner:
+def build_sparse_preconditioner(op: OverlayOperator) -> SparsePreconditioner:
     """Near-field mesh operator I^T A_grid^(near) I (the 3^dim-point pattern)
-    factored by modified incomplete Cholesky with the given drop threshold."""
+    factored by modified incomplete Cholesky (drop threshold 1e-3)."""
     near = _near_field_matrix(op.plan.kernel, op.grid)
     a_mesh = (op.transfer.matrix.T @ (near @ op.transfer.matrix)).tocsc()
-    factor = mic_factor_with_retry(a_mesh, drop_tol=drop_tol)
+    factor = mic_factor_with_retry(a_mesh)
     return SparsePreconditioner(factor, 3 ** op.grid.dim)
 
 
@@ -241,12 +243,8 @@ def circulant_payload(kernel: StiffnessKernel) -> np.ndarray:
     return np.where(np.abs(spectrum.real) < floor, floor, spectrum.real)
 
 
-def build_circulant_preconditioner(op: OverlayOperator,
-                                   drop_tol: float = 1e-3) -> CirculantPreconditioner:
-    payload = circulant_payload(op.plan.kernel)
-    gram = (op.transfer.matrix.T @ op.transfer.matrix).tocsc()
-    factor = mic_factor_with_retry(gram, drop_tol=drop_tol)
-    return CirculantPreconditioner(payload, factor, op.transfer, op.grid)
+def build_circulant_preconditioner(op: OverlayOperator) -> CirculantPreconditioner:
+    return CirculantPreconditioner(circulant_payload(op.plan.kernel), op.transfer)
 
 
 @dataclass
@@ -420,19 +418,10 @@ def solve_bvp(mesh: SimplicialMesh, s, scheme: str = "fft", *,
               r_fd: float = 1.2, precond: str = "auto", tol: float = 1e-10,
               max_iter: int = 5000, f=1.0, exact=None, max_n_fd: int | None = None,
               kernel: StiffnessKernel | None = None):
-    """End-to-end pipeline: grid selection, kernel build, transfer assembly,
-    rank check, preconditioned CG, and the lumped L2 error against the exact
-    solution (the closed-form unit-ball solution by default).
-
-    The grid is select_grid's, so the n_fd cap holds before any kernel is
-    built.  The rank check is column_rank_check's "auto" mode.
-
-    Returns the nodal solution over all vertices (boundary entries zero) and
-    a SolveReport with per-phase timings and the diagonal shift that the
-    preconditioner's MIC factor retried with (precond_shift, 0.0 if none).
-    precond "auto" selects the circulant preconditioner except for the
-    spectral scheme, which runs unpreconditioned.
-    """
+    """Setup, then solve(): select_grid's grid (so the n_fd cap holds before
+    any kernel is built), the kernel (a supplied one must fit the grid, the
+    mesh and s), the transfer, require_full_rank and the operator.  The
+    report's wall_times time the setup phases, then solve()'s."""
     s = order_value(s)
     times = {}
     t0 = time.perf_counter()
@@ -444,6 +433,8 @@ def solve_bvp(mesh: SimplicialMesh, s, scheme: str = "fft", *,
         kernel = build_kernel(scheme, s, mesh.dim, grid.n_fd, m, n_g)
     elif kernel.n_fd != grid.n_fd or kernel.dim != mesh.dim:
         raise ValueError("supplied kernel does not match the chosen grid")
+    elif kernel.s != s:
+        raise ValueError(f"supplied kernel has order {kernel.s}, not s = {s}")
     plan_ = ToeplitzPlan(kernel)
     times["kernel"] = time.perf_counter() - t0
 
@@ -456,23 +447,37 @@ def solve_bvp(mesh: SimplicialMesh, s, scheme: str = "fft", *,
     times["rank_check"] = time.perf_counter() - t0
 
     op = OverlayOperator(transfer=transfer, plan=plan_, grid=grid, s=s)
+    u_full, report = solve(op, mesh, precond, f=f, exact=exact, tol=tol, max_iter=max_iter)
+    report.wall_times = {**times, **report.wall_times}
+    return u_full, report
 
+
+def solve(op: OverlayOperator, mesh: SimplicialMesh, precond: str = "auto", *, f=1.0,
+          exact=None, tol: float = 1e-10, max_iter: int = 5000):
+    """One solve on a built operator: preconditioner, right-hand side, PCG
+    and the lumped L2 error against exact (default: the closed-form unit-ball
+    solution), at the order s of op.plan.kernel.  No rank is checked here:
+    check each transfer once, before its first solve.  precond "auto" is
+    circulant, or none for the spectral scheme, and falls back to plain CG
+    when the circulant run fails.  Returns the nodal solution over all
+    vertices (boundary entries zero) and a SolveReport with per-phase timings
+    and precond_shift, the diagonal shift of the preconditioner's MIC retry
+    (0.0 if none)."""
+    s = op.plan.kernel.s
+    times = {}
     t0 = time.perf_counter()
     auto = precond == "auto"
     if auto:
-        precond = "none" if kernel.scheme == "spectral" else "circulant"
-    if precond == "none":
-        preconditioner = None
-    elif precond == "sparse":
-        preconditioner = build_sparse_preconditioner(op)
-    elif precond == "circulant":
-        preconditioner = build_circulant_preconditioner(op)
-    else:
+        precond = "none" if op.plan.kernel.scheme == "spectral" else "circulant"
+    builders = {"none": lambda op: None, "sparse": build_sparse_preconditioner,
+                "circulant": build_circulant_preconditioner}
+    if precond not in builders:
         raise ValueError(f"unknown preconditioner {precond!r}")
+    preconditioner = builders[precond](op)
     times["precond"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    b = assemble_rhs(mesh, transfer, s, f)
+    b = assemble_rhs(mesh, op.transfer, s, f)
     try:
         u_interior, report = cg_solve(op, b, preconditioner, tol=tol, max_iter=max_iter)
     except ArithmeticError:

@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
+from . import ichol
 from .core import OverlayGrid
 from .mesh import MeshQuality, SimplicialMesh
 
@@ -29,7 +31,6 @@ __all__ = [
     "choose_grid",
     "build_transfer",
     "column_rank_check",
-    "write_transfer_coo",
 ]
 
 _CONTAIN_TOL = 1e-12
@@ -57,6 +58,13 @@ class TransferMatrix:
     @property
     def cols(self) -> int:
         return self.matrix.shape[1]
+
+    @cached_property
+    def gram_factor(self) -> ichol.MicFactor:
+        """MIC factor of the Gram matrix I^T I, built on first use and kept,
+        so every circulant preconditioner over this transfer shares it.  It
+        is built through the ichol module, so wrappers installed there see it."""
+        return ichol.mic_factor_with_retry((self.matrix.T @ self.matrix).tocsc())
 
 
 def choose_grid(quality: MeshQuality, r_fd: float, mode: str = "practical",
@@ -150,8 +158,7 @@ def _locate_nodes(mesh: SimplicialMesh, grid: OverlayGrid):
             np.concatenate(found_lam)[order])
 
 
-def build_transfer(mesh: SimplicialMesh, grid: OverlayGrid,
-                   strict: bool = False) -> TransferMatrix:
+def build_transfer(mesh: SimplicialMesh, grid: OverlayGrid) -> TransferMatrix:
     """Assemble the transfer matrix by locating every grid node inside the
     mesh.
 
@@ -161,8 +168,8 @@ def build_transfer(mesh: SimplicialMesh, grid: OverlayGrid,
     the lowest-index simplex containing it, with containment tolerance
     1e-12.  The result is a canonical CSR matrix (sorted indices, no
     duplicates; coordinates that clip to zero stay stored).  Columns with
-    zero sum are reported as a TransferRankWarning, or raise when strict is
-    set.
+    zero sum are reported as a TransferRankWarning; the rank check refuses
+    such a transfer.
     """
     if mesh.dim != grid.dim:
         raise ValueError(f"mesh dim {mesh.dim} does not match grid dim {grid.dim}")
@@ -181,11 +188,9 @@ def build_transfer(mesh: SimplicialMesh, grid: OverlayGrid,
 
     dead = np.nonzero(column_sums == 0.0)[0]
     if dead.size:
-        message = (f"{dead.size} interior vertex column(s) received no grid node "
-                   f"(first few: {dead[:8].tolist()}); the transfer is rank deficient")
-        if strict:
-            raise ValueError(message)
-        warnings.warn(message, TransferRankWarning, stacklevel=2)
+        warnings.warn(f"{dead.size} interior vertex column(s) received no grid node "
+                      f"(first few: {dead[:8].tolist()}); the transfer is rank deficient",
+                      TransferRankWarning, stacklevel=2)
     return TransferMatrix(matrix=matrix, column_sums=column_sums, grid=grid)
 
 
@@ -252,11 +257,3 @@ def _gram_full_rank(matrix: scipy.sparse.spmatrix) -> bool:
     except RuntimeError:
         return False
     return bool(np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0))
-
-
-def write_transfer_coo(transfer: TransferMatrix, path):
-    """Debug dump in coordinate text format 'row col value'."""
-    coo = transfer.matrix.tocoo()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v:.16e}\n")

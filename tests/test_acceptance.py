@@ -13,9 +13,9 @@ import scipy.fft
 
 from fraclap.cli import impact_bound_table, _crossing
 from fraclap.mesh import generate_ball_mesh, mesh_quality
-from fraclap.solver import (assemble_rhs, build_circulant_preconditioner,
-                            build_sparse_preconditioner, cg_solve, exact_solution,
-                            solve_bvp, OverlayOperator)
+from fraclap.solver import (assemble_rhs, build_circulant_preconditioner, build_kernel,
+                            build_sparse_preconditioner, cg_solve, require_full_rank,
+                            select_grid, solve, solve_bvp, OverlayOperator)
 from fraclap.stiffness import (analytic_1d, decay_profile, fft_uniform, modified_spectral,
                                nonuniform, restrict, spectral)
 from fraclap.toeplitz import ToeplitzPlan, dense_materialize
@@ -135,6 +135,13 @@ def test_criterion_5_convergence_orders():
     failures = []
     details = []
     meshes, n_fds = _convergence_levels_2d()
+    # one transfer and one rank check per mesh serve every order and scheme
+    levels = []
+    for mesh, n_fd in zip(meshes, n_fds):
+        grid = select_grid(mesh, n_fd=n_fd)
+        transfer = build_transfer(mesh, grid)
+        require_full_rank(transfer)
+        levels.append((mesh, grid, transfer))
     n_max = max(n_fds)
     for s in (0.25, 0.5, 0.75):
         kernels = {
@@ -145,10 +152,10 @@ def test_criterion_5_convergence_orders():
         expected = min(1.0, s + 0.5)
         for name, big in kernels.items():
             errors, h_bars = [], []
-            for mesh, n_fd in zip(meshes, n_fds):
-                u, rep = solve_bvp(mesh, s, name, n_fd=n_fd,
-                                   kernel=restrict(big, n_fd), tol=1e-10,
-                                   precond="auto")
+            for mesh, grid, transfer in levels:
+                op = OverlayOperator(transfer=transfer, grid=grid, s=s,
+                                     plan=ToeplitzPlan(restrict(big, grid.n_fd)))
+                u, rep = solve(op, mesh, "auto", tol=1e-10)
                 assert rep.converged
                 errors.append(rep.l2_error)
                 h_bars.append(mesh.n_elements ** -0.5)
@@ -198,19 +205,27 @@ def test_criterion_6_error_turnover():
 def test_criterion_7_preconditioner_behavior():
     mesh = scattered_ball(40, 0.49)
     s, n_fd, m, tol = 0.75, 96, 2 ** 12, 1e-10
+    # one transfer serves every scheme, and one kernel every preconditioner
+    grid = select_grid(mesh, n_fd=n_fd)
+    transfer = build_transfer(mesh, grid)
+    require_full_rank(transfer)
 
-    def run(scheme, precond):
-        try:
-            u, rep = solve_bvp(mesh, s, scheme, n_fd=n_fd,
-                               m=None if scheme == "spectral" else m,
-                               tol=tol, precond=precond, max_iter=3000)
-        except Exception:
-            return None
-        return rep.iterations if rep.converged else None
+    def run(scheme, preconds):
+        kernel = build_kernel(scheme, s, 2, n_fd, None if scheme == "spectral" else m)
+        op = OverlayOperator(transfer=transfer, plan=ToeplitzPlan(kernel), grid=grid, s=s)
+        counts = {}
+        for precond in preconds:
+            try:
+                u, rep = solve(op, mesh, precond, tol=tol, max_iter=3000)
+            except Exception:
+                counts[precond] = None
+            else:
+                counts[precond] = rep.iterations if rep.converged else None
+        return counts
 
-    fft_counts = {pc: run("fft", pc) for pc in ("none", "sparse", "circulant")}
-    spectral_counts = {pc: run("spectral", pc) for pc in ("none", "sparse", "circulant")}
-    modspec_counts = {pc: run("modspec", pc) for pc in ("none", "circulant")}
+    fft_counts = run("fft", ("none", "sparse", "circulant"))
+    spectral_counts = run("spectral", ("none", "sparse", "circulant"))
+    modspec_counts = run("modspec", ("none", "circulant"))
 
     failures = []
     fn, fs, fc = fft_counts["none"], fft_counts["sparse"], fft_counts["circulant"]

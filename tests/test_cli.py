@@ -7,7 +7,7 @@ import fraclap.cli
 import fraclap.ichol
 import fraclap.solver
 from fraclap.cli import main, parse_config
-from fraclap.mesh import generate_ball_mesh, save_mesh
+from fraclap.mesh import SimplicialMesh, generate_ball_mesh, save_mesh
 from fraclap.transfer import TransferRankWarning
 
 from conftest import ball_mesh
@@ -15,6 +15,29 @@ from conftest import ball_mesh
 
 def read_lines(path):
     return path.read_text().splitlines()
+
+
+class HugeMesh(SimplicialMesh):
+    n_elements = 200_001  # past the 3D cap of 2e5 elements
+
+
+def huge_mesh():
+    """A small 3D ball that reports more elements than the 3D cap."""
+    small = ball_mesh(3, 2)
+    return HugeMesh(dim=3, vertices=small.vertices, simplices=small.simplices,
+                    n_interior=small.n_interior)
+
+
+def count_calls(monkeypatch, name):
+    """Arguments of every call to the function bound as `name` in the cli and
+    solver modules, recorded as the calls pass through."""
+    calls = []
+    for module in (fraclap.cli, fraclap.solver):
+        def counting(*args, real=getattr(module, name), **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 class TestParsing:
@@ -230,6 +253,13 @@ class TestSolveCommand:
         assert captured.err == ""
         assert read_lines(out)[1] == "iteration,relative_residual"
 
+    def test_3d_mesh_file_capped_without_dim(self, tmp_path, monkeypatch, capsys):
+        # the cap follows the mesh, not --dim (which defaults to 2)
+        monkeypatch.setattr(fraclap.cli, "load_mesh", lambda path: huge_mesh())
+        code = main(["solve", "--mesh", "huge.mesh", "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "cap the mesh at 2e5 elements" in capsys.readouterr().err
+
 
 class TestConvergenceCommand:
     def test_runs_and_fits_order(self, tmp_path, capsys):
@@ -246,6 +276,25 @@ class TestConvergenceCommand:
 
     def test_needs_three_levels(self):
         assert main(["convergence", "--dim", "2", "--ball", "0.2,0.1"]) == 2
+
+    def test_every_level_guarded_before_the_kernel(self, monkeypatch, capsys):
+        small = ball_mesh(3, 2)
+        huge = huge_mesh()
+        # only the last level is past the cap
+        monkeypatch.setattr(fraclap.cli, "generate_ball_mesh",
+                            lambda dim, h: huge if h < 0.3 else small)
+        built = count_calls(monkeypatch, "build_kernel")
+        assert main(["convergence", "--dim", "3", "--ball", "0.5,0.4,0.2"]) == 2
+        assert built == []
+        assert "cap the mesh at 2e5 elements" in capsys.readouterr().err
+
+    def test_kernel_of_another_order_exit_2(self, monkeypatch, capsys):
+        real = fraclap.cli.build_kernel
+        monkeypatch.setattr(fraclap.cli, "build_kernel",
+                            lambda scheme, s, *args: real(scheme, 0.75, *args))
+        assert main(["convergence", "--dim", "2", "--s", "0.5", "--m", "256",
+                     "--ball", "0.4,0.3,0.2"]) == 2
+        assert "supplied kernel has order 0.75, not s = 0.5" in capsys.readouterr().err
 
 
 class TestPrecondCommand:
@@ -273,17 +322,15 @@ class TestPrecondCommand:
             "(a larger n_fd) or the mesh"]
 
     def test_kernel_built_once(self, tmp_path, capsys, monkeypatch):
-        built = []
+        built = count_calls(monkeypatch, "build_kernel")
+        code = main(["precond", "--dim", "2", "--m", "256", "--ball", "0.2",
+                     "--out", str(tmp_path / "pc.csv")])
+        assert code == 0
+        assert len(built) == 1
+        assert capsys.readouterr().out.count("iterations=") == 3
 
-        def counting(real):
-            def build(*args, **kwargs):
-                built.append(args)
-                return real(*args, **kwargs)
-            return build
-
-        monkeypatch.setattr(fraclap.cli, "build_kernel", counting(fraclap.cli.build_kernel))
-        monkeypatch.setattr(fraclap.solver, "build_kernel",
-                            counting(fraclap.solver.build_kernel))
+    def test_transfer_built_once(self, tmp_path, capsys, monkeypatch):
+        built = count_calls(monkeypatch, "build_transfer")
         code = main(["precond", "--dim", "2", "--m", "256", "--ball", "0.2",
                      "--out", str(tmp_path / "pc.csv")])
         assert code == 0

@@ -17,9 +17,10 @@ from fraclap.ichol import (IncompleteCholeskyError, MicFactor, mic_factor,
 from fraclap.mesh import SimplicialMesh, generate_ball_mesh, mesh_quality
 from fraclap.solver import (CirculantPreconditioner, OverlayOperator, Preconditioner,
                             SolveReport, SparsePreconditioner, assemble_rhs,
-                            build_circulant_preconditioner, build_sparse_preconditioner,
-                            cg_solve, circulant_payload, exact_solution,
-                            solve_bvp, _near_field_matrix)
+                            build_circulant_preconditioner, build_kernel,
+                            build_sparse_preconditioner, cg_solve, circulant_payload,
+                            exact_solution, require_full_rank, select_grid, solve, solve_bvp,
+                            _near_field_matrix)
 from fraclap.stiffness import analytic_1d, fft_uniform, spectral
 from fraclap.toeplitz import ToeplitzPlan, dense_materialize
 from fraclap.transfer import TransferMatrix, build_transfer, choose_grid
@@ -750,7 +751,7 @@ class TestCirculantPreconditioner:
                        spectral(0.5, dim, n_fd, 16)):
             payload = circulant_payload(kernel)
             grid = OverlayGrid(dim=dim, r_fd=1.0, n_fd=n_fd)
-            precond = CirculantPreconditioner(payload, None, identity_transfer(grid), grid)
+            precond = CirculantPreconditioner(payload, identity_transfer(grid))
             w = np.random.default_rng(dim).standard_normal((2 * n_fd,) * dim)
             spectrum = scipy.fft.fftn(w)
             for got, ref in ((precond.circulant_solve(w),
@@ -820,6 +821,14 @@ class TestSolveBvp:
                       "solve", "error"):
             assert phase in report.wall_times
 
+    def test_rejects_kernel_of_another_order(self):
+        # a kernel of order 0.75 under s=0.5 converged to a wrong l2_error
+        mesh = ball_mesh(2, 4)
+        kernel = fft_uniform(0.75, 2, select_grid(mesh).n_fd, 64)
+        with pytest.raises(ValueError, match="order 0.75, not s = 0.5"):
+            solve_bvp(mesh, 0.5, "fft", kernel=kernel)
+        assert solve_bvp(mesh, 0.75, "fft", kernel=kernel)[1].converged
+
     def test_analytic_scheme_needs_1d(self):
         mesh = ball_mesh(2, 4)
         with pytest.raises(ValueError):
@@ -886,3 +895,50 @@ class TestSolveBvp:
         assert "iterations=3" in text
         assert "time_solve=" in text
         assert "preconditioner=none\nprecond_shift=0.0000000000000000e+00\n" in text
+
+
+class TestSolve:
+    def test_shared_transfer_matches_solve_bvp(self):
+        # one transfer serves every case below, so the circulant, auto and
+        # fallback cases run on a Gram factor that an earlier case built
+        mesh = ball_mesh(2, 6)
+        grid = select_grid(mesh)
+        transfer = build_transfer(mesh, grid)
+        require_full_rank(transfer)
+        for scheme, precond in (("fft", "none"), ("fft", "sparse"), ("fft", "circulant"),
+                                ("fft", "auto"), ("modspec", "auto")):
+            kernel = build_kernel(scheme, 0.75, 2, grid.n_fd, 256)
+            op = OverlayOperator(transfer=transfer, plan=ToeplitzPlan(kernel), grid=grid,
+                                 s=0.75)
+            u, report = solve(op, mesh, precond)
+            u_ref, ref = solve_bvp(mesh, 0.75, scheme, m=256, precond=precond)
+            np.testing.assert_array_equal(u, u_ref)
+            assert report.converged and ref.converged
+            assert report.iterations == ref.iterations
+            assert report.residual_history == ref.residual_history
+            assert report.l2_error == ref.l2_error
+            assert report.precond_shift == ref.precond_shift
+            assert report.preconditioner == ref.preconditioner
+            assert list(report.wall_times) == ["precond", "solve", "error"]
+            assert list(ref.wall_times) == ["grid", "kernel", "transfer", "rank_check",
+                                            "precond", "solve", "error"]
+        assert report.preconditioner == "none(fallback from circulant)"
+
+    def test_circulant_builds_share_the_gram_factor(self, monkeypatch):
+        calls = []
+
+        def counting(matrix, *args, **kwargs):
+            calls.append(matrix.shape)
+            return mic_factor_with_retry(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(ichol, "mic_factor_with_retry", counting)
+        mesh, op = small_operator(n_r=4)
+        first = build_circulant_preconditioner(op)
+        second = build_circulant_preconditioner(op)
+        assert first.gram_factor is second.gram_factor is op.transfer.gram_factor
+        assert calls == [(op.n_unknowns, op.n_unknowns)]
+
+    def test_unknown_preconditioner(self):
+        mesh, op = small_operator()
+        with pytest.raises(ValueError, match="unknown preconditioner"):
+            solve(op, mesh, "jacobi")

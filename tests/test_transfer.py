@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 import fraclap.transfer as transfer_module
 from fraclap.core import OverlayGrid
 from fraclap.mesh import MeshQuality, SimplicialMesh, _orient_positive, mesh_quality
+from fraclap.solver import require_full_rank
 from fraclap.transfer import (N_FD_CAPS, TransferMatrix, TransferRankWarning, build_transfer,
-                              capped_grid, choose_grid, column_rank_check, write_transfer_coo)
+                              capped_grid, choose_grid, column_rank_check)
 
 from conftest import ball_mesh, scattered_ball
 
@@ -128,7 +129,7 @@ class TestBuildTransfer:
                         break
             assert found
 
-    def test_zero_column_warning_and_strict(self):
+    def test_zero_column_warning_and_rank_refusal(self):
         # a mesh with one interior vertex whose support has no grid node:
         # shrink the fan so the grid (n_fd=1) misses the center support
         pts = np.array([[0.55, 0.56], [0.5, 0.71], [0.7, 0.4], [0.3, 0.37]])
@@ -138,8 +139,8 @@ class TestBuildTransfer:
         with pytest.warns(TransferRankWarning):
             transfer = build_transfer(mesh, grid)
         assert transfer.column_sums[0] == 0.0
-        with pytest.raises(ValueError):
-            build_transfer(mesh, grid, strict=True)
+        with pytest.raises(RuntimeError, match="rank deficient"):
+            require_full_rank(transfer)
 
     def test_requires_containment(self):
         mesh = ball_mesh(2, 4)
@@ -215,15 +216,6 @@ class TestRankCheck:
         grid = choose_grid(mesh_quality(mesh), 1.2, mode="strict")
         t = build_transfer(mesh, grid)
         assert column_rank_check(t, mode="exact")
-
-    def test_coo_dump(self, tmp_path):
-        mesh = ball_mesh(2, 3)
-        grid = choose_grid(mesh_quality(mesh), 1.2)
-        t = build_transfer(mesh, grid)
-        path = tmp_path / "transfer.txt"
-        write_transfer_coo(t, path)
-        first = path.read_text().splitlines()[0].split()
-        assert len(first) == 3
 
 
 # ---------------------------------------------------------------------------
