@@ -21,7 +21,7 @@ from .solver import (OverlayOperator, build_kernel, require_full_rank, select_gr
                      solve_bvp)
 from .stiffness import decay_profile, restrict, write_decay_csv, write_kernel_csv
 from .toeplitz import ToeplitzPlan
-from .transfer import build_transfer, choose_grid
+from .transfer import build_transfer, capped_grid, choose_grid
 
 __all__ = ["ExperimentConfig", "cmd_kernel", "cmd_decay", "cmd_impact", "cmd_solve",
            "cmd_convergence", "cmd_precond", "main"]
@@ -81,10 +81,16 @@ def _max_n_fd(config: ExperimentConfig):
     return None if not config.large else 10 ** 9
 
 
+def _dump_n_fd(config: ExperimentConfig) -> int:
+    """Dump n_fd (default 81) under the solver's cap; --large lifts it."""
+    n_fd = config.n_fd if config.n_fd is not None else 81
+    return capped_grid(config.dim, config.r_fd, n_fd, _max_n_fd(config)).n_fd
+
+
 def cmd_kernel(config: ExperimentConfig) -> int:
     """Kernel dump; in one dimension also the max-norm error against the
     analytic closed form."""
-    n_fd = config.n_fd if config.n_fd is not None else 81
+    n_fd = _dump_n_fd(config)
     kernel = build_kernel(config.scheme, config.s, config.dim, n_fd,
                           config.m, config.n_g)
     path = config.default_out()
@@ -100,7 +106,7 @@ def cmd_kernel(config: ExperimentConfig) -> int:
 
 
 def cmd_decay(config: ExperimentConfig) -> int:
-    n_fd = config.n_fd if config.n_fd is not None else 81
+    n_fd = _dump_n_fd(config)
     if n_fd < 32:
         raise ValueError("decay studies need n_fd >= 32")
     kernel = build_kernel(config.scheme, config.s, config.dim, n_fd,

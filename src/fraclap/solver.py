@@ -9,7 +9,8 @@ preconditioned by
 
   sparse    modified incomplete Cholesky of I^T A_grid^(near) I, where
             A_grid^(near) keeps the kernel entries at offsets with Chebyshev
-            norm <= 1 (3/9/27-point patterns in 1/2/3 dimensions);
+            norm <= 1 (3/9/27-point patterns in 1/2/3 dimensions),
+            assembled as a Kronecker sum on the operator's box;
   circulant the grid operator restricted to 2*n_fd points per axis becomes a
             circulant diagonalized by the DFT; its inverse is conjugated back
             to mesh space through the pseudo-inverse of the transfer, realized
@@ -28,6 +29,7 @@ one solve().
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -72,6 +74,8 @@ DEFAULT_M = {1: 2 ** 14, 2: 2 ** 14, 3: 2 ** 10}
 class OverlayOperator:
     """Matrix-free action u -> I^T (A_grid (I u)) on interior-vertex vectors.
 
+    ``grid`` must be the transfer's grid, ``plan.kernel`` must have its dim
+    and n_fd, and ``s`` must be the kernel's order; ValueError otherwise.
     I u vanishes outside the bounding box of the grid rows that hold nonzero
     entries of the transfer, and I^T reads nothing there, so the Toeplitz
     product runs on that box alone: the transfer's rows inside it and a plan
@@ -89,6 +93,13 @@ class OverlayOperator:
     s: float
 
     def __post_init__(self):
+        kernel = self.plan.kernel
+        if self.grid != self.transfer.grid:
+            raise ValueError(f"grid {self.grid} is not the transfer's grid {self.transfer.grid}")
+        if (kernel.dim, kernel.n_fd) != (self.grid.dim, self.grid.n_fd):
+            raise ValueError(f"kernel of dim {kernel.dim} and n_fd {kernel.n_fd} on {self.grid}")
+        if order_value(self.s) != kernel.s:
+            raise ValueError(f"s = {self.s} is not the kernel's order {kernel.s}")
         matrix = self.transfer.matrix
         rows, box_plan = matrix, self.plan
         # stored zeros (coordinates clipped to 0) do not widen the box
@@ -101,7 +112,7 @@ class OverlayOperator:
             shape = tuple(r.size for r in ranges)
             if shape != self.grid.shape:
                 rows = matrix[np.ravel_multi_index(np.ix_(*ranges), self.grid.shape).ravel()]
-                box_plan = ToeplitzPlan(self.plan.kernel, shape)
+                box_plan = ToeplitzPlan(kernel, shape)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_rows_t", rows.T.tocsr())
         object.__setattr__(self, "_box_plan", box_plan)
@@ -141,7 +152,6 @@ class Preconditioner:
 class SparsePreconditioner(Preconditioner):
     def __init__(self, factor: MicFactor, stencil: int):
         self.factor = factor
-        self.stencil = stencil
         self.variant = f"sparse{stencil}"
 
     @property
@@ -156,7 +166,6 @@ class CirculantPreconditioner(Preconditioner):
     variant = "circulant"
 
     def __init__(self, payload: np.ndarray, transfer: TransferMatrix):
-        self.payload = payload
         self.transfer = transfer
         self.gram_factor = transfer.gram_factor
         self._transfer_t = transfer.matrix.T.tocsr()
@@ -173,10 +182,6 @@ class CirculantPreconditioner(Preconditioner):
         """Frequency-diagonal solve on the 2*n_fd-per-axis sub-grid."""
         return scipy.fft.irfftn(scipy.fft.rfftn(w_sub) / self._half_payload, s=w_sub.shape)
 
-    def circulant_apply(self, w_sub: np.ndarray) -> np.ndarray:
-        """Action of the circulant surrogate itself (test hook)."""
-        return scipy.fft.irfftn(scipy.fft.rfftn(w_sub) * self._half_payload, s=w_sub.shape)
-
     def apply(self, r):
         z = self.gram_factor.solve(r)
         g = (self.transfer.matrix @ z).reshape(self.grid.shape)
@@ -186,36 +191,24 @@ class CirculantPreconditioner(Preconditioner):
         return self.gram_factor.solve(t)
 
 
-def _near_field_matrix(kernel: StiffnessKernel, grid: OverlayGrid) -> scipy.sparse.csr_matrix:
-    """Sparse grid operator keeping kernel entries at offsets with Chebyshev
-    norm <= 1."""
-    dim = grid.dim
-    k = grid.nodes_per_axis
-    total = grid.n_nodes
-    strides = np.array([k ** (dim - 1 - a) for a in range(dim)])
-    offsets = np.stack(np.meshgrid(*([np.arange(-1, 2)] * dim), indexing="ij"),
-                       axis=-1).reshape(-1, dim)
-    rows_all, cols_all, vals_all = [], [], []
-    for off in offsets:
-        value = kernel.coeffs[tuple(np.abs(off))]
-        axis_rows = [np.arange(max(0, -o), k - max(0, o)) for o in off]
-        grids = np.meshgrid(*axis_rows, indexing="ij")
-        rows = sum(g.ravel() * st for g, st in zip(grids, strides))
-        cols = rows + int(off @ strides)
-        rows_all.append(rows)
-        cols_all.append(cols)
-        vals_all.append(np.full(rows.shape[0], value))
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(total, total))
-    return mat.tocsr()
+def _near_field_stencil(kernel: StiffnessKernel, shape) -> scipy.sparse.csr_matrix:
+    """Kernel entries at offsets of Chebyshev norm <= 1 on a box of this shape:
+    sum over e in {0,1}^dim of T_e times the Kronecker product over the axes
+    of the identity (e_a = 0) or the first off-diagonals (e_a = 1)."""
+    axes = [(scipy.sparse.identity(n, format="csr"),
+             scipy.sparse.diags([1.0, 1.0], [-1, 1], shape=(n, n), format="csr"))
+            for n in shape]
+    kron = functools.partial(scipy.sparse.kron, format="csr")
+    return sum(kernel.coeffs[e] * functools.reduce(kron, [f[k] for f, k in zip(axes, e)])
+               for e in np.ndindex((2,) * len(shape)))
 
 
 def build_sparse_preconditioner(op: OverlayOperator) -> SparsePreconditioner:
     """Near-field mesh operator I^T A_grid^(near) I (the 3^dim-point pattern)
-    factored by modified incomplete Cholesky (drop threshold 1e-3)."""
-    near = _near_field_matrix(op.plan.kernel, op.grid)
-    a_mesh = (op.transfer.matrix.T @ (near @ op.transfer.matrix)).tocsc()
+    factored by modified incomplete Cholesky (drop threshold 1e-3), assembled
+    on the operator's box: no matrix spans the whole grid."""
+    near = _near_field_stencil(op.plan.kernel, op._box_plan.grid_shape)
+    a_mesh = (op._rows_t @ (near @ op._rows)).tocsc()
     factor = mic_factor_with_retry(a_mesh)
     return SparsePreconditioner(factor, 3 ** op.grid.dim)
 

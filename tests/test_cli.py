@@ -117,6 +117,28 @@ class TestKernelCommand:
         assert value == pytest.approx(1.050e-06, rel=1.0)
 
 
+    @pytest.mark.parametrize("command", ["kernel", "decay"])
+    def test_3d_nfd_cap_exit_2_before_the_kernel(self, command, tmp_path, capsys,
+                                                  monkeypatch):
+        built = count_calls(monkeypatch, "build_kernel")
+        code = main([command, "--dim", "3", "--nfd", "129", "--out", str(tmp_path / "k.csv")])
+        assert code == 2
+        assert built == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "beyond the cap 128" in err
+
+    @pytest.mark.parametrize("command", ["kernel", "decay"])
+    def test_large_lifts_the_nfd_cap(self, command, tmp_path, capsys, monkeypatch):
+        def stop(*args, **kwargs):
+            raise ValueError(f"kernel build reached at n_fd={args[3]}")
+
+        monkeypatch.setattr(fraclap.cli, "build_kernel", stop)
+        code = main([command, "--dim", "3", "--nfd", "129", "--large",
+                     "--out", str(tmp_path / "k.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: kernel build reached at n_fd=129\n"
+
+
 class TestDecayCommand:
     def test_writes_profile_and_slope(self, tmp_path, capsys):
         out = tmp_path / "d.csv"

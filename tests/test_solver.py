@@ -11,7 +11,7 @@ from scipy.sparse.linalg import spsolve_triangular
 
 import fraclap.solver
 from fraclap import ichol
-from fraclap.core import OverlayGrid, gamma
+from fraclap.core import FractionalOrder, OverlayGrid, gamma
 from fraclap.ichol import (IncompleteCholeskyError, MicFactor, mic_factor,
                            mic_factor_with_retry)
 from fraclap.mesh import SimplicialMesh, generate_ball_mesh, mesh_quality
@@ -20,7 +20,7 @@ from fraclap.solver import (CirculantPreconditioner, OverlayOperator, Preconditi
                             build_circulant_preconditioner, build_kernel,
                             build_sparse_preconditioner, cg_solve, circulant_payload,
                             exact_solution, require_full_rank, select_grid, solve, solve_bvp,
-                            _near_field_matrix)
+                            _near_field_stencil)
 from fraclap.stiffness import analytic_1d, fft_uniform, spectral
 from fraclap.toeplitz import ToeplitzPlan, dense_materialize
 from fraclap.transfer import TransferMatrix, build_transfer, choose_grid
@@ -79,6 +79,33 @@ class TestOperator:
         for _ in range(20):
             u = rng.standard_normal(op.n_unknowns)
             assert op.apply(u) @ u > 0.0
+
+    @pytest.mark.parametrize("n_fd", [9, 11])
+    def test_rejects_a_grid_other_than_the_transfers(self, n_fd):
+        # the h=0.2 disk's transfer lives on an n_fd=8 grid
+        mesh = generate_ball_mesh(2, 0.2)
+        transfer = build_transfer(mesh, choose_grid(mesh_quality(mesh), 1.2))
+        assert transfer.grid.n_fd == 8
+        grid = OverlayGrid(dim=2, r_fd=1.2, n_fd=n_fd)
+        plan = ToeplitzPlan(fft_uniform(0.5, 2, n_fd, 4 * n_fd))
+        with pytest.raises(ValueError, match="is not the transfer's grid"):
+            OverlayOperator(transfer=transfer, plan=plan, grid=grid, s=0.5)
+
+    @pytest.mark.parametrize("dim,n_fd", [(2, 6), (3, 5)])
+    def test_rejects_a_kernel_of_another_grid(self, dim, n_fd):
+        mesh, op = small_operator()
+        assert (op.grid.dim, op.grid.n_fd) == (2, 5)
+        plan = ToeplitzPlan(fft_uniform(0.5, dim, n_fd, 4 * n_fd))
+        with pytest.raises(ValueError, match=f"kernel of dim {dim} and n_fd {n_fd} on"):
+            OverlayOperator(transfer=op.transfer, plan=plan, grid=op.grid, s=0.5)
+
+    def test_rejects_an_order_other_than_the_kernels(self):
+        mesh, op = small_operator(s=0.5)
+        with pytest.raises(ValueError, match="not the kernel's order 0.5"):
+            OverlayOperator(transfer=op.transfer, plan=op.plan, grid=op.grid, s=0.9)
+        # an equal order given as a FractionalOrder is accepted
+        OverlayOperator(transfer=op.transfer, plan=op.plan, grid=op.grid,
+                        s=FractionalOrder(0.5))
 
 
 def mapped(mesh, matrix, shift):
@@ -508,7 +535,7 @@ def mic_equivalence_cases():
     cases["n1"] = (scipy.sparse.csc_matrix([[2.293947877959665]]), 1e-3)
     for dim, n_r in ((2, 5), (3, 3)):
         mesh, op = small_operator(n_r=n_r, dim=dim)
-        near = _near_field_matrix(op.plan.kernel, op.grid)
+        near = reference_near_field_matrix(op.plan.kernel, op.grid)
         t = op.transfer.matrix
         cases[f"sparse{dim}d"] = ((t.T @ (near @ t)).tocsc(), 1e-3)
         cases[f"gram{dim}d"] = ((t.T @ t).tocsc(), 1e-3)
@@ -630,22 +657,118 @@ class TestMicSolve:
 
 
 
+def reference_near_field_matrix(kernel, grid):
+    """Whole-grid near-field operator (kernel entries at offsets with
+    Chebyshev norm <= 1) built entry by entry from per-offset COO indices, as
+    the sparse preconditioner built it before the box stencil."""
+    dim = grid.dim
+    k = grid.nodes_per_axis
+    total = grid.n_nodes
+    strides = np.array([k ** (dim - 1 - a) for a in range(dim)])
+    offsets = np.stack(np.meshgrid(*([np.arange(-1, 2)] * dim), indexing="ij"),
+                       axis=-1).reshape(-1, dim)
+    rows_all, cols_all, vals_all = [], [], []
+    for off in offsets:
+        value = kernel.coeffs[tuple(np.abs(off))]
+        axis_rows = [np.arange(max(0, -o), k - max(0, o)) for o in off]
+        grids = np.meshgrid(*axis_rows, indexing="ij")
+        rows = sum(g.ravel() * st for g, st in zip(grids, strides))
+        cols = rows + int(off @ strides)
+        rows_all.append(rows)
+        cols_all.append(cols)
+        vals_all.append(np.full(rows.shape[0], value))
+    mat = scipy.sparse.coo_matrix(
+        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
+        shape=(total, total))
+    return mat.tocsr()
+
+
+def assembled_near_field(op, monkeypatch):
+    """The matrix build_sparse_preconditioner hands to its MIC factorization."""
+    seen = []
+    monkeypatch.setattr(fraclap.solver, "mic_factor_with_retry", seen.append)
+    build_sparse_preconditioner(op)
+    return seen[0]
+
+
+def assert_bitwise_equal(a, b):
+    """Same entries and values in CSC form with sorted row indices."""
+    a, b = scipy.sparse.csc_matrix(a, copy=True), scipy.sparse.csc_matrix(b, copy=True)
+    a.sort_indices()
+    b.sort_indices()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def interval_mesh(n):
+    """Uniform mesh of (-1, 1) with n elements, interior vertices first."""
+    order = np.r_[1:n, 0, n]
+    position = np.argsort(order)
+    simplices = position[np.c_[np.arange(n), np.arange(1, n + 1)]]
+    return SimplicialMesh(dim=1, vertices=np.linspace(-1.0, 1.0, n + 1)[order][:, None],
+                          simplices=simplices, n_interior=n - 1)
+
+
+def line_transfer(grid, row):
+    """Transfer whose nonzero rows are one line of grid nodes along the last
+    axis, at index ``row`` on the others, so the box is one node wide on
+    every other axis."""
+    k = grid.nodes_per_axis
+    nodes = np.ravel_multi_index((np.full(k, row),) * (grid.dim - 1) + (np.arange(k),),
+                                 grid.shape)
+    weights = np.random.default_rng(7).uniform(0.5, 1.0, k)
+    matrix = scipy.sparse.csr_matrix((weights, (nodes, np.arange(k))), shape=(grid.n_nodes, k))
+    return TransferMatrix(matrix=matrix, column_sums=weights, grid=grid)
+
+
+def hand_operator(transfer, s=0.5):
+    grid = transfer.grid
+    kernel = fft_uniform(s, grid.dim, grid.n_fd, 4 * grid.n_fd + 4)
+    return OverlayOperator(transfer=transfer, plan=ToeplitzPlan(kernel), grid=grid, s=s)
+
+
+NEAR_FIELD_CASES = {
+    "1D interval": lambda: overlay_operator(interval_mesh(40)),
+    # the CLI's --ball 0.025 disk, whose box is 110 x 111 nodes
+    "2D ball": lambda: overlay_operator(generate_ball_mesh(2, 0.025)),
+    "3D ball": lambda: overlay_operator(ball_mesh(3, 4)),
+    "identity transfer": lambda: hand_operator(identity_transfer(
+        OverlayGrid(dim=3, r_fd=1.0, n_fd=3))),
+    "one-node-wide box": lambda: hand_operator(line_transfer(
+        OverlayGrid(dim=2, r_fd=1.0, n_fd=4), 2)),
+}
+
+
 class TestSparsePreconditioner:
+    @pytest.mark.parametrize("name", sorted(NEAR_FIELD_CASES))
+    def test_box_assembly_equals_whole_grid_reference(self, name, monkeypatch):
+        op = NEAR_FIELD_CASES[name]()
+        box = op._box_plan.grid_shape
+        if name == "identity transfer":
+            assert box == op.grid.shape
+        elif name == "one-node-wide box":
+            assert box == (1, op.grid.nodes_per_axis)
+        else:
+            assert np.prod(box) < op.grid.n_nodes
+        t = op.transfer.matrix
+        ref = t.T @ (reference_near_field_matrix(op.plan.kernel, op.grid) @ t)
+        assert_bitwise_equal(assembled_near_field(op, monkeypatch), ref)
+
     def test_stencil_mask_size(self):
         mesh, op = small_operator()
-        near = _near_field_matrix(op.plan.kernel, op.grid)
-        center = op.grid.n_nodes // 2
+        shape = op._box_plan.grid_shape
+        near = _near_field_stencil(op.plan.kernel, shape)
+        center = np.ravel_multi_index(tuple(n // 2 for n in shape), shape)
         row = near.getrow(center)
         assert row.nnz == 9  # Chebyshev-norm <= 1 neighborhood in 2 dimensions
 
-    def test_identity_transfer_extracts_kernel(self):
+    def test_identity_transfer_extracts_kernel(self, monkeypatch):
         grid = OverlayGrid(dim=2, r_fd=1.0, n_fd=4)
         kernel = fft_uniform(0.5, 2, 4, 32)
         transfer = identity_transfer(grid)
         op = OverlayOperator(transfer=transfer, plan=ToeplitzPlan(kernel),
                              grid=grid, s=0.5)
-        near = _near_field_matrix(kernel, grid)
-        a_mesh = (transfer.matrix.T @ (near @ transfer.matrix)).toarray()
+        a_mesh = assembled_near_field(op, monkeypatch).toarray()
         k = grid.nodes_per_axis
         center = grid.n_nodes // 2
         row = a_mesh[center].reshape(k, k)
@@ -662,7 +785,7 @@ class TestSparsePreconditioner:
     def test_factorization_quality(self):
         mesh, op = small_operator(n_r=5)
         precond = build_sparse_preconditioner(op)
-        near = _near_field_matrix(op.plan.kernel, op.grid)
+        near = reference_near_field_matrix(op.plan.kernel, op.grid)
         a_mesh = op.transfer.matrix.T @ (near @ op.transfer.matrix)
         rng = np.random.default_rng(4)
         for _ in range(5):
@@ -717,18 +840,21 @@ def naive_circulant_column(kernel, impulse_index):
     return out.real
 
 
+def circulant_apply(kernel, w_sub):
+    """Action of the circulant surrogate itself: the real transform pair over
+    the half spectrum of circulant_payload(kernel), as circulant_solve uses
+    it."""
+    half = circulant_payload(kernel)[..., :kernel.n_fd + 1]
+    return scipy.fft.irfftn(scipy.fft.rfftn(w_sub) * half, s=w_sub.shape)
+
+
 class TestCirculantPreconditioner:
     def test_surrogate_matches_naive_transform_oracle(self):
         kernel = analytic_1d(0.5, 8)
-        grid = OverlayGrid(dim=1, r_fd=1.0, n_fd=8)
-        transfer = identity_transfer(grid)
-        op = OverlayOperator(transfer=transfer, plan=ToeplitzPlan(kernel),
-                             grid=grid, s=0.5)
-        precond = build_circulant_preconditioner(op)
         for impulse in (0, 3, 11):
             w = np.zeros(16)
             w[impulse] = 1.0
-            got = precond.circulant_apply(w)
+            got = circulant_apply(kernel, w)
             ref = naive_circulant_column(kernel, impulse)
             assert np.max(np.abs(got - ref)) < 1e-12
 
@@ -741,7 +867,7 @@ class TestCirculantPreconditioner:
         precond = build_circulant_preconditioner(op)
         rng = np.random.default_rng(6)
         v = rng.standard_normal(16)
-        round_trip = precond.circulant_solve(precond.circulant_apply(v))
+        round_trip = precond.circulant_solve(circulant_apply(kernel, v))
         assert np.max(np.abs(round_trip - v)) < 1e-10
 
     @pytest.mark.parametrize("dim,n_fd", [(1, 8), (2, 6), (3, 3)])
@@ -756,7 +882,7 @@ class TestCirculantPreconditioner:
             spectrum = scipy.fft.fftn(w)
             for got, ref in ((precond.circulant_solve(w),
                               scipy.fft.ifftn(spectrum / payload).real),
-                             (precond.circulant_apply(w),
+                             (circulant_apply(kernel, w),
                               scipy.fft.ifftn(spectrum * payload).real)):
                 assert got.shape == w.shape and got.dtype == np.float64
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
