@@ -7,7 +7,7 @@ circulant can be indefinite on the lifted subspace; such runs are reported
 as not converged rather than with a misleading count.
 
 One grid, transfer and rank check serve all nine solves, and the circulant
-runs share the transfer's Gram factor; each scheme builds one kernel.
+runs share the transfer's Gram solver; each scheme builds one kernel.
 """
 
 from fraclap import (OverlayOperator, ToeplitzPlan, build_kernel, build_transfer,

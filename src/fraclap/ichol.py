@@ -6,7 +6,9 @@ drop_tol times the 1-norm of the corresponding column of A are discarded,
 and their sum is folded into the pivot (the "modified" compensation), so the
 factor stays consistent with the column sums of A.  Signed compensation can
 drive a pivot nonpositive; that surfaces as IncompleteCholeskyError and the
-callers retry once with a small diagonal shift.
+caller retries once with a small diagonal shift.  The sparse preconditioner
+is its one user; the circulant preconditioner's Gram solve needs no factor
+(transfer.GramSolver).
 
 The loop works on Python scalars.  The working column is a dict keyed by
 row: A's rows >= j (read one column at a time), then the updates from the

@@ -14,14 +14,17 @@ preconditioned by
   circulant the grid operator restricted to 2*n_fd points per axis becomes a
             circulant diagonalized by the DFT; its inverse is conjugated back
             to mesh space through the pseudo-inverse of the transfer, realized
-            with an incomplete Cholesky solve of the Gram matrix I^T I on each
-            side (solve, lift, frequency solve, restrict, solve).  The payload
-            is real and even, so the frequency solve is a real-to-real
-            transform pair over the half spectrum.  The Gram factor is kept
-            on the transfer (TransferMatrix.gram_factor), so it is shared.
+            with a solve of the Gram matrix I^T I on each side (solve, lift,
+            frequency solve, restrict, solve).  The Gram solve is a fixed
+            Chebyshev polynomial in the Jacobi-scaled Gram matrix
+            (transfer.GramSolver), symmetric positive definite with no
+            factorisation; it is kept on the transfer
+            (TransferMatrix.gram_solver), so it is shared.  The payload is
+            real and even, so the frequency solve is a real-to-real
+            transform pair over the half spectrum.
 
-Each incomplete Cholesky factor is prepared once for SuperLU, so a
-preconditioner solve is two sparse triangular substitutions.  CG reports
+The sparse preconditioner's incomplete Cholesky factor is prepared once for
+SuperLU, so its solve is two sparse triangular substitutions.  CG reports
 why it stopped (SolveReport.stop_reason).  solve() runs one solve on a built
 OverlayOperator, so one transfer serves many solves; solve_bvp is setup and
 one solve().
@@ -167,28 +170,24 @@ class CirculantPreconditioner(Preconditioner):
 
     def __init__(self, payload: np.ndarray, transfer: TransferMatrix):
         self.transfer = transfer
-        self.gram_factor = transfer.gram_factor
+        self.gram_solver = transfer.gram_solver
         self._transfer_t = transfer.matrix.T.tocsr()
         self.grid = grid = transfer.grid
         self._sub = (slice(0, 2 * grid.n_fd),) * grid.dim
         # the payload is even, so its half spectrum pairs with rfftn
         self._half_payload = np.ascontiguousarray(payload[..., :grid.n_fd + 1])
 
-    @property
-    def shift(self):
-        return self.gram_factor.shift
-
     def circulant_solve(self, w_sub: np.ndarray) -> np.ndarray:
         """Frequency-diagonal solve on the 2*n_fd-per-axis sub-grid."""
         return scipy.fft.irfftn(scipy.fft.rfftn(w_sub) / self._half_payload, s=w_sub.shape)
 
     def apply(self, r):
-        z = self.gram_factor.solve(r)
+        z = self.gram_solver.solve(r)
         g = (self.transfer.matrix @ z).reshape(self.grid.shape)
         out = np.zeros(self.grid.shape)
         out[self._sub] = self.circulant_solve(g[self._sub])
         t = self._transfer_t @ out.ravel()
-        return self.gram_factor.solve(t)
+        return self.gram_solver.solve(t)
 
 
 def _near_field_stencil(kernel: StiffnessKernel, shape) -> scipy.sparse.csr_matrix:
@@ -454,8 +453,8 @@ def solve(op: OverlayOperator, mesh: SimplicialMesh, precond: str = "auto", *, f
     circulant, or none for the spectral scheme, and falls back to plain CG
     when the circulant run fails.  Returns the nodal solution over all
     vertices (boundary entries zero) and a SolveReport with per-phase timings
-    and precond_shift, the diagonal shift of the preconditioner's MIC retry
-    (0.0 if none)."""
+    and precond_shift, the diagonal shift of the sparse preconditioner's MIC
+    retry (0.0 if none, and for the other preconditioners)."""
     s = op.plan.kernel.s
     times = {}
     t0 = time.perf_counter()

@@ -237,7 +237,7 @@ class TestSolveCommand:
             return SimpleNamespace(perm_r=order, perm_c=order, U=lower)
         monkeypatch.setattr(fraclap.ichol, "splu", permuting)
         code = main(["solve", "--dim", "2", "--m", "256", "--ball", "0.25",
-                     "--out", str(tmp_path / "s.csv")])
+                     "--precond", "sparse", "--out", str(tmp_path / "s.csv")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: SuperLU permuted")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve_triangular
 
 import fraclap.solver
+import fraclap.transfer
 from fraclap import ichol
 from fraclap.core import FractionalOrder, OverlayGrid, gamma
 from fraclap.ichol import (IncompleteCholeskyError, MicFactor, mic_factor,
@@ -21,9 +22,10 @@ from fraclap.solver import (CirculantPreconditioner, OverlayOperator, Preconditi
                             build_sparse_preconditioner, cg_solve, circulant_payload,
                             exact_solution, require_full_rank, select_grid, solve, solve_bvp,
                             _near_field_stencil)
-from fraclap.stiffness import analytic_1d, fft_uniform, spectral
+from fraclap.stiffness import analytic_1d, fft_uniform, restrict, spectral
 from fraclap.toeplitz import ToeplitzPlan, dense_materialize
-from fraclap.transfer import TransferMatrix, build_transfer, choose_grid
+from fraclap.transfer import (GRAM_DEGREE, GRAM_LOWER, GramSolver, TransferMatrix,
+                              TransferRankWarning, build_transfer, choose_grid)
 
 from conftest import ball_mesh, scattered_ball
 
@@ -619,7 +621,7 @@ def mic_factor_cases():
         "retry_shift": mic_factor_with_retry(grid_laplacian(3)),
         "n1": mic_factor(scipy.sparse.csc_matrix([[4.0]])),
         "sparse": build_sparse_preconditioner(op).factor,
-        "gram": build_circulant_preconditioner(op).gram_factor,
+        "gram": mic_factor_with_retry((op.transfer.matrix.T @ op.transfer.matrix).tocsc()),
     }
 
 
@@ -903,6 +905,100 @@ class TestCirculantPreconditioner:
         assert rep1.iterations < rep0.iterations
 
 
+GRAM_MESHES = {
+    "2D ball": lambda: ball_mesh(2, 6),
+    "3D ball": lambda: ball_mesh(3, 3),
+    "rotated 2D ball": BOX_MESHES["rotated 2D ball"],
+    "rotated 3D ball": BOX_MESHES["rotated 3D ball"],
+}
+
+
+def dense_gram_solve(solver, n):
+    """The matrix of GramSolver.solve, one unit vector at a time."""
+    return np.column_stack([solver.solve(e) for e in np.eye(n)])
+
+
+def seeded_rotation(mesh, seed):
+    """The mesh turned by the seeded rotation the benchmark workloads draw: a
+    uniform angle in 2D, a sign-fixed QR factor of a Gaussian matrix in 3D."""
+    rng = np.random.default_rng(seed)
+    if mesh.dim == 2:
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        q = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+    else:
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        q = q * np.sign(np.diag(r))
+        if np.linalg.det(q) < 0.0:
+            q[:, 0] = -q[:, 0]
+    return mapped(mesh, q, 0.0)
+
+
+class TestGramSolver:
+    @pytest.mark.parametrize("name", sorted(GRAM_MESHES))
+    def test_upper_end_bounds_the_scaled_spectrum(self, name):
+        t = overlay_operator(GRAM_MESHES[name]()).transfer.matrix.toarray()
+        gram = t.T @ t
+        scale = 1.0 / np.sqrt(np.diag(gram))
+        solver = GramSolver(scipy.sparse.csr_matrix(t))
+        np.testing.assert_allclose(solver.scaled.toarray(), scale[:, None] * gram * scale,
+                                   rtol=1e-14, atol=0.0)
+        eigvals = np.linalg.eigvalsh(solver.scaled.toarray())
+        assert 0.0 < eigvals[0] and eigvals[-1] <= solver.hi
+        assert solver.lo == GRAM_LOWER * solver.hi
+
+    @pytest.mark.parametrize("name", sorted(GRAM_MESHES))
+    def test_solve_is_symmetric_positive_definite(self, name):
+        op = overlay_operator(GRAM_MESHES[name]())
+        solver = op.transfer.gram_solver
+        dense = dense_gram_solve(solver, op.n_unknowns)
+        assert np.max(np.abs(dense - dense.T)) <= 1e-14 * np.max(np.abs(dense))
+        assert np.linalg.eigvalsh(0.5 * (dense + dense.T))[0] > 0.0
+        # on the scaled spectrum, x p(x) = 1 - r(x) with |r| < 1, and
+        # |r| <= 1 / T_k((hi + lo) / (hi - lo)) from lo to hi
+        lam, vecs = np.linalg.eigh(solver.scaled.toarray())
+        root = np.sqrt(np.diag((op.transfer.matrix.T @ op.transfer.matrix).toarray()))
+        p = np.diag(vecs.T @ (root[:, None] * dense * root) @ vecs)
+        residual = 1.0 - lam * p
+        assert np.all(np.abs(residual) < 1.0)
+        level = 1.0 / math.cosh(GRAM_DEGREE * math.acosh(
+            (solver.hi + solver.lo) / (solver.hi - solver.lo)))
+        assert np.all(np.abs(residual[lam >= solver.lo]) <= level * (1.0 + 1e-9))
+
+    def test_zero_gram_diagonal_raises(self):
+        # an n_fd=3 grid leaves 218 of the h=0.1 disk's columns empty
+        mesh = generate_ball_mesh(2, 0.1)
+        grid = OverlayGrid(dim=2, r_fd=1.2, n_fd=3)
+        with pytest.warns(TransferRankWarning, match="218 interior vertex column"):
+            transfer = build_transfer(mesh, grid)
+        with pytest.raises(ArithmeticError, match="218 zero diagonal entries"):
+            GramSolver(transfer.matrix)
+        op = OverlayOperator(transfer=transfer, plan=ToeplitzPlan(fft_uniform(0.5, 2, 3, 16)),
+                             grid=grid, s=0.5)
+        with pytest.raises(ArithmeticError, match="zero diagonal"):
+            build_circulant_preconditioner(op)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_circulant_iterations_on_rotated_balls(self, seed):
+        # the 2D refinement levels solved as the convergence benchmark solves
+        # them (one default fft kernel restricted per level) and the 3D h=0.2
+        # ball at m = 2^9; a Gram solve of degree 6 takes one more iteration
+        # on every one of them
+        meshes = [seeded_rotation(generate_ball_mesh(2, h), seed)
+                  for h in (0.1, 0.07, 0.05, 0.035)]
+        grids = [select_grid(mesh) for mesh in meshes]
+        shared = build_kernel("fft", 0.5, 2, max(g.n_fd for g in grids))
+        counts = []
+        for mesh, grid in zip(meshes, grids):
+            _, report = solve_bvp(mesh, 0.5, "fft", n_fd=grid.n_fd, precond="circulant",
+                                  kernel=restrict(shared, grid.n_fd))
+            assert report.converged
+            counts.append(report.iterations)
+        assert counts == [9, 10, 10, 11]
+        mesh = seeded_rotation(generate_ball_mesh(3, 0.2), seed)
+        _, report = solve_bvp(mesh, 0.5, "fft", m=512, precond="circulant")
+        assert report.converged and report.iterations == 9
+
+
 class TestExactSolution:
     def test_vanishes_outside(self):
         assert exact_solution(2, 0.5, np.array([1.0, 0.5])) == 0.0
@@ -979,11 +1075,10 @@ class TestSolveBvp:
 
         monkeypatch.setattr(ichol, "mic_factor", first_attempt_breaks)
         mesh = ball_mesh(2, 5)
-        for precond in ("sparse", "circulant"):
-            _, report = solve_bvp(mesh, 0.5, "fft", m=512, precond=precond)
-            assert report.converged
-            assert report.precond_shift == shifts[-1] > 0.0
-            assert f"\nprecond_shift={shifts[-1]:.16e}\n" in report.to_text()
+        _, report = solve_bvp(mesh, 0.5, "fft", m=512, precond="sparse")
+        assert report.converged
+        assert report.precond_shift == shifts[-1] > 0.0
+        assert f"\nprecond_shift={shifts[-1]:.16e}\n" in report.to_text()
 
     def test_preconditioner_carries_retry_shift(self):
         factor = mic_factor_with_retry(grid_laplacian(3))
@@ -1026,7 +1121,7 @@ class TestSolveBvp:
 class TestSolve:
     def test_shared_transfer_matches_solve_bvp(self):
         # one transfer serves every case below, so the circulant, auto and
-        # fallback cases run on a Gram factor that an earlier case built
+        # fallback cases run on a Gram solver that an earlier case built
         mesh = ball_mesh(2, 6)
         grid = select_grid(mesh)
         transfer = build_transfer(mesh, grid)
@@ -1051,18 +1146,21 @@ class TestSolve:
         assert report.preconditioner == "none(fallback from circulant)"
 
     def test_circulant_builds_share_the_gram_factor(self, monkeypatch):
+        # the transfer builds its Gram solver once, and every circulant
+        # preconditioner over it applies that one
         calls = []
 
-        def counting(matrix, *args, **kwargs):
+        def counting(matrix):
             calls.append(matrix.shape)
-            return mic_factor_with_retry(matrix, *args, **kwargs)
+            return GramSolver(matrix)
 
-        monkeypatch.setattr(ichol, "mic_factor_with_retry", counting)
+        monkeypatch.setattr(fraclap.transfer, "GramSolver", counting)
         mesh, op = small_operator(n_r=4)
         first = build_circulant_preconditioner(op)
         second = build_circulant_preconditioner(op)
-        assert first.gram_factor is second.gram_factor is op.transfer.gram_factor
-        assert calls == [(op.n_unknowns, op.n_unknowns)]
+        assert first.gram_solver is second.gram_solver is op.transfer.gram_solver
+        assert isinstance(first.gram_solver, GramSolver)
+        assert calls == [op.transfer.matrix.shape]
 
     def test_unknown_preconditioner(self):
         mesh, op = small_operator()
