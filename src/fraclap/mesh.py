@@ -15,15 +15,15 @@ Mesh file format (plain text, '#' comments and blank lines ignored):
     boundary                     # optional section
     <one-based boundary vertex indices, any line breaks>
 
-If the boundary section is absent, boundary vertices are detected by facet
-incidence.
+Boundary vertices are detected by facet incidence; a boundary section, if
+present, must list exactly those vertices, each once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -151,20 +151,25 @@ def _boundary_vertex_mask(simplices, n_vertices, dim):
     return mask
 
 
-def _interior_first(vertices, simplices, dim):
-    """Permute vertices so interior ones come first (stable within each group)."""
-    n_v = vertices.shape[0]
-    boundary = _boundary_vertex_mask(simplices, n_v, dim)
-    order = np.concatenate([np.nonzero(~boundary)[0], np.nonzero(boundary)[0]])
-    inverse = np.empty(n_v, dtype=np.int64)
-    inverse[order] = np.arange(n_v)
-    return vertices[order], inverse[simplices], int(np.count_nonzero(~boundary))
+def _build_mesh(dim, vertices, simplices):
+    """Orient every simplex positively, put the interior vertices first
+    (stable within each group) and construct the mesh, which validates the
+    result on its own.  Returns the mesh and the boundary mask of the input
+    vertex numbering."""
+    simplices = _orient_positive(vertices, simplices, dim)
+    boundary = _boundary_vertex_mask(simplices, vertices.shape[0], dim)
+    order = np.concatenate([np.flatnonzero(~boundary), np.flatnonzero(boundary)])
+    mesh = SimplicialMesh(dim=dim, vertices=vertices[order],
+                          simplices=np.argsort(order)[simplices],
+                          n_interior=int(np.count_nonzero(~boundary)))
+    return mesh, boundary
 
 
 def load_mesh(path) -> SimplicialMesh:
     """Read a mesh file, reorder interior-first, and orient all simplices
     positively.  Parse failures carry the offending line number; repeated
-    vertex indices in a simplex surface as degenerate-element errors.
+    vertex indices in a simplex surface as degenerate-element errors.  A
+    boundary section must list each facet-incidence boundary vertex once.
 
     Each section converts with one numpy call; only when that fails are the
     section's tokens walked one by one, with their line numbers, to name the
@@ -184,7 +189,7 @@ def load_mesh(path) -> SimplicialMesh:
 
     def take(count, kind, what):
         nonlocal pos
-        start, pos = pos, pos + max(count, 0)
+        start, pos = pos, pos + count
         if pos > len(tokens):
             last = numbered()[-1][0] if tokens else 0
             raise MeshFormatError(f"line {last}: unexpected end of file while reading {what}")
@@ -204,6 +209,9 @@ def load_mesh(path) -> SimplicialMesh:
     dim, n_vertices, n_simplices = (int(v) for v in take(3, int, "the header"))
     if dim not in (1, 2, 3):
         raise MeshFormatError(f"line {numbered()[0][0]}: dim must be 1, 2 or 3, got {dim}")
+    if min(n_vertices, n_simplices) < 0:
+        raise MeshFormatError(f"line {numbered()[0][0]}: vertex and simplex counts must be "
+                              f"nonnegative, got {n_vertices} and {n_simplices}")
     coords = take(n_vertices * dim, float, "vertex coordinates")
     vertices = np.asarray(coords, dtype=float).reshape(n_vertices, dim)
     idx = take(n_simplices * (dim + 1), int, "simplex indices")
@@ -217,25 +225,32 @@ def load_mesh(path) -> SimplicialMesh:
         raise DegenerateElementError(
             f"simplex {e} repeats a vertex index: {(simplices[e] + 1).tolist()}")
 
-    explicit_boundary = None
+    listed = None
     if pos < len(tokens):
         if tokens[pos] != "boundary":
             raise MeshFormatError(f"line {numbered()[pos][0]}: expected optional 'boundary' "
                                   f"section, got {tokens[pos]!r}")
-        try:
-            explicit_boundary = np.array(tokens[pos + 1:], dtype=np.int64) - 1
-        except (ValueError, OverflowError):
-            explicit_boundary = np.asarray([int(t) for t in tokens[pos + 1:]],
-                                           dtype=np.int64) - 1
+        pos += 1
+        listed = np.asarray(take(len(tokens) - pos, int, "the boundary section"),
+                            dtype=np.int64) - 1
 
-    simplices = _orient_positive(vertices, simplices, dim)
-    vertices, simplices, n_interior = _interior_first(vertices, simplices, dim)
-    mesh = SimplicialMesh(dim=dim, vertices=vertices, simplices=simplices,
-                          n_interior=n_interior)
-    if explicit_boundary is not None and explicit_boundary.size != n_vertices - n_interior:
-        raise MeshFormatError(
-            "boundary section does not match the facet-incidence boundary "
-            f"({explicit_boundary.size} listed, {n_vertices - n_interior} detected)")
+    mesh, boundary = _build_mesh(dim, vertices, simplices)
+    if listed is None:
+        return mesh
+    out = np.flatnonzero((listed < 0) | (listed >= n_vertices))
+    if out.size:
+        raise MeshFormatError(f"boundary section lists vertex {listed[out[0]] + 1}, "
+                              f"outside 1..{n_vertices}")
+    counts = np.bincount(listed, minlength=n_vertices)
+    for bad, what in ((counts[listed] > 1, "more than once"),
+                      (~boundary[listed], "but it is not on the facet-incidence boundary")):
+        if bad.any():
+            raise MeshFormatError(f"boundary section lists vertex "
+                                  f"{listed[np.argmax(bad)] + 1} {what}")
+    missing = np.flatnonzero(boundary & (counts == 0))
+    if missing.size:
+        raise MeshFormatError(f"boundary section omits vertex {missing[0] + 1}, which is on "
+                              "the facet-incidence boundary")
     return mesh
 
 
@@ -257,9 +272,8 @@ def generate_ball_mesh(dim: int, target_h: float) -> SimplicialMesh:
     """Deterministic quasi-uniform mesh of the unit ball.
 
     2D: concentric rings with 6i vertices on ring i, triangulated sector by
-    sector.  3D: a structured cube grid mapped smoothly onto the ball, each
-    cell split into six tetrahedra sharing the main diagonal.  All boundary
-    vertices land exactly on |x| = 1 and every element diameter is at most
+    sector.  3D: concentric icosahedral shells (see _ball_mesh_3d).  All
+    boundary vertices land on |x| = 1 and every element diameter is at most
     2 * target_h.
     """
     if dim not in (2, 3):
@@ -312,11 +326,7 @@ def _ball_mesh_2d(target_h):
                 b = i0 + (sector * per + t + 1) % inner_count
                 c = o0 + (sector * i + t + 1) % outer_count
                 triangles.append((a, b, c))
-    simplices = np.asarray(triangles, dtype=np.int64)
-    simplices = _orient_positive(vertices, simplices, 2)
-    vertices, simplices, n_interior = _interior_first(vertices, simplices, 2)
-    return SimplicialMesh(dim=2, vertices=vertices, simplices=simplices,
-                          n_interior=n_interior)
+    return _build_mesh(2, vertices, np.asarray(triangles, dtype=np.int64))[0]
 
 
 def _icosahedron():
@@ -341,78 +351,62 @@ def _icosahedron():
     return verts, faces
 
 
-_KUHN_PATHS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-
-
 def _ball_mesh_3d(target_h):
     """Concentric icosahedral shells.
 
     Each of the 20 tetrahedra spanned by the center and an icosahedron face is
-    subdivided at frequency K through the Kuhn lattice of sorted coordinates
-    K >= x1 >= x2 >= x3 >= 0 (affine corners: center, A, B, C with the face
-    corners in global vertex order, which makes shared radial faces conform).
-    Lattice shell x1 = j then projects radially onto the sphere of radius j/K,
-    so the mesh is a stack of geodesic shells with near-constant element size.
+    subdivided at frequency K through the Kuhn (Freudenthal) lattice of
+    sorted coordinates K >= x1 >= x2 >= x3 >= 0 (affine corners: center, A,
+    B, C with the face corners in global vertex order, which makes shared
+    radial faces conform).  Lattice shell x1 = j then projects radially onto
+    the sphere of radius j/K, so the mesh is a stack of geodesic shells with
+    near-constant element size.
+
+    The lattice is one array (cells i >= j >= l in lexicographic order, each
+    split along the six paths of permutations(range(3))).  A vertex is keyed
+    by its shell and positive-weight (face corner, weight) pairs, so faces
+    share it, and numbered by first appearance over (face, tet, corner).
     """
     k_freq = max(2, math.ceil(1.22 / target_h))
     if 20 * k_freq ** 3 > 4_000_000:
         raise MemoryError(
             f"target_h {target_h} needs {20 * k_freq ** 3} elements, beyond the memory budget")
     ico_verts, ico_faces = _icosahedron()
+    faces = np.sort(np.asarray(ico_faces), axis=1)
 
-    vert_index: dict = {}
-    coords: list = []
+    cells = np.indices((k_freq,) * 3).reshape(3, -1).T
+    cells = cells[(cells[:, 0] >= cells[:, 1]) & (cells[:, 1] >= cells[:, 2])]
+    paths = np.cumsum(np.eye(3, dtype=np.int64)[list(permutations(range(3)))], axis=1)
+    corners = np.concatenate([np.zeros((6, 1, 3), dtype=np.int64), paths], axis=1)
+    lattice = (cells[:, None, None] + corners).reshape(-1, 4, 3)
+    sums = lattice.sum(axis=1)  # keep the tetrahedra inside x1 >= x2 >= x3
+    lattice = lattice[(sums[:, 0] >= sums[:, 1]) & (sums[:, 1] >= sums[:, 2])]
 
-    def global_vertex(shell, weights):
-        # weights: tuple of (icosahedron vertex id, integer weight) pairs
-        key = (shell, weights)
-        idx = vert_index.get(key)
-        if idx is not None:
-            return idx
-        if shell == 0:
-            point = np.zeros(3)
-        else:
-            w = np.zeros(3)
-            for vid, weight in weights:
-                w += weight * ico_verts[vid]
-            point = (shell / k_freq) * w / np.linalg.norm(w)
-        vert_index[key] = len(coords)
-        coords.append(point)
-        return vert_index[key]
+    # weights (x1 - x2, x2 - x3, x3) on the face corners; the key moves the
+    # zero weights last, so that it keeps only the positive pairs, in order
+    weights = -np.diff(lattice, axis=-1, append=0)
+    order = np.argsort(weights == 0, axis=-1, kind="stable")
+    key_w = np.take_along_axis(weights, order, axis=-1)
+    key_v = np.where(key_w > 0, faces[:, order], 0)
+    shell = lattice[..., 0]
+    keys = np.ravel_multi_index(
+        (shell, key_v[..., 0], key_w[..., 0], key_v[..., 1], key_w[..., 1],
+         key_v[..., 2], key_w[..., 2]), (k_freq + 1, 12) * 3 + (k_freq + 1,))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    number = np.argsort(by_first)
 
-    # Kuhn cells of [0,K]^3 whose centroid satisfies x1 >= x2 >= x3
-    lattice_tets = []
-    for i in range(k_freq):
-        for j in range(min(i + 1, k_freq)):
-            for l in range(min(j + 1, k_freq)):
-                base = np.array([i, j, l])
-                for path in _KUHN_PATHS:
-                    pts = [base.copy()]
-                    for axis in path:
-                        nxt = pts[-1].copy()
-                        nxt[axis] += 1
-                        pts.append(nxt)
-                    centroid = np.mean(pts, axis=0)
-                    if centroid[0] >= centroid[1] - 1e-9 and centroid[1] >= centroid[2] - 1e-9:
-                        lattice_tets.append(pts)
-
-    tets = []
-    for face in ico_faces:
-        c1, c2, c3 = sorted(face)
-        for pts in lattice_tets:
-            ids = []
-            for x1, x2, x3 in pts:
-                weights = tuple((vid, weight) for vid, weight in
-                                ((c1, x1 - x2), (c2, x2 - x3), (c3, x3)) if weight > 0)
-                ids.append(global_vertex(int(x1), weights))
-            tets.append(ids)
-
-    vertices = np.asarray(coords)
-    simplices = np.asarray(tets, dtype=np.int64)
-    simplices = _orient_positive(vertices, simplices, 3)
-    vertices, simplices, n_interior = _interior_first(vertices, simplices, 3)
-    return SimplicialMesh(dim=3, vertices=vertices, simplices=simplices,
-                          n_interior=n_interior)
+    face, tet, corner = np.unravel_index(first[by_first], keys.shape)
+    w = weights[tet, corner]
+    corner_verts = ico_verts[faces[face]]
+    point = np.zeros((face.size, 3))
+    for k in range(3):
+        point += w[:, k, None] * corner_verts[:, k]
+    # per-row norms: norm(axis=1) sums in another order and can differ by an ulp
+    norms = np.array([np.linalg.norm(p) for p in point])
+    norms[norms == 0.0] = 1.0  # the center, all weights zero
+    vertices = (shell[tet, corner] / k_freq)[:, None] * point / norms[:, None]
+    return _build_mesh(3, vertices, number[inverse].reshape(-1, 4))[0]
 
 
 def _facet_measures(vertices, simplices, dim):
@@ -435,6 +429,8 @@ def _facet_measures(vertices, simplices, dim):
 def mesh_quality(mesh: SimplicialMesh) -> MeshQuality:
     """a_h = min over elements of dim * volume / max facet measure (the
     minimum element height), h_bar = n_elements^{-1/dim}."""
+    if mesh.n_elements == 0:
+        raise ValueError("mesh has no elements")
     volumes = mesh.element_volumes()
     facets = _facet_measures(mesh.vertices, mesh.simplices, mesh.dim)
     heights = mesh.dim * volumes / facets.max(axis=1)

@@ -232,6 +232,8 @@ def build_transfer(mesh: SimplicialMesh, grid: OverlayGrid) -> TransferMatrix:
     """
     if mesh.dim != grid.dim:
         raise ValueError(f"mesh dim {mesh.dim} does not match grid dim {grid.dim}")
+    if mesh.n_interior == 0:
+        raise ValueError("mesh has no interior vertex, so the transfer has no column")
     if np.any(np.abs(mesh.vertices) > grid.r_fd + _CONTAIN_TOL):
         raise ValueError("grid cube does not contain the mesh")
 

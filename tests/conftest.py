@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial import Delaunay
 
-from fraclap.mesh import SimplicialMesh, _interior_first, _orient_positive, generate_ball_mesh
+from fraclap.mesh import SimplicialMesh, _build_mesh, generate_ball_mesh
 
 
 @lru_cache(maxsize=None)
@@ -26,10 +26,7 @@ def scattered_ball(n_r: int, amplitude: float, seed: int = 5) -> SimplicialMesh:
     radius = np.linalg.norm(verts, axis=1)
     free = radius < 1.0 - 1.2 * h
     verts[free] += rng.uniform(-amplitude * h, amplitude * h, size=(int(free.sum()), 2))
-    tri = Delaunay(verts).simplices
-    tri = _orient_positive(verts, tri, 2)
-    verts, tri, n_interior = _interior_first(verts, tri, 2)
-    return SimplicialMesh(dim=2, vertices=verts, simplices=tri, n_interior=n_interior)
+    return _build_mesh(2, verts, Delaunay(verts).simplices)[0]
 
 
 @lru_cache(maxsize=None)

@@ -212,6 +212,22 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("lines,message", [
+        (["2 -2 0"], "line 1: vertex and simplex counts must be nonnegative, got -2 and 0"),
+        (["2 3 0", "0 0", "1 0", "0 1"], "mesh has no elements"),
+        (["2 4 2", "0 0", "1 0", "1 1", "0 1", "1 2 3", "1 3 4"],
+         "mesh has no interior vertex, so the transfer has no column"),
+        (["2 5 4", "0 0", "1 0", "1 1", "0 1", "0.5 0.5", "1 2 5", "2 3 5", "3 4 5", "4 1 5",
+          "boundary", "5 0 99 -3"], "boundary section lists vertex 0, outside 1..5")])
+    def test_empty_or_mislabelled_mesh_file_exit_2(self, lines, message, tmp_path, capsys):
+        mpath = tmp_path / "mesh.msh"
+        mpath.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["solve", "--dim", "2", "--m", "256", "--mesh", str(mpath),
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+
     def test_3d_explicit_nfd_cap_exit_2(self, tmp_path, capsys):
         code = main(["solve", "--dim", "3", "--ball", "0.5", "--nfd", "129",
                      "--out", str(tmp_path / "s.csv")])

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -8,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraclap.mesh import (DegenerateElementError, MeshFormatError, SimplicialMesh,
-                          _boundary_vertex_mask, _interior_first, _orient_positive,
-                          generate_ball_mesh, load_mesh, lumped_l2_error, mesh_quality,
-                          save_mesh)
+                          _boundary_vertex_mask, _build_mesh, _icosahedron, generate_ball_mesh,
+                          load_mesh, lumped_l2_error, mesh_quality, save_mesh)
 
 from conftest import ball_mesh, scattered_ball
 
@@ -23,6 +23,12 @@ SQUARE = [
     "2 4 2",
     "0.0 0.0", "1.0 0.0", "1.0 1.0", "0.0 1.0",
     "1 2 3", "1 3 4",
+]
+
+SQUARE_WITH_CENTER = [
+    "2 5 4",
+    "0.0 0.0", "1.0 0.0", "1.0 1.0", "0.0 1.0", "0.5 0.5",
+    "1 2 5", "2 3 5", "3 4 5", "4 1 5",
 ]
 
 PENTAGON_FAN = ["2 6 5", "0.0 0.0"] + [
@@ -86,6 +92,39 @@ class TestLoadMesh:
         path = tmp_path / "wrongb.msh"
         write_lines(path, SQUARE + ["boundary", "1 2"])
         with pytest.raises(MeshFormatError, match="boundary"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("listed,message", [
+        ("5 0 99 -3", "boundary section lists vertex 0, outside 1..5"),
+        ("1 2 3 4 99", "boundary section lists vertex 99, outside 1..5"),
+        ("1 2 3 3 4", "boundary section lists vertex 3 more than once"),
+        ("1 2 3 4 5", "boundary section lists vertex 5 but it is not on the "
+                      "facet-incidence boundary"),
+        ("5 1 2 3", "boundary section lists vertex 5 but it is not on the "
+                    "facet-incidence boundary"),
+        ("4 1 2", "boundary section omits vertex 3, which is on the facet-incidence boundary")])
+    def test_boundary_section_lists_other_vertices(self, listed, message, tmp_path):
+        # a count check alone accepts "5 0 99 -3": four entries, four boundary vertices
+        path = tmp_path / "wrongset.msh"
+        write_lines(path, SQUARE_WITH_CENTER + ["boundary", listed])
+        with pytest.raises(MeshFormatError) as info:
+            load_mesh(path)
+        assert str(info.value) == message
+
+    def test_boundary_section_any_order(self, tmp_path):
+        path = tmp_path / "shuffledb.msh"
+        write_lines(path, SQUARE_WITH_CENTER + ["boundary", "3", "1 4 2"])
+        assert load_mesh(path).n_interior == 1
+
+    @pytest.mark.parametrize("header,message", [
+        ("2 -2 0", "got -2 and 0"), ("2 4 -1", "got 4 and -1"), ("3 -1 -1", "got -1 and -1")])
+    def test_negative_counts(self, header, message, tmp_path):
+        # "2 -2 0" used to load as a mesh with no vertices
+        path = tmp_path / "negative.msh"
+        write_lines(path, [header] + SQUARE[1:])
+        with pytest.raises(MeshFormatError,
+                           match=f"^line 1: vertex and simplex counts must be nonnegative, "
+                                 f"{message}$"):
             load_mesh(path)
 
 
@@ -156,6 +195,78 @@ class TestBallMesh3d:
         n_coarse = generate_ball_mesh(3, 0.4).n_elements
         n_fine = generate_ball_mesh(3, 0.2).n_elements
         assert 8 * 0.6 <= n_fine / n_coarse <= 8 * 1.7
+
+
+def reference_ball_mesh_3d(target_h):
+    """The per-vertex dict loop that the array construction of
+    _ball_mesh_3d replaces: the same Kuhn lattice, walked cell by cell and
+    path by path, numbering vertices in order of first appearance."""
+    k_freq = max(2, math.ceil(1.22 / target_h))
+    ico_verts, ico_faces = _icosahedron()
+    vert_index = {}
+    coords = []
+
+    def global_vertex(shell, weights):
+        # weights: tuple of (icosahedron vertex id, integer weight) pairs
+        key = (shell, weights)
+        idx = vert_index.get(key)
+        if idx is not None:
+            return idx
+        if shell == 0:
+            point = np.zeros(3)
+        else:
+            w = np.zeros(3)
+            for vid, weight in weights:
+                w += weight * ico_verts[vid]
+            point = (shell / k_freq) * w / np.linalg.norm(w)
+        vert_index[key] = len(coords)
+        coords.append(point)
+        return vert_index[key]
+
+    # Kuhn cells of [0,K]^3 whose centroid satisfies x1 >= x2 >= x3
+    lattice_tets = []
+    for i in range(k_freq):
+        for j in range(min(i + 1, k_freq)):
+            for l in range(min(j + 1, k_freq)):
+                base = np.array([i, j, l])
+                for path in [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
+                    pts = [base.copy()]
+                    for axis in path:
+                        nxt = pts[-1].copy()
+                        nxt[axis] += 1
+                        pts.append(nxt)
+                    centroid = np.mean(pts, axis=0)
+                    if centroid[0] >= centroid[1] - 1e-9 and centroid[1] >= centroid[2] - 1e-9:
+                        lattice_tets.append(pts)
+
+    tets = []
+    for face in ico_faces:
+        c1, c2, c3 = sorted(face)
+        for pts in lattice_tets:
+            ids = []
+            for x1, x2, x3 in pts:
+                weights = tuple((vid, weight) for vid, weight in
+                                ((c1, x1 - x2), (c2, x2 - x3), (c3, x3)) if weight > 0)
+                ids.append(global_vertex(int(x1), weights))
+            tets.append(ids)
+    return _build_mesh(3, np.asarray(coords), np.asarray(tets, dtype=np.int64))[0]
+
+
+class TestBallMesh3dAgainstReference:
+    @pytest.mark.parametrize("target_h", [0.9, 0.5, 0.3, 0.2, 0.15])
+    def test_bitwise_equal_to_loop(self, target_h):
+        expected = reference_ball_mesh_3d(target_h)
+        mesh = generate_ball_mesh(3, target_h)
+        assert mesh.n_interior == expected.n_interior
+        assert mesh.vertices.shape == expected.vertices.shape
+        np.testing.assert_array_equal(mesh.vertices.view(np.int64),
+                                      expected.vertices.view(np.int64))
+        np.testing.assert_array_equal(mesh.simplices, expected.simplices)
+
+    def test_element_cap(self):
+        # K = 61 at h = 0.02: 20 K^3 = 4,539,620 elements, past the 4e6 cap
+        with pytest.raises(MemoryError, match="needs 4539620 elements, beyond the memory budget"):
+            generate_ball_mesh(3, 0.02)
 
 
 class TestBoundaryDetection:
@@ -272,6 +383,9 @@ def reference_load_mesh(path) -> SimplicialMesh:
     dim, n_vertices, n_simplices = take(3, int, "the header")
     if dim not in (1, 2, 3):
         raise MeshFormatError(f"line {tokens[0][0]}: dim must be 1, 2 or 3, got {dim}")
+    if n_vertices < 0 or n_simplices < 0:
+        raise MeshFormatError(f"line {tokens[0][0]}: vertex and simplex counts must be "
+                              f"nonnegative, got {n_vertices} and {n_simplices}")
     coords = take(n_vertices * dim, float, "vertex coordinates")
     vertices = np.asarray(coords, dtype=float).reshape(n_vertices, dim)
     idx = take(n_simplices * (dim + 1), int, "simplex indices")
@@ -292,17 +406,28 @@ def reference_load_mesh(path) -> SimplicialMesh:
             raise MeshFormatError(f"line {lineno}: expected optional 'boundary' section, "
                                   f"got {tok!r}")
         pos += 1
-        explicit_boundary = np.asarray([int(t) for _, t in tokens[pos:]], dtype=np.int64) - 1
-        pos = len(tokens)
+        explicit_boundary = np.asarray(take(len(tokens) - pos, int, "the boundary section"),
+                                       dtype=np.int64) - 1
 
-    simplices = _orient_positive(vertices, simplices, dim)
-    vertices, simplices, n_interior = _interior_first(vertices, simplices, dim)
-    mesh = SimplicialMesh(dim=dim, vertices=vertices, simplices=simplices,
-                          n_interior=n_interior)
-    if explicit_boundary is not None and explicit_boundary.size != n_vertices - n_interior:
-        raise MeshFormatError(
-            "boundary section does not match the facet-incidence boundary "
-            f"({explicit_boundary.size} listed, {n_vertices - n_interior} detected)")
+    mesh, boundary = _build_mesh(dim, vertices, simplices)
+    if explicit_boundary is not None:
+        listed = [v + 1 for v in explicit_boundary.tolist()]
+        counts = Counter(listed)
+        for v in listed:
+            if not 1 <= v <= n_vertices:
+                raise MeshFormatError(
+                    f"boundary section lists vertex {v}, outside 1..{n_vertices}")
+        for v in listed:
+            if counts[v] > 1:
+                raise MeshFormatError(f"boundary section lists vertex {v} more than once")
+        for v in listed:
+            if not boundary[v - 1]:
+                raise MeshFormatError(f"boundary section lists vertex {v} but it is not on "
+                                      "the facet-incidence boundary")
+        for v in range(1, n_vertices + 1):
+            if boundary[v - 1] and v not in counts:
+                raise MeshFormatError(f"boundary section omits vertex {v}, which is on the "
+                                      "facet-incidence boundary")
     return mesh
 
 
@@ -380,11 +505,14 @@ class TestLoadMeshAgainstReference:
         assert_same_outcome(path)
 
     @pytest.mark.parametrize("slot,token,expected", [
-        ("index", "+1", None), ("boundary", "1_000", None), ("coordinate", "nan", None),
+        ("index", "+1", None), ("coordinate", "nan", None),
+        # 1_000 parses as vertex 1000, which the six-vertex fan does not have
+        ("boundary", "1_000", MeshFormatError),
         ("coordinate", "1e400", DegenerateElementError),
         ("index", "1.0", "line 8: expected int for simplex indices, got '1.0'"),
         ("dim", "1_000", "line 1: dim must be 1, 2 or 3, got 1000"),
-        ("boundary", "99999999999999999999999", OverflowError)])
+        ("boundary", "99999999999999999999999", OverflowError),
+        ("boundary", "zap", "line 14: expected int for the boundary section, got 'zap'")])
     def test_unusual_token_outcomes(self, slot, token, expected, tmp_path):
         # pinned, so that the comparison with the reference is not vacuous
         line, k = SLOTS[slot]
@@ -442,6 +570,13 @@ class TestMeshQuality:
         mesh = SimplicialMesh(dim=3, vertices=pts, simplices=np.array([[0, 1, 2, 3]]),
                               n_interior=0)
         assert mesh_quality(mesh).a_h == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-10)
+
+    def test_no_elements(self, tmp_path):
+        path = tmp_path / "empty.msh"
+        write_lines(path, ["2 3 0", "0 0", "1 0", "0 1"])
+        mesh = load_mesh(path)
+        with pytest.raises(ValueError, match="^mesh has no elements$"):
+            mesh_quality(mesh)
 
     def test_h_bar(self):
         mesh = ball_mesh(2, 5)

@@ -55,6 +55,15 @@ class TestChooseGrid:
             assert capped_grid(dim, 1.0, cap + 1, max_n_fd=cap + 1).n_fd == cap + 1
 
 
+def test_no_interior_vertex():
+    # one triangle: every vertex is on the boundary, so no transfer column
+    mesh = SimplicialMesh(dim=2, vertices=np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]),
+                          simplices=np.array([[0, 1, 2]]), n_interior=0)
+    with pytest.raises(ValueError, match="^mesh has no interior vertex, so the transfer has "
+                                         "no column$"):
+        build_transfer(mesh, OverlayGrid(dim=2, r_fd=1.0, n_fd=8))
+
+
 def unit_triangle_mesh():
     """One triangle with an interior-vertex-free boundary: use a fan around a
     center so the center vertex is interior."""
