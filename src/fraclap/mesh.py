@@ -48,6 +48,10 @@ class DegenerateElementError(ValueError):
     """Raised for zero-volume (or otherwise degenerate) simplices."""
 
 
+# integer tokens of a mesh file must fit the int64 index arrays
+_INT64 = np.iinfo(np.int64)
+
+
 @dataclass(frozen=True)
 class SimplicialMesh:
     dim: int
@@ -167,9 +171,11 @@ def _build_mesh(dim, vertices, simplices):
 
 def load_mesh(path) -> SimplicialMesh:
     """Read a mesh file, reorder interior-first, and orient all simplices
-    positively.  Parse failures carry the offending line number; repeated
-    vertex indices in a simplex surface as degenerate-element errors.  A
-    boundary section must list each facet-incidence boundary vertex once.
+    positively.  Parse failures carry the offending line number, as do an
+    integer token past the int64 range and a simplex index outside
+    1..n_vertices; repeated vertex indices in a simplex surface as
+    degenerate-element errors.  A boundary section must list each
+    facet-incidence boundary vertex once.
 
     Each section converts with one numpy call; only when that fails are the
     section's tokens walked one by one, with their line numbers, to name the
@@ -204,6 +210,9 @@ def load_mesh(path) -> SimplicialMesh:
             except ValueError:
                 raise MeshFormatError(f"line {lineno}: expected {kind.__name__} for {what}, "
                                       f"got {tok!r}") from None
+            if kind is int and not _INT64.min <= out[-1] <= _INT64.max:
+                raise MeshFormatError(f"line {lineno}: integer {tok!r} for {what} does not "
+                                      "fit in 64 bits")
         return out
 
     dim, n_vertices, n_simplices = (int(v) for v in take(3, int, "the header"))
@@ -214,10 +223,13 @@ def load_mesh(path) -> SimplicialMesh:
                               f"nonnegative, got {n_vertices} and {n_simplices}")
     coords = take(n_vertices * dim, float, "vertex coordinates")
     vertices = np.asarray(coords, dtype=float).reshape(n_vertices, dim)
-    idx = take(n_simplices * (dim + 1), int, "simplex indices")
-    simplices = np.asarray(idx, dtype=np.int64).reshape(n_simplices, dim + 1) - 1
-    if simplices.size and (simplices.min() < 0 or simplices.max() >= n_vertices):
-        raise MeshFormatError("simplex vertex index out of range")
+    start = pos
+    idx = np.asarray(take(n_simplices * (dim + 1), int, "simplex indices"), dtype=np.int64)
+    out = np.flatnonzero((idx < 1) | (idx > n_vertices))
+    if out.size:
+        raise MeshFormatError(f"line {numbered()[start + out[0]][0]}: simplex vertex index "
+                              f"{idx[out[0]]} outside 1..{n_vertices}")
+    simplices = idx.reshape(n_simplices, dim + 1) - 1
     ordered = np.sort(simplices, axis=1)
     repeats = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
     if repeats.size:

@@ -19,7 +19,8 @@ the reflection symmetry T_{...,-p,...} = T_{...,p,...}.  Schemes:
 The fft, modspec and nufft schemes evaluate their integrand in independent
 chunks, run on a thread pool of up to the usable cores; every chunk writes
 only its own slice, so the coefficients are bitwise the same for any worker
-count.
+count.  In 3D the integrand is symmetric in its first two axes bit for bit,
+so only the sample lines with xi_1 <= xi_0 are evaluated: about half.
 
 A decay-profile helper fits the tail slope of log|T_p| against log|p|.
 """
@@ -131,10 +132,11 @@ def analytic_1d(s, n_fd: int) -> StiffnessKernel:
 def fft_uniform(s, dim: int, n_fd: int, m: int) -> StiffnessKernel:
     """Trapezoid-rule kernel on the uniform grid xi_j = pi (2j/M - 1),
     j = 0..M-1 per axis.  The symbol is even in every axis, so the sum is
-    evaluated as a DCT-I over the half grid 0 <= xi <= pi: (M/2 + 1)^d symbol
-    evaluations for even M, taken in bounded chunks on up to the usable
-    cores (see _uniform_fourier); the result does not depend on the number of
-    workers.
+    evaluated as a DCT-I over the half grid 0 <= xi <= pi: with n = M/2 + 1
+    for even M, n^d symbol evaluations in 1D and 2D and n^2 (n + 1)/2 in 3D,
+    where the symbol is symmetric in two axes (see _chunked_sum), taken in
+    bounded chunks on up to the usable cores; the result does not depend on
+    the number of workers.
 
     Requires m >= 2*n_fd + 1.  The attainable accuracy improves with m like
     m^{-(d+2s)} since the rule aliases the exact coefficients.  This is the
@@ -190,10 +192,11 @@ def nonuniform(s, dim: int, n_fd: int, m: int) -> StiffnessKernel:
     The nodes and weights are symmetric, xi_{M-j} = -xi_j and w_{M-j} = w_j,
     and the symbol is even, so the sine parts cancel and the sum folds onto
     the nodes j >= M/2 with doubled weights (the node at 0, for even M, keeps
-    its own).  Each axis then contracts with cos(p xi_j) w_j / (2 pi): that is
-    (floor(M/2) + 1)^d symbol evaluations, exact up to rounding at every size,
-    taken in bounded chunks on up to the usable cores (see _chunked_sum); the
-    result does not depend on the number of workers.
+    its own).  Each axis then contracts with cos(p xi_j) w_j / (2 pi): with
+    n = floor(M/2) + 1, that is n^d symbol evaluations in 1D and 2D and
+    n^2 (n + 1)/2 in 3D, exact up to rounding at every size, taken in bounded
+    chunks on up to the usable cores (see _chunked_sum); the result does not
+    depend on the number of workers.
     """
     s = order_value(s)
     n_fd = _check_n_fd(n_fd)
@@ -464,7 +467,12 @@ def _chunked_sum(integrand, xi, dim: int, k: int, transform) -> np.ndarray:
     _DCT_CHUNK_ELEMS samples along axis 0, run on up to the usable cores; in
     each chunk the other axes are transformed one at a time, last axis first,
     and axis 0 is transformed last, serially.  The chunks write disjoint rows,
-    so the result does not depend on the number of workers."""
+    so the result does not depend on the number of workers.
+
+    In 3D only the lines i1 <= i0 are evaluated (see _triangle_sum), about
+    half of the len(xi)^3 samples."""
+    if dim == 3:
+        return _triangle_sum(integrand, xi, k, transform)
     axes = [xi.reshape((1,) * i + (-1,) + (1,) * (dim - 1 - i)) for i in range(dim)]
     step = max(1, _DCT_CHUNK_ELEMS // xi.size ** (dim - 1))
     partial = np.empty((xi.size,) + (k,) * (dim - 1))
@@ -477,6 +485,51 @@ def _chunked_sum(integrand, xi, dim: int, k: int, transform) -> np.ndarray:
 
     _for_each_chunk(run_chunk, xi.size, step)
     return transform(partial, 0)
+
+
+def _triangle_sum(integrand, xi, k: int, transform) -> np.ndarray:
+    """_chunked_sum in 3D from the lines (i0, i1) with i1 <= i0.
+
+    Both integrands add their per-axis terms left to right, and a + b == b + a
+    in floating point, so g(xi_a, xi_b, xi_c) == g(xi_b, xi_a, xi_c) bit for
+    bit and the last-axis transform F[i0, i1, :] is symmetric in (i0, i1).
+    With F' = F below the diagonal, F/2 on it and 0 above it, F = F' + F'^T
+    over the first two axes, and the transforms along axes 0 and 1 are the
+    same map, so the sum is M + swapaxes(M, 0, 1) with M the two-stage
+    transform of F'.  Only n (n + 1) / 2 of the n^2 lines are evaluated and
+    transformed along the last axis; axis 1 is transformed on the zero-padded
+    (n, k) rows.
+
+    Row j holds j + 1 lines, so rows j and n - 1 - j together hold n + 1:
+    chunks take whole pairs of that order, as many as fit in
+    _DCT_CHUNK_ELEMS samples, or one row each when a pair does not fit.
+    Each chunk writes only its own rows of the partial sum."""
+    n = xi.size
+    order = np.empty(n, dtype=np.intp)      # 0, n-1, 1, n-2, ...
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    pairs = _DCT_CHUNK_ELEMS // (n * (n + 1))
+    step = 2 * pairs if pairs else 1
+    partial = np.empty((n, k, k))
+
+    def run_chunk(c0):
+        rows = order[c0:c0 + step]
+        counts = rows + 1
+        ends = np.cumsum(counts)
+        row_of_line = np.repeat(np.arange(rows.size), counts)
+        i0 = rows[row_of_line]
+        i1 = np.arange(ends[-1]) - (ends - counts)[row_of_line]
+        block = integrand((xi[i0, None], xi[i1, None], xi[None, :]))
+        block = transform(block, 1)
+        block[ends - 1] *= 0.5              # the diagonal lines i1 == i0
+        padded = np.zeros((rows.size, n, k))
+        padded[row_of_line, i1] = block
+        partial[rows] = transform(padded, 1)
+
+    _for_each_chunk(run_chunk, n, step)
+    half = transform(partial, 0)
+    del partial                             # freed before the sum allocates
+    return half + half.swapaxes(0, 1)
 
 
 def _check_even(integrand, dim: int, m: int):

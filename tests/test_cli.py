@@ -218,7 +218,12 @@ class TestSolveCommand:
         (["2 4 2", "0 0", "1 0", "1 1", "0 1", "1 2 3", "1 3 4"],
          "mesh has no interior vertex, so the transfer has no column"),
         (["2 5 4", "0 0", "1 0", "1 1", "0 1", "0.5 0.5", "1 2 5", "2 3 5", "3 4 5", "4 1 5",
-          "boundary", "5 0 99 -3"], "boundary section lists vertex 0, outside 1..5")])
+          "boundary", "5 0 99 -3"], "boundary section lists vertex 0, outside 1..5"),
+        (["2 4 2", "0 0", "1 0", "1 1", "0 1", "1 2 3", "1 3 99999999999999999999999"],
+         "line 7: integer '99999999999999999999999' for simplex indices does not fit in "
+         "64 bits"),
+        (["2 4 2", "0 0", "1 0", "1 1", "0 1", "1 2 3", "1 3 5"],
+         "line 7: simplex vertex index 5 outside 1..4")])
     def test_empty_or_mislabelled_mesh_file_exit_2(self, lines, message, tmp_path, capsys):
         mpath = tmp_path / "mesh.msh"
         mpath.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -378,6 +378,9 @@ def reference_load_mesh(path) -> SimplicialMesh:
             except ValueError:
                 raise MeshFormatError(f"line {lineno}: expected {kind.__name__} for {what}, "
                                       f"got {tok!r}") from None
+            if kind is int and not -2 ** 63 <= out[-1] < 2 ** 63:
+                raise MeshFormatError(f"line {lineno}: integer {tok!r} for {what} does not "
+                                      "fit in 64 bits")
         return out
 
     dim, n_vertices, n_simplices = take(3, int, "the header")
@@ -388,10 +391,13 @@ def reference_load_mesh(path) -> SimplicialMesh:
                               f"nonnegative, got {n_vertices} and {n_simplices}")
     coords = take(n_vertices * dim, float, "vertex coordinates")
     vertices = np.asarray(coords, dtype=float).reshape(n_vertices, dim)
+    start = pos
     idx = take(n_simplices * (dim + 1), int, "simplex indices")
+    for offset, v in enumerate(idx):
+        if not 1 <= v <= n_vertices:
+            raise MeshFormatError(f"line {tokens[start + offset][0]}: simplex vertex index "
+                                  f"{v} outside 1..{n_vertices}")
     simplices = np.asarray(idx, dtype=np.int64).reshape(n_simplices, dim + 1) - 1
-    if simplices.size and (simplices.min() < 0 or simplices.max() >= n_vertices):
-        raise MeshFormatError("simplex vertex index out of range")
     ordered = np.sort(simplices, axis=1)
     repeats = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
     if repeats.size:
@@ -453,7 +459,8 @@ FAN_WITH_BOUNDARY = PENTAGON_FAN + ["boundary", "2 3 4 5 6"]
 SLOTS = {"dim": (0, 0), "n_vertices": (0, 1), "coordinate": (2, 1), "index": (7, 0),
          "boundary": (13, 2)}
 UNUSUAL = ["+1", "1_000", "1.0", "nan", "inf", "1e400", "-nan", "-0", "1e", "zap", "0x1",
-           "99999999999999999999999", "\u0663", "1__0", "Infinity"]
+           "99999999999999999999999", "\u0663", "1__0", "Infinity", "9223372036854775807",
+           "-9223372036854775809", "7", "0"]
 
 
 # nan coordinates reach np.linalg.det in both loaders
@@ -511,8 +518,22 @@ class TestLoadMeshAgainstReference:
         ("coordinate", "1e400", DegenerateElementError),
         ("index", "1.0", "line 8: expected int for simplex indices, got '1.0'"),
         ("dim", "1_000", "line 1: dim must be 1, 2 or 3, got 1000"),
-        ("boundary", "99999999999999999999999", OverflowError),
-        ("boundary", "zap", "line 14: expected int for the boundary section, got 'zap'")])
+        ("boundary", "99999999999999999999999",
+         "line 14: integer '99999999999999999999999' for the boundary section does not "
+         "fit in 64 bits"),
+        ("boundary", "zap", "line 14: expected int for the boundary section, got 'zap'"),
+        ("index", "99999999999999999999999",
+         "line 8: integer '99999999999999999999999' for simplex indices does not fit in "
+         "64 bits"),
+        ("index", "-9223372036854775809",
+         "line 8: integer '-9223372036854775809' for simplex indices does not fit in 64 bits"),
+        ("n_vertices", "9223372036854775808",
+         "line 1: integer '9223372036854775808' for the header does not fit in 64 bits"),
+        # the largest int64 converts, and is then out of range
+        ("index", "9223372036854775807",
+         "line 8: simplex vertex index 9223372036854775807 outside 1..6"),
+        ("index", "7", "line 8: simplex vertex index 7 outside 1..6"),
+        ("index", "0", "line 8: simplex vertex index 0 outside 1..6")])
     def test_unusual_token_outcomes(self, slot, token, expected, tmp_path):
         # pinned, so that the comparison with the reference is not vacuous
         line, k = SLOTS[slot]

@@ -322,6 +322,101 @@ class TestUniformFourier:
             _uniform_fourier(_psi_integrand(0.5), 2, 3, 6)
 
 
+def reference_chunked_sum(integrand, xi, dim, k, transform):
+    """The chunk loop over every line of the tensor grid, run serially: the
+    formulation that the 3D triangle sum replaces."""
+    axes = [xi.reshape((1,) * i + (-1,) + (1,) * (dim - 1 - i)) for i in range(dim)]
+    step = max(1, stiffness._DCT_CHUNK_ELEMS // xi.size ** (dim - 1))
+    partial = np.empty((xi.size,) + (k,) * (dim - 1))
+    for i0 in range(0, xi.size, step):
+        block = integrand((axes[0][i0:i0 + step], *axes[1:]))
+        for axis in range(dim - 1, 0, -1):
+            block = transform(block, axis)
+        partial[i0:i0 + step] = block
+    return transform(partial, 0)
+
+
+# the four trapezoid-sum builds in 3D, by name, as (s, n_fd, m) -> kernel
+TRAPEZOID_3D = {
+    "fft": lambda s, n_fd, m: fft_uniform(s, 3, n_fd, m),
+    "fft_corrected": lambda s, n_fd, m: fft_corrected(s, 3, n_fd, m),
+    "modspec": lambda s, n_fd, m: modified_spectral(s, 3, n_fd, m, 16),
+    "nufft": lambda s, n_fd, m: nonuniform(s, 3, n_fd, m),
+}
+
+
+class TestTriangleSum:
+    # n = m // 2 + 1 sample lines per axis for every scheme: m = 0 (mod 4)
+    # gives odd n, m = 2 (mod 4) even n, and odd m = 17, 19 odd and even n;
+    # when n is odd the middle row pairs with itself
+    CASES = [(name, m) for name in TRAPEZOID_3D for m in (24, 26, 17, 19)
+             if name != "fft_corrected" or m % 2 == 0]
+
+    @staticmethod
+    def budget(m, pairs):
+        """_DCT_CHUNK_ELEMS for chunks of `pairs` row pairs; 0 leaves each
+        pair too large for a chunk, so every row is a chunk of its own."""
+        n = m // 2 + 1
+        return pairs * n * (n + 1) if pairs else n * (n + 1) - 1
+
+    @pytest.mark.parametrize("name,m", CASES)
+    @pytest.mark.parametrize("pairs", [None, 0, 1, 3])
+    def test_matches_every_line_reference(self, monkeypatch, name, m, pairs):
+        if pairs is not None:
+            monkeypatch.setattr(stiffness, "_DCT_CHUNK_ELEMS", self.budget(m, pairs))
+        build = TRAPEZOID_3D[name]
+        for s in (0.3, 0.75):
+            got = build(s, 3, m).coeffs
+            with monkeypatch.context() as patch:
+                patch.setattr(stiffness, "_chunked_sum", reference_chunked_sum)
+                expected = build(s, 3, m).coeffs
+            assert got.shape == (7, 7, 7)
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    # fft_corrected subtracts a lattice sum that is symmetric only to rounding
+    @pytest.mark.parametrize("name,m", [c for c in CASES if c[0] != "fft_corrected"])
+    @pytest.mark.parametrize("pairs", [None, 0])
+    def test_exactly_symmetric_in_the_first_two_axes(self, monkeypatch, name, m, pairs):
+        if pairs is not None:
+            monkeypatch.setattr(stiffness, "_DCT_CHUNK_ELEMS", self.budget(m, pairs))
+        coeffs = TRAPEZOID_3D[name](0.45, 3, m).coeffs
+        assert coeffs.tobytes() == coeffs.swapaxes(0, 1).tobytes()
+
+    @pytest.mark.parametrize("n", [9, 10, 13, 14])
+    @pytest.mark.parametrize("pairs", [0, 1, 3])
+    @pytest.mark.parametrize("make", [_psi_integrand, _regularized_integrand])
+    def test_chunks_cover_the_triangle_within_the_budget(self, monkeypatch, n, pairs, make):
+        # with identity transforms the sum is F' + F'^T = F itself, so each
+        # line i1 <= i0 must be evaluated once and the diagonal halved once,
+        # and the integrand must be symmetric in its first two axes bit for
+        # bit; a chunk holds whole pairs within the budget, or one row
+        budget = self.budget(2 * (n - 1), pairs)
+        monkeypatch.setattr(stiffness, "_DCT_CHUNK_ELEMS", budget)
+        psi = make(0.4)
+        xi = np.linspace(0.0, np.pi, n)
+        lines = []
+
+        def integrand(axes):
+            i0, i1 = (np.searchsorted(xi, a.ravel()) for a in axes[:2])
+            lines.append(list(zip(i0.tolist(), i1.tolist())))
+            return psi(axes)
+
+        got = stiffness._chunked_sum(integrand, xi, 3, n, lambda x, axis: x)
+        expected = psi((xi[:, None, None], xi[None, :, None], xi[None, None, :]))
+        assert got.tobytes() == expected.tobytes()
+        flat = sorted(line for chunk in lines for line in chunk)
+        assert flat == [(i0, i1) for i0 in range(n) for i1 in range(i0 + 1)]
+        assert max(len(chunk) for chunk in lines) * n <= max(budget, n * n)
+
+    @pytest.mark.parametrize("n_fd,m", [(14, 512), (7, 62)])
+    @pytest.mark.parametrize("name", sorted(TRAPEZOID_3D))
+    def test_benchmark_sizes_match_every_line_reference(self, monkeypatch, name, n_fd, m):
+        got = TRAPEZOID_3D[name](0.5, n_fd, m).coeffs
+        monkeypatch.setattr(stiffness, "_chunked_sum", reference_chunked_sum)
+        expected = TRAPEZOID_3D[name](0.5, n_fd, m).coeffs
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
 class TestNonuniform:
     @pytest.mark.parametrize("s,m", sorted(NUFFT_ERRORS_1D))
     def test_reference_errors(self, s, m):
@@ -446,6 +541,27 @@ class TestChunkPool:
         assert sizes == []
         pooled, sizes = build_with_cores(monkeypatch, 3, build)
         assert sizes == [3]
+        assert pooled.tobytes() == inline.tobytes()
+
+    # 3D sums run over chunks of row pairs (see _triangle_sum): one row per
+    # chunk when a pair does not fit, and three pairs with a short last
+    # chunk; n = 13, 14, 9 and 10 half-grid rows
+    @pytest.mark.parametrize("m", [24, 26, 17, 19])
+    @pytest.mark.parametrize("pairs", [0, 3])
+    @pytest.mark.parametrize("name", ["fft", "modspec", "nufft"])
+    def test_3d_pooled_equals_one_worker(self, monkeypatch, name, m, pairs):
+        n = m // 2 + 1
+        monkeypatch.setattr(stiffness, "_DCT_CHUNK_ELEMS",
+                            TestTriangleSum.budget(m, pairs))
+        chunks = n if pairs == 0 else -(-n // (2 * pairs))
+
+        def build():
+            return TRAPEZOID_3D[name](0.35, 3, m)
+
+        inline, sizes = build_with_cores(monkeypatch, 1, build)
+        assert sizes == []
+        pooled, sizes = build_with_cores(monkeypatch, 3, build)
+        assert sizes == [min(3, chunks)]
         assert pooled.tobytes() == inline.tobytes()
 
     def test_pool_never_exceeds_chunk_count(self, monkeypatch):
@@ -630,6 +746,14 @@ class TestKernelStructure:
         # at the same m; the default m of a fresh corrected build may be smaller
         small = restrict(fft_corrected(0.45, 2, 10, 256), 4)
         np.testing.assert_array_equal(small.coeffs, fft_corrected(0.45, 2, 4, 256).coeffs)
+
+    @pytest.mark.parametrize("m", [64, 66, 63])
+    def test_restrict_equals_fresh_build_3d(self, m):
+        # a 3D sum's chunks depend on m alone, and each output depends only
+        # on its own lines of the transforms, so the slice is bitwise a
+        # fresh build at the same m
+        small = restrict(fft_uniform(0.45, 3, 10, m), 4)
+        np.testing.assert_array_equal(small.coeffs, fft_uniform(0.45, 3, 4, m).coeffs)
 
     def test_restrict_rejects_growth(self):
         with pytest.raises(ValueError):
