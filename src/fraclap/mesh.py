@@ -140,12 +140,19 @@ def _orient_positive(vertices, simplices, dim):
 
 
 def _boundary_vertex_mask(simplices, n_vertices, dim):
+    """Vertices of the facets that belong to one simplex only."""
     mask = np.zeros(n_vertices, dtype=bool)
     if simplices.shape[0] == 0:
         return mask
     faces = np.concatenate(
         [simplices[:, list(c)] for c in combinations(range(dim + 1), dim)])
     faces = np.sort(faces, axis=1)
+    shape = (n_vertices,) * dim
+    if int(n_vertices) ** dim <= _INT64.max:
+        # each sorted facet as one int64 key
+        keys, counts = np.unique(np.ravel_multi_index(faces.T, shape), return_counts=True)
+        mask[np.concatenate(np.unravel_index(keys[counts == 1], shape))] = True
+        return mask
     faces = faces[np.lexsort(faces.T)]
     # runs of equal rows: a facet owned by one simplex lies on the boundary
     starts = np.flatnonzero(np.concatenate(

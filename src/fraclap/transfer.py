@@ -39,6 +39,10 @@ _CONTAIN_TOL = 1e-12
 N_FD_CAPS = {1: 4096, 2: 4096, 3: 128}
 # candidate (simplex, grid node) pairs located per batch in build_transfer
 _CHUNK = 1 << 16
+# _screen's slack on the approximate coordinates, and the condition
+# estimate from which a simplex skips the screen
+_SCREEN_TOL = 1e-6
+_SCREEN_COND = 1e6
 # GramSolver's Chebyshev degree (GRAM_DEGREE - 1 sparse products per solve)
 # and the lower end of its interval as a fraction of the upper end.  On
 # rotated 2D balls (h = 0.1 to 0.035) and the 3D h=0.2 ball, degree 6 costs
@@ -46,6 +50,9 @@ _CHUNK = 1 << 16
 # saves at most one
 GRAM_DEGREE = 8
 GRAM_LOWER = 0.1
+# Jacobi sweeps allowed to each side of the rank certificate; on rotated
+# 2D and 3D balls no side has needed more than 7
+RANK_SWEEPS = 30
 
 
 class TransferRankWarning(UserWarning):
@@ -158,6 +165,42 @@ def capped_grid(dim: int, r_fd: float, n_fd: int, max_n_fd: int | None = None) -
     return grid
 
 
+def _edge_inverses(spans: np.ndarray):
+    """Inverses of the (elements, d, d) edge matrices by adjugate over
+    determinant, d <= 3, and the condition estimates ||S||_F ||S^-1||_F."""
+    dim = spans.shape[1]
+    edges = [spans[:, :, k] for k in range(dim)]
+    if dim == 1:
+        adjugate = np.ones_like(spans)
+    elif dim == 2:
+        (a, c), (b, d) = (e.T for e in edges)
+        adjugate = np.stack([np.stack([d, -b], axis=1), np.stack([-c, a], axis=1)], axis=1)
+    else:
+        e0, e1, e2 = edges
+        adjugate = np.stack([np.cross(e1, e2), np.cross(e2, e0), np.cross(e0, e1)], axis=1)
+    det = np.einsum("ek,ek->e", adjugate[:, 0, :], spans[:, :, 0])
+    inverse = adjugate / det[:, None, None]
+    condition = (np.sqrt(np.einsum("eij,eij->e", spans, spans))
+                 * np.sqrt(np.einsum("eij,eij->e", inverse, inverse)))
+    return inverse, condition
+
+
+def _screen(spans: np.ndarray, elem: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Mask of the candidates (spans[elem], rhs) that the exact solve must
+    see: all dim + 1 coordinates by the closed-form inverse >= -_SCREEN_TOL,
+    or a condition estimate >= _SCREEN_COND."""
+    dim = spans.shape[1]
+    inverse, condition = _edge_inverses(spans)
+    approx = [inverse[elem, i, 0] * rhs[:, 0] for i in range(dim)]
+    for i in range(dim):
+        for j in range(1, dim):
+            approx[i] += inverse[elem, i, j] * rhs[:, j]
+    near = sum(approx) <= 1.0 + _SCREEN_TOL
+    for coordinate in approx:
+        near &= coordinate >= -_SCREEN_TOL
+    return near | (condition[elem] >= _SCREEN_COND)
+
+
 def _locate_nodes(mesh: SimplicialMesh, grid: OverlayGrid):
     """Covered grid nodes, their owner simplices and barycentric coordinates.
 
@@ -168,14 +211,24 @@ def _locate_nodes(mesh: SimplicialMesh, grid: OverlayGrid):
     of about _CHUNK, so memory stays bounded on large meshes.  Returns
     (node_ids, owners, lam) with lam of shape (n_covered, dim + 1), sorted by
     node id.
+
+    Coordinates come from one batched LAPACK solve per chunk, which only
+    the candidates that pass _screen enter.  On a candidate the solve
+    places inside, coordinates are O(1), so the screen's error is about
+    cond * eps < 1e-9, far inside _SCREEN_TOL: it drops only candidates the
+    solve places outside.
     """
     dim = mesh.dim
     h = grid.h_fd
     n = grid.n_fd
     strides = grid.nodes_per_axis ** np.arange(dim - 1, -1, -1, dtype=np.int64)
     pts = mesh.vertices[mesh.simplices]  # (elements, dim + 1, dim)
-    lo = np.maximum(np.ceil((pts.min(axis=1) - _CONTAIN_TOL) / h).astype(np.int64), -n)
-    hi = np.minimum(np.floor((pts.max(axis=1) + _CONTAIN_TOL) / h).astype(np.int64), n)
+    low, high = pts[:, 0].copy(), pts[:, 0].copy()
+    for c in range(1, dim + 1):
+        np.minimum(low, pts[:, c], out=low)
+        np.maximum(high, pts[:, c], out=high)
+    lo = np.maximum(np.ceil((low - _CONTAIN_TOL) / h).astype(np.int64), -n)
+    hi = np.minimum(np.floor((high + _CONTAIN_TOL) / h).astype(np.int64), n)
     extent = np.maximum(hi - lo + 1, 0)
     counts = extent.prod(axis=1)
     first = np.concatenate(([0], np.cumsum(counts)))
@@ -200,9 +253,16 @@ def _locate_nodes(mesh: SimplicialMesh, grid: OverlayGrid):
         elem, k_multi, node_ids = elem[fresh], k_multi[fresh], node_ids[fresh]
 
         rhs = k_multi * h - pts[elem, 0]
+        near = _screen(spans[e0:e1], elem - e0, rhs)
+        elem, node_ids, rhs = elem[near], node_ids[near], rhs[near]
+
         lam_rest = np.linalg.solve(spans[elem], rhs[:, :, None])[:, :, 0]
-        lam = np.column_stack([1.0 - lam_rest.sum(axis=1), lam_rest])
-        inside = np.all(lam >= -_CONTAIN_TOL, axis=1)
+        lam = np.empty((elem.size, dim + 1))
+        lam[:, 1:] = lam_rest
+        lam[:, 0] = 1.0 - sum(lam_rest[:, c] for c in range(dim))
+        inside = lam[:, 0] >= -_CONTAIN_TOL
+        for c in range(dim):
+            inside &= lam_rest[:, c] >= -_CONTAIN_TOL
         # candidates run in element order, so the first hit is the lowest index
         node_ids, pick = np.unique(node_ids[inside], return_index=True)
         claimed[node_ids] = True
@@ -258,11 +318,14 @@ def build_transfer(mesh: SimplicialMesh, grid: OverlayGrid) -> TransferMatrix:
 def column_rank_check(transfer: TransferMatrix, mode: str = "auto") -> bool:
     """Full-column-rank test.
 
-    The exact path (up to 5000 columns, the limit "auto" uses to choose it)
-    proves lambda_min(I^T I) > 1e-12 lambda_max(I^T I) by one sparse
-    Sylvester-inertia test (see _gram_full_rank).  It has no start vector
-    and no iteration that can fail to converge; what it cannot prove it
-    reports as False.
+    "exact" and "auto" first try the O(nnz) certificate of
+    _dominance_certificate.  When it proves nothing, the exact path (up to
+    5000 columns, the limit "auto" uses to choose it) proves
+    lambda_min(I^T I) > 1e-12 lambda_max(I^T I) by one sparse
+    Sylvester-inertia test (see _gram_full_rank).  Neither has a start
+    vector or an iteration that can fail to converge; what they cannot
+    prove they report as False.  Above 5000 columns "auto" falls back to
+    the heuristic and "exact" raises ValueError.
 
     The heuristic path checks that every column sum is positive and that
     the rows carrying each column's largest entry (the lowest such row on
@@ -270,6 +333,10 @@ def column_rank_check(transfer: TransferMatrix, mode: str = "auto") -> bool:
     """
     if mode not in ("auto", "exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode != "heuristic":
+        bound, sigma = _dominance_certificate(transfer.matrix)
+        if bound > sigma:
+            return True
     if mode == "auto":
         mode = "exact" if transfer.cols <= 5000 else "heuristic"
     if mode == "exact":
@@ -278,17 +345,77 @@ def column_rank_check(transfer: TransferMatrix, mode: str = "auto") -> bool:
         return _gram_full_rank(transfer.matrix)
     if np.any(transfer.column_sums <= 0.0):
         return False
-    csc = transfer.matrix.tocsc()
-    csc.sort_indices()
+    leading = _leading_rows(transfer.matrix)
+    return leading is not None and np.unique(leading[0]).size == transfer.cols
+
+
+def _leading_rows(matrix: scipy.sparse.spmatrix):
+    """(rows, peaks): the lowest row holding each column's largest entry,
+    and that entry; None when a column stores no entry."""
+    csc = matrix.tocsc()
     counts = np.diff(csc.indptr)
     if np.any(counts == 0):
-        return False
+        return None
     starts = csc.indptr[:-1]
-    col_max = np.maximum.reduceat(csc.data, starts)
-    is_max = csc.data == np.repeat(col_max, counts)
-    rows = np.where(is_max, csc.indices, transfer.rows)
-    leading = np.minimum.reduceat(rows, starts)
-    return np.unique(leading).size == transfer.cols
+    peaks = np.maximum.reduceat(csc.data, starts)
+    is_max = csc.data == np.repeat(peaks, counts)
+    rows = np.where(is_max, csc.indices, matrix.shape[0])
+    return np.minimum.reduceat(rows, starts), peaks
+
+
+def _dominance_certificate(matrix: scipy.sparse.spmatrix) -> tuple[float, float]:
+    """(bound, sigma): bound <= lambda_min(I^T I) is proved in O(nnz), and
+    full rank is proved when bound > sigma = 1e-12 rho, rho = max(|I|^T |I| 1)
+    >= lambda_max(I^T I).  bound is 0.0 when the certificate fails.
+
+    S = I[r, :] stacks the rows r_j holding each column's largest entry
+    (see _leading_rows); they must be distinct and the peaks positive.
+    Since S is made of distinct rows of I, lambda_min(I^T I) >=
+    sigma_min(S)^2 >= 1 / (||S^-1||_1 ||S^-1||_inf).  With B the absolute
+    off-diagonal part of S, the comparison matrix is M = diag|S| - B, and
+    a positive d with M d >= m_r > 0 makes M a nonsingular M-matrix with
+    ||S^-1||_inf <= ||M^-1||_inf <= max d / m_r (Ostrowski: |S^-1| <= M^-1).
+    d comes from Jacobi sweeps d <- (B d + 1) / diag|S| from d = 1, at most
+    RANK_SWEEPS of them, and e likewise from B^T for the 1-norm, so
+    bound = m_r m_c / (max d max e).  Each margin is taken net of a
+    rounding allowance (nnz + 2) eps (diag|S| d + B d) per row, so that
+    floating-point error cannot fake it.
+    """
+    n = matrix.shape[1]
+    magnitude = abs(matrix)
+    rho = float(np.max(magnitude.T @ (magnitude @ np.ones(n)), initial=0.0))
+    sigma = 1e-12 * rho
+    if n == 0:
+        return math.inf, sigma
+    leading = _leading_rows(matrix)
+    if leading is None:
+        return 0.0, sigma
+    rows, peaks = leading
+    if not (np.all(peaks > 0.0) and np.unique(rows).size == n):
+        return 0.0, sigma
+    square = matrix.tocsr()[rows]
+    diagonal = np.abs(square.diagonal())
+    counts = np.diff(square.indptr)
+    on_diagonal = square.indices == np.repeat(np.arange(n), counts)
+    off = scipy.sparse.csr_matrix((np.where(on_diagonal, 0.0, np.abs(square.data)),
+                                   square.indices, square.indptr), shape=(n, n))
+    eps = np.finfo(float).eps
+    bound = 1.0
+    for side, nnz in ((off, counts), (off.T, np.bincount(off.indices, minlength=n))):
+        slack = (nnz + 2) * eps
+        scale = np.ones(n)
+        for _ in range(RANK_SWEEPS + 1):
+            pushed = side @ scale
+            held = diagonal * scale
+            margin = np.min(held - pushed - slack * (held + pushed))
+            if margin > 0.0:
+                break
+            scale = (pushed + 1.0) / diagonal
+        else:
+            return 0.0, sigma
+        bound *= margin / scale.max()
+    # the two divisions and the product round by at most 3 eps / 2
+    return bound * (1.0 - 2.0 * eps), sigma
 
 
 def _gram_full_rank(matrix: scipy.sparse.spmatrix) -> bool:

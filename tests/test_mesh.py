@@ -326,6 +326,25 @@ class TestBoundaryMaskAgainstReference:
         np.testing.assert_array_equal(got, expected)
         assert np.count_nonzero(got) == mesh.n_vertices - mesh.n_interior
 
+    def test_lexsort_only_past_int64_keys(self, monkeypatch):
+        mesh = ball_mesh(3, 3)
+        expected = reference_boundary_vertex_mask(mesh.simplices, mesh.n_vertices, 3)
+        real = np.lexsort
+        calls = []
+
+        def spy(keys):
+            calls.append(len(keys))
+            return real(keys)
+        monkeypatch.setattr(np, "lexsort", spy)
+        np.testing.assert_array_equal(
+            _boundary_vertex_mask(mesh.simplices, mesh.n_vertices, 3), expected)
+        assert calls == []
+        # (2^21)^3 = 2^63 facet keys do not fit in int64
+        got = _boundary_vertex_mask(mesh.simplices, 2 ** 21, 3)
+        assert calls == [3]
+        np.testing.assert_array_equal(got[:mesh.n_vertices], expected)
+        assert not got[mesh.n_vertices:].any()
+
     def test_one_dimensional_and_empty(self):
         path = np.array([[0, 1], [1, 2], [2, 3]])
         np.testing.assert_array_equal(_boundary_vertex_mask(path, 4, 1),

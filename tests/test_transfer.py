@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 import fraclap.transfer as transfer_module
 from fraclap.core import OverlayGrid
-from fraclap.mesh import MeshQuality, SimplicialMesh, _orient_positive, mesh_quality
+from fraclap.mesh import (MeshQuality, SimplicialMesh, _orient_positive, generate_ball_mesh,
+                          mesh_quality)
 from fraclap.solver import require_full_rank
 from fraclap.transfer import (N_FD_CAPS, TransferMatrix, TransferRankWarning, build_transfer,
                               capped_grid, choose_grid, column_rank_check)
@@ -324,6 +326,15 @@ def with_grid(mesh, mode="practical"):
     return mesh, choose_grid(mesh_quality(mesh), 1.2, mode=mode)
 
 
+def sliver_mesh():
+    """Three triangles around an interior vertex 1e-7 off the diagonal from
+    (-1, -1) to (1, 1); simplex 0 is the sliver along that diagonal, with a
+    condition estimate above 1e7."""
+    pts = np.array([[-1e-7, 1e-7], [-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    simplices = _orient_positive(pts, np.array([[1, 2, 0], [2, 3, 0], [3, 1, 0]]), 2)
+    return SimplicialMesh(dim=2, vertices=pts, simplices=simplices, n_interior=1)
+
+
 EQUIVALENCE_CASES = {
     "disk": lambda: with_grid(ball_mesh(2, 10)),
     "ball3d": lambda: with_grid(ball_mesh(3, 4)),
@@ -335,6 +346,8 @@ EQUIVALENCE_CASES = {
     "fan_vertex": lambda: (unit_triangle_mesh(), OverlayGrid(dim=2, r_fd=2.0, n_fd=2)),
     "fan_edges": lambda: (unit_triangle_mesh(), OverlayGrid(dim=2, r_fd=2.0, n_fd=4)),
     "fan_fine": lambda: (unit_triangle_mesh(), OverlayGrid(dim=2, r_fd=2.0, n_fd=16)),
+    # nodes on the sliver's long edge, which only the exact solve places
+    "sliver": lambda: (sliver_mesh(), OverlayGrid(dim=2, r_fd=2.0, n_fd=4)),
 }
 
 
@@ -370,6 +383,46 @@ class TestVectorisedAssembly:
         assert (whole != chunked).nnz == 0
         np.testing.assert_array_equal(whole.indices, chunked.indices)
 
+    @staticmethod
+    def spy_on_solve(monkeypatch):
+        """The coefficient stacks that np.linalg.solve receives."""
+        real = np.linalg.solve
+        stacks = []
+
+        def spy(a, b):
+            stacks.append(a)
+            return real(a, b)
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        return stacks
+
+    def test_sliver_candidates_all_take_the_exact_solve(self, monkeypatch):
+        mesh, grid = EQUIVALENCE_CASES["sliver"]()
+        pts = mesh.vertices[mesh.simplices[0]]
+        span = (pts[1:] - pts[0]).T
+        _, condition = transfer_module._edge_inverses(span[None])
+        assert condition[0] >= transfer_module._SCREEN_COND
+        stacks = self.spy_on_solve(monkeypatch)
+        transfer_module._locate_nodes(mesh, grid)
+        # the sliver's bounding box is [-1, 1]^2: all 5 x 5 nodes, of which
+        # only the 5 on the diagonal are inside
+        assert sum(np.count_nonzero(np.all(a == span, axis=(1, 2))) for a in stacks) == 25
+
+    def test_screen_spares_outside_candidates(self, monkeypatch):
+        mesh, grid = with_grid(rotated(ball_mesh(2, 10), 3))
+        stacks = self.spy_on_solve(monkeypatch)
+        nodes, _, _ = transfer_module._locate_nodes(mesh, grid)
+        assert nodes.size <= sum(a.shape[0] for a in stacks) < 2 * nodes.size
+
+    def test_closed_form_inverses(self):
+        rng = np.random.default_rng(2)
+        for dim in (1, 2, 3):
+            spans = rng.standard_normal((20, dim, dim))
+            inverse, condition = transfer_module._edge_inverses(spans)
+            np.testing.assert_allclose(inverse, np.linalg.inv(spans), rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(
+                condition, np.linalg.norm(spans, axis=(1, 2)) * np.linalg.norm(
+                    np.linalg.inv(spans), axis=(1, 2)), rtol=1e-9)
+
     def test_shared_vertex_goes_to_lowest_element(self):
         mesh = unit_triangle_mesh()
         grid = OverlayGrid(dim=2, r_fd=2.0, n_fd=2)
@@ -383,6 +436,7 @@ class TestSparseRankCheck:
         mesh = ball_mesh(dim, n_r)
         t = build_transfer(mesh, choose_grid(mesh_quality(mesh), 1.2))
         assert column_rank_check(t, mode="exact") is dense_full_rank(t.matrix) is True
+        assert transfer_module._gram_full_rank(t.matrix) is True
 
     @pytest.mark.parametrize("dense,expected", [
         ([[1.0, 0.0]] * 5, False),                                  # zero column
@@ -431,18 +485,22 @@ class TestSparseRankCheck:
         for col, scale in copies:
             dense = np.column_stack([dense, scale * dense[:, col]])
         t = as_transfer(dense)
-        assert column_rank_check(t, mode="exact") is dense_full_rank(t.matrix)
+        full = dense_full_rank(t.matrix)
+        assert column_rank_check(t, mode="exact") is full
+        assert transfer_module._gram_full_rank(t.matrix) is full
 
 
 class TestInertiaFailureModes:
     """Every outcome of the factorisation other than a symmetric one with
-    positive pivots reads as rank deficient, never as an error."""
+    positive pivots reads as rank deficient, never as an error.  The
+    certificate proves the ball transfer before any factorisation, so these
+    call the inertia test itself."""
 
     @staticmethod
     def ball_transfer():
         mesh = ball_mesh(2, 3)
         t = build_transfer(mesh, choose_grid(mesh_quality(mesh), 1.2))
-        assert column_rank_check(t, mode="exact")
+        assert transfer_module._gram_full_rank(t.matrix)
         return t
 
     @staticmethod
@@ -463,7 +521,7 @@ class TestInertiaFailureModes:
         def singular(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
         monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
-        assert column_rank_check(t, mode="exact") is False
+        assert transfer_module._gram_full_rank(t.matrix) is False
 
     def test_unsymmetric_permutation(self, monkeypatch):
         t = self.ball_transfer()
@@ -471,7 +529,7 @@ class TestInertiaFailureModes:
         def swap(lu):
             lu.perm_r[[0, 1]] = lu.perm_r[[1, 0]]
         self.patch_factor(monkeypatch, swap)
-        assert column_rank_check(t, mode="exact") is False
+        assert transfer_module._gram_full_rank(t.matrix) is False
 
     @pytest.mark.parametrize("pivot", [0.0, -1e-12])
     def test_nonpositive_pivot(self, monkeypatch, pivot):
@@ -482,7 +540,111 @@ class TestInertiaFailureModes:
             diagonal[len(diagonal) // 2] = pivot
             lu.U.setdiag(diagonal)
         self.patch_factor(monkeypatch, spoil)
-        assert column_rank_check(t, mode="exact") is False
+        assert transfer_module._gram_full_rank(t.matrix) is False
+
+
+def dense_lambda_min(matrix):
+    return np.linalg.eigvalsh((matrix.T @ matrix).toarray())[0]
+
+
+class TestDominanceCertificate:
+    """The O(nnz) certificate: a lower bound on lambda_min(I^T I) that
+    column_rank_check tries before the inertia test."""
+
+    @pytest.mark.parametrize("dim,n_r,seed", [(2, 10, None), (2, 10, 1), (2, 10, 2),
+                                              (2, 14, 3), (3, 4, 1), (3, 5, None),
+                                              (3, 5, 2)])
+    def test_bound_is_below_dense_lambda_min(self, dim, n_r, seed):
+        mesh = ball_mesh(dim, n_r) if seed is None else rotated(ball_mesh(dim, n_r), seed)
+        t = build_transfer(mesh, choose_grid(mesh_quality(mesh), 1.2))
+        bound, sigma = transfer_module._dominance_certificate(t.matrix)
+        assert sigma < bound <= dense_lambda_min(t.matrix)
+
+    @pytest.mark.parametrize("dense", [
+        [[1.0, 0.9, 0.9], [0.1, 1.0, 0.0], [0.1, 0.0, 1.0], [0.2, 0.3, 0.1]],
+        # bound within a factor 6 of lambda_min
+        [[0.2, 0.9], [0.1, 1.0], [0.05, 0.0]],
+    ])
+    def test_sweeps_certify_what_row_dominance_rejects(self, monkeypatch, dense):
+        # row 0 of S, the leading square block, is not diagonally dominant,
+        # but S is an H-matrix: a positive row scaling makes it dominant
+        t = as_transfer(dense)
+        square = t.matrix[:t.cols].toarray()
+        assert 2 * square.diagonal()[0] - square[0].sum() < 0.0
+        bound, sigma = transfer_module._dominance_certificate(t.matrix)
+        assert sigma < bound <= dense_lambda_min(t.matrix)
+        assert column_rank_check(t, mode="exact")
+        monkeypatch.setattr(transfer_module, "RANK_SWEEPS", 0)
+        assert transfer_module._dominance_certificate(t.matrix)[0] == 0.0
+
+    @staticmethod
+    def count_inertia_tests(monkeypatch):
+        calls = []
+        real = transfer_module._gram_full_rank
+
+        def counted(matrix):
+            calls.append(matrix.shape[1])
+            return real(matrix)
+        monkeypatch.setattr(transfer_module, "_gram_full_rank", counted)
+        return calls
+
+    @pytest.mark.parametrize("dense,expected", [
+        ([[1.0, 0.0], [1.0, 0.0], [0.5, 0.0]], False),    # empty column
+        ([[0.2, 0.0], [0.8, 0.6], [0.0, 0.4]], True),     # both peak in row 1
+    ])
+    def test_failed_certificate_falls_back(self, monkeypatch, dense, expected):
+        t = as_transfer(dense)
+        assert transfer_module._dominance_certificate(t.matrix)[0] == 0.0
+        calls = self.count_inertia_tests(monkeypatch)
+        assert column_rank_check(t, mode="exact") is dense_full_rank(t.matrix) is expected
+        assert calls == [2]
+
+    def test_rank_deficient_transfer_falls_back(self, monkeypatch):
+        # fraclap solve --dim 2 --nfd 3 --ball 0.1: 218 columns get no node
+        with pytest.warns(TransferRankWarning):
+            t = build_transfer(ball_mesh(2, 10), capped_grid(2, 1.2, 3))
+        assert transfer_module._dominance_certificate(t.matrix)[0] == 0.0
+        calls = self.count_inertia_tests(monkeypatch)
+        assert column_rank_check(t) is dense_full_rank(t.matrix) is False
+        assert calls == [t.cols]
+
+    def test_certified_transfer_skips_the_inertia_test(self, monkeypatch):
+        mesh = rotated(ball_mesh(3, 5), 1)
+        t = build_transfer(mesh, choose_grid(mesh_quality(mesh), 1.2))
+        calls = self.count_inertia_tests(monkeypatch)
+        assert column_rank_check(t, mode="exact") and column_rank_check(t)
+        assert calls == []
+
+    def test_auto_above_5000_columns(self, monkeypatch):
+        mesh = generate_ball_mesh(2, 0.0125)
+        t = build_transfer(mesh, choose_grid(mesh_quality(mesh), 1.2))
+        assert t.cols > 5000
+        # the heuristic reads column_sums and the certificate only the
+        # matrix, so a zeroed column sum shows which of the two decided
+        sums = t.column_sums.copy()
+        sums[0] = 0.0
+        marked = TransferMatrix(matrix=t.matrix, column_sums=sums, grid=t.grid)
+        calls = self.count_inertia_tests(monkeypatch)
+        assert column_rank_check(marked) and column_rank_check(marked, mode="exact")
+        monkeypatch.setattr(transfer_module, "_dominance_certificate",
+                            lambda matrix: (0.0, 1.0))
+        assert column_rank_check(t) and not column_rank_check(marked)
+        with pytest.raises(ValueError, match="limited to 5000 columns"):
+            column_rank_check(t, mode="exact")
+        assert calls == []
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), n_r=st.integers(3, 7),
+           amplitude=st.floats(0.0, 0.3), n_fd=st.integers(2, 24))
+    def test_certificate_implies_dense_full_rank(self, seed, n_r, amplitude, n_fd):
+        mesh = scattered_ball(n_r, amplitude, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TransferRankWarning)
+            t = build_transfer(mesh, capped_grid(2, 1.2, n_fd))
+        bound, sigma = transfer_module._dominance_certificate(t.matrix)
+        if bound > sigma:
+            assert dense_full_rank(t.matrix)
+            assert bound <= dense_lambda_min(t.matrix)
 
 
 class TestHeuristicRankCheck:
