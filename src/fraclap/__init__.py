@@ -8,8 +8,8 @@ kernel constructions and two preconditioners (sparse near-field and circulant)
 are provided, plus an experiment command line (``fraclap``).
 """
 
-from .core import (FractionalOrder, OverlayGrid, QuadratureRule, bessel_j_half_order,
-                   gamma, gauss_legendre, symbol)
+from .core import (OverlayGrid, QuadratureRule, bessel_j_half_order, gamma, gauss_legendre,
+                   symbol)
 from .mesh import (DegenerateElementError, MeshFormatError, MeshQuality, SimplicialMesh,
                    generate_ball_mesh, load_mesh, lumped_l2_error, mesh_quality, save_mesh)
 from .solver import (CirculantPreconditioner, OverlayOperator, Preconditioner, SolveReport,

@@ -107,8 +107,6 @@ def cmd_kernel(config: ExperimentConfig) -> int:
 
 def cmd_decay(config: ExperimentConfig) -> int:
     n_fd = _dump_n_fd(config)
-    if n_fd < 32:
-        raise ValueError("decay studies need n_fd >= 32")
     kernel = build_kernel(config.scheme, config.s, config.dim, n_fd,
                           config.m, config.n_g)
     profile = decay_profile(kernel)
@@ -183,11 +181,14 @@ def cmd_convergence(config: ExperimentConfig) -> int:
     meshes = _meshes(config)
     if len(meshes) < 3:
         raise ValueError("convergence studies need at least 3 refinement levels")
+    dims = sorted({m.dim for m in meshes})
+    if len(dims) > 1:
+        raise ValueError(f"convergence levels must share one dimension, got dims {dims}")
     # one kernel at the finest grid is sliced per level (entries depend only
     # on the offset, never on the grid size)
     cap = _max_n_fd(config)
     grids = [choose_grid(mesh_quality(m), config.r_fd, max_n_fd=cap) for m in meshes]
-    shared = build_kernel(config.scheme, config.s, config.dim,
+    shared = build_kernel(config.scheme, config.s, dims[0],
                           max(g.n_fd for g in grids), config.m, config.n_g)
     rows = []
     failures = 0

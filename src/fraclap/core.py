@@ -16,7 +16,6 @@ import numpy as np
 import scipy.special
 
 __all__ = [
-    "FractionalOrder",
     "OverlayGrid",
     "QuadratureRule",
     "order_value",
@@ -27,24 +26,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Order s of the fractional Laplacian, restricted to the open interval (0, 1)."""
-
-    s: float
-
-    def __post_init__(self):
-        s = float(self.s)
-        if not (0.0 < s < 1.0):
-            raise ValueError(f"fractional order must lie strictly in (0, 1), got {self.s!r}")
-        object.__setattr__(self, "s", s)
-
-
 def order_value(s) -> float:
-    """Validate a fractional order given either as a float or a FractionalOrder."""
-    if isinstance(s, FractionalOrder):
-        return s.s
-    return FractionalOrder(float(s)).s
+    """Fractional order s as a float, refused unless it lies strictly in (0, 1)."""
+    s = float(s)
+    if not (0.0 < s < 1.0):
+        raise ValueError(f"fractional order must lie strictly in (0, 1), got {s!r}")
+    return s
 
 
 @dataclass(frozen=True)
@@ -84,10 +71,6 @@ class OverlayGrid:
     @property
     def n_nodes(self) -> int:
         return self.nodes_per_axis ** self.dim
-
-    def axis_coords(self) -> np.ndarray:
-        """Node coordinates along one axis, k*h_fd for k = -n_fd .. n_fd."""
-        return np.arange(-self.n_fd, self.n_fd + 1) * self.h_fd
 
 
 def symbol(xi, s) -> np.ndarray:

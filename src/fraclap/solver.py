@@ -198,7 +198,7 @@ def _near_field_stencil(kernel: StiffnessKernel, shape) -> scipy.sparse.csr_matr
              scipy.sparse.diags([1.0, 1.0], [-1, 1], shape=(n, n), format="csr"))
             for n in shape]
     kron = functools.partial(scipy.sparse.kron, format="csr")
-    return sum(kernel.coeffs[e] * functools.reduce(kron, [f[k] for f, k in zip(axes, e)])
+    return sum(kernel.at(*e) * functools.reduce(kron, [f[k] for f, k in zip(axes, e)])
                for e in np.ndindex((2,) * len(shape)))
 
 
@@ -214,8 +214,8 @@ def build_sparse_preconditioner(op: OverlayOperator) -> SparsePreconditioner:
 
 def circulant_payload(kernel: StiffnessKernel) -> np.ndarray:
     """Real frequency payload of the circulant surrogate: the DFT over 2*n_fd
-    points per axis of the kernel wrapped symmetrically (entry k holds the
-    coefficient at offset min(k, 2*n_fd - k)).
+    points per axis of the kernel wrapped symmetrically (entry k holds T at
+    the signed offset k up to n_fd and k - 2*n_fd past it).
 
     The symbol vanishes at zero frequency, so the raw zero-frequency sample
     can be arbitrarily small; entries below 1e-8 of the maximum magnitude are
@@ -225,8 +225,9 @@ def circulant_payload(kernel: StiffnessKernel) -> np.ndarray:
     the range of the mesh transfer, which is what the preconditioner acts on).
     """
     n = kernel.n_fd
-    fold = np.minimum(np.arange(2 * n), 2 * n - np.arange(2 * n))
-    wrapped = kernel.coeffs[np.ix_(*([fold] * kernel.dim))]
+    offsets = np.arange(2 * n)
+    offsets[n + 1:] -= 2 * n
+    wrapped = kernel.at(*np.ix_(*([offsets] * kernel.dim)))
     spectrum = scipy.fft.fftn(wrapped)
     scale = np.max(np.abs(spectrum.real))
     if np.max(np.abs(spectrum.imag)) > 1e-10 * scale:
@@ -397,9 +398,8 @@ def require_full_rank(transfer: TransferMatrix):
 
 def select_grid(mesh: SimplicialMesh, r_fd: float = 1.2, n_fd: int | None = None,
                 max_n_fd: int | None = None) -> OverlayGrid:
-    """solve_bvp's grid: n_fd's when given, else the practical choice of
-    choose_grid for the mesh; either way n_fd is capped as in capped_grid
-    (max_n_fd lifts the cap)."""
+    """solve_bvp's grid: n_fd's when given, else choose_grid's for the mesh;
+    either way n_fd is capped as in capped_grid (max_n_fd lifts the cap)."""
     if n_fd is None:
         return choose_grid(mesh_quality(mesh), r_fd, max_n_fd=max_n_fd)
     return capped_grid(mesh.dim, r_fd, n_fd, max_n_fd)

@@ -1,8 +1,9 @@
 """Construction of the dense operator kernel by five schemes.
 
 The kernel holds the Fourier coefficients of the discrete symbol over the
-nonnegative offset orthant 0 <= p_j <= 2*n_fd; the full tensor follows from
-the reflection symmetry T_{...,-p,...} = T_{...,p,...}.  Schemes:
+nonnegative offset orthant 0 <= p_j <= 2*n_fd; StiffnessKernel.at reads any
+signed offset through the reflection symmetry T_{...,-p,...} = T_{...,p,...}.
+Schemes:
 
   analytic  exact closed form, one dimension only
   fft       trapezoid rule on a uniform frequency grid; the integrand is even
@@ -94,10 +95,13 @@ class StiffnessKernel:
     def offsets_per_axis(self) -> int:
         return 2 * self.n_fd + 1
 
-    def full_tensor(self) -> np.ndarray:
-        """Kernel extended by reflection to offsets -2*n_fd..2*n_fd per axis."""
-        idx = np.abs(np.arange(-2 * self.n_fd, 2 * self.n_fd + 1))
-        return self.coeffs[np.ix_(*([idx] * self.dim))]
+    def at(self, *offsets) -> np.ndarray:
+        """T at signed offsets, one broadcastable integer array per axis with
+        entries in -2*n_fd..2*n_fd: coeffs[|p_1|, ..., |p_d|], since the
+        generator is even (T_{-p} = T_p in every axis)."""
+        if len(offsets) != self.dim:
+            raise ValueError(f"expected {self.dim} offset arrays, got {len(offsets)}")
+        return self.coeffs[tuple(np.abs(p) for p in offsets)]
 
 
 @dataclass(frozen=True)
@@ -240,11 +244,7 @@ def spectral(s, dim: int, n_fd: int, n_g: int = 64) -> StiffnessKernel:
 
     radius = ball_radius(dim)
     k = 2 * n_fd + 1
-    ax = np.arange(k, dtype=np.int64)
-    ssq = ax ** 2
-    for _ in range(dim - 1):
-        ssq = ssq[..., None] + ax ** 2
-    uniq, inverse = np.unique(ssq.ravel(), return_inverse=True)
+    uniq, inverse = np.unique(_squared_offsets(dim, k).ravel(), return_inverse=True)
     rho = np.sqrt(uniq.astype(float))
 
     rule = gauss_legendre(n_g)
@@ -305,12 +305,7 @@ def decay_profile(kernel: StiffnessKernel, tail_fraction: float = 0.5) -> DecayP
     the fit)."""
     if kernel.n_fd < 16:
         raise ValueError("decay profile needs n_fd >= 16 for a meaningful tail")
-    k = kernel.offsets_per_axis
-    ax = np.arange(k, dtype=np.int64)
-    ssq = ax ** 2
-    for _ in range(kernel.dim - 1):
-        ssq = ssq[..., None] + ax ** 2
-    ssq = ssq.ravel()
+    ssq = _squared_offsets(kernel.dim, kernel.offsets_per_axis).ravel()
     mags = np.abs(kernel.coeffs.ravel())
     nonzero_offset = ssq > 0
     radii = np.sqrt(ssq[nonzero_offset].astype(float))
@@ -325,6 +320,15 @@ def decay_profile(kernel: StiffnessKernel, tail_fraction: float = 0.5) -> DecayP
         raise ValueError("fewer than 8 nonzero tail entries, cannot fit decay slope")
     slope = np.polyfit(np.log(radii[tail]), np.log(mags[tail]), 1)[0]
     return DecayProfile(radii=radii, magnitudes=mags, fitted_slope=float(slope))
+
+
+def _squared_offsets(dim: int, k: int) -> np.ndarray:
+    """|p|^2 as int64 over the orthant 0 <= p_j < k, a tensor of shape (k,) * dim."""
+    squares = np.arange(k, dtype=np.int64) ** 2
+    total = squares
+    for _ in range(dim - 1):
+        total = total[..., None] + squares
+    return total
 
 
 def write_kernel_csv(kernel: StiffnessKernel, path, config_line: str | None = None):

@@ -66,7 +66,7 @@ class ToeplitzPlan:
         offsets = [np.arange(1 - b, b) for b in self.grid_shape]
         place = [np.mod(o, length) for o, length in zip(offsets, self.fft_shape)]
         generator = np.zeros(self.fft_shape)
-        generator[np.ix_(*place)] = self.kernel.coeffs[np.ix_(*[np.abs(o) for o in offsets])]
+        generator[np.ix_(*place)] = self.kernel.at(*np.ix_(*offsets))
         try:
             return scipy.fft.rfftn(generator)
         except MemoryError as exc:
@@ -101,14 +101,10 @@ def dense_materialize(kernel: StiffnessKernel) -> np.ndarray:
     size = k ** kernel.dim
     if size > _DENSE_LIMIT:
         raise ValueError(f"dense materialization limited to {_DENSE_LIMIT} nodes, got {size}")
+    dim = kernel.dim
     ax = np.arange(k)
-    offset = np.abs(np.subtract.outer(ax, ax))
-    if kernel.dim == 1:
-        return kernel.coeffs[offset]
-    if kernel.dim == 2:
-        full = kernel.coeffs[offset[:, None, :, None], offset[None, :, None, :]]
-        return full.reshape(size, size)
-    full = kernel.coeffs[offset[:, None, None, :, None, None],
-                         offset[None, :, None, None, :, None],
-                         offset[None, None, :, None, None, :]]
-    return full.reshape(size, size)
+    diff = np.subtract.outer(ax, ax)
+    # axis a's offset j_a - m_a spans output axes a (row) and dim + a (column)
+    offsets = [np.expand_dims(diff, [i for i in range(2 * dim) if i not in (a, dim + a)])
+               for a in range(dim)]
+    return kernel.at(*offsets).reshape(size, size)

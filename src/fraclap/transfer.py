@@ -133,23 +133,14 @@ class GramSolver:
         return x
 
 
-def choose_grid(quality: MeshQuality, r_fd: float, mode: str = "practical",
+def choose_grid(quality: MeshQuality, r_fd: float,
                 max_n_fd: int | None = None) -> OverlayGrid:
-    """Smallest overlay grid whose spacing satisfies the admissibility
-    condition for the given mesh.
-
-    "practical" requires h_fd <= a_h; "strict" uses the conservative bound
-    h_fd <= a_h / ((d+1) sqrt(d)) that guarantees full column rank of the
-    transfer.  The n_fd cap of capped_grid guards the memory budget.
-    """
-    if mode not in ("practical", "strict"):
-        raise ValueError(f"mode must be 'practical' or 'strict', got {mode!r}")
+    """Smallest overlay grid whose spacing meets the practical admissibility
+    condition h_fd <= a_h for the given mesh.  The n_fd cap of capped_grid
+    guards the memory budget."""
     if r_fd <= 0.0:
         raise ValueError("r_fd must be positive")
-    target = quality.a_h
-    if mode == "strict":
-        target = quality.a_h / ((quality.dim + 1) * math.sqrt(quality.dim))
-    n_fd = max(1, math.ceil(r_fd / target - 1e-12))
+    n_fd = max(1, math.ceil(r_fd / quality.a_h - 1e-12))
     return capped_grid(quality.dim, r_fd, n_fd, max_n_fd)
 
 
@@ -318,31 +309,25 @@ def build_transfer(mesh: SimplicialMesh, grid: OverlayGrid) -> TransferMatrix:
 def column_rank_check(transfer: TransferMatrix, mode: str = "auto") -> bool:
     """Full-column-rank test.
 
-    "exact" and "auto" first try the O(nnz) certificate of
-    _dominance_certificate.  When it proves nothing, the exact path (up to
-    5000 columns, the limit "auto" uses to choose it) proves
-    lambda_min(I^T I) > 1e-12 lambda_max(I^T I) by one sparse
-    Sylvester-inertia test (see _gram_full_rank).  Neither has a start
-    vector or an iteration that can fail to converge; what they cannot
-    prove they report as False.  Above 5000 columns "auto" falls back to
-    the heuristic and "exact" raises ValueError.
+    "auto" first tries the O(nnz) certificate of _dominance_certificate.
+    When it proves nothing, up to 5000 columns one sparse Sylvester-inertia
+    test decides whether lambda_min(I^T I) > 1e-12 lambda_max(I^T I) (see
+    _gram_full_rank).  Neither has a start vector or an iteration that can
+    fail to converge; what they cannot prove they report as False.  Above
+    5000 columns "auto" falls back to the heuristic.
 
-    The heuristic path checks that every column sum is positive and that
+    "heuristic" runs the heuristic alone: every column sum is positive and
     the rows carrying each column's largest entry (the lowest such row on
     ties) are pairwise distinct.
     """
-    if mode not in ("auto", "exact", "heuristic"):
+    if mode not in ("auto", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode != "heuristic":
+    if mode == "auto":
         bound, sigma = _dominance_certificate(transfer.matrix)
         if bound > sigma:
             return True
-    if mode == "auto":
-        mode = "exact" if transfer.cols <= 5000 else "heuristic"
-    if mode == "exact":
-        if transfer.cols > 5000:
-            raise ValueError("exact rank check is limited to 5000 columns")
-        return _gram_full_rank(transfer.matrix)
+        if transfer.cols <= 5000:
+            return _gram_full_rank(transfer.matrix)
     if np.any(transfer.column_sums <= 0.0):
         return False
     leading = _leading_rows(transfer.matrix)

@@ -153,6 +153,13 @@ class TestDecayCommand:
     def test_rejects_small_grid(self):
         assert main(["decay", "--dim", "1", "--scheme", "analytic", "--nfd", "8"]) == 2
 
+    def test_library_rule_is_the_only_one(self, tmp_path, capsys):
+        # decay_profile needs n_fd >= 16; the command adds no rule of its own
+        out = tmp_path / "d.csv"
+        assert main(["decay", "--dim", "1", "--scheme", "analytic", "--nfd", "16",
+                     "--out", str(out)]) == 0
+        assert "slope=" in capsys.readouterr().out
+
 
 class TestImpactCommand:
     def test_crossings(self, tmp_path, capsys):
@@ -330,6 +337,34 @@ class TestConvergenceCommand:
         assert main(["convergence", "--dim", "3", "--ball", "0.5,0.4,0.2"]) == 2
         assert built == []
         assert "cap the mesh at 2e5 elements" in capsys.readouterr().err
+
+    def test_3d_mesh_files_without_dim(self, tmp_path, capsys):
+        # the shared kernel takes the meshes' dimension, not --dim's default 2
+        paths = []
+        for n_r in (2, 3, 4):
+            paths.append(str(tmp_path / f"b{n_r}.mesh"))
+            save_mesh(ball_mesh(3, n_r), paths[-1])
+        outputs = []
+        for dim_flag in ([], ["--dim", "3"]):
+            out = tmp_path / f"conv{len(outputs)}.csv"
+            code = main(["convergence", "--mesh", ",".join(paths), "--m", "128",
+                         "--out", str(out), *dim_flag])
+            assert code == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append((captured.out.splitlines()[:-1], read_lines(out)[1:]))
+        assert outputs[0] == outputs[1]
+
+    def test_mixed_dimensions_exit_2(self, tmp_path, capsys, monkeypatch):
+        paths = []
+        for dim, n_r in ((2, 3), (2, 4), (3, 3)):
+            paths.append(str(tmp_path / f"b{dim}{n_r}.mesh"))
+            save_mesh(ball_mesh(dim, n_r), paths[-1])
+        built = count_calls(monkeypatch, "build_kernel")
+        assert main(["convergence", "--mesh", ",".join(paths),
+                     "--out", str(tmp_path / "conv.csv")]) == 2
+        assert built == []
+        assert "share one dimension, got dims [2, 3]" in capsys.readouterr().err
 
     def test_kernel_of_another_order_exit_2(self, monkeypatch, capsys):
         real = fraclap.cli.build_kernel

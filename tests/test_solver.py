@@ -12,7 +12,7 @@ from scipy.sparse.linalg import spsolve_triangular
 import fraclap.solver
 import fraclap.transfer
 from fraclap import ichol
-from fraclap.core import FractionalOrder, OverlayGrid, gamma
+from fraclap.core import OverlayGrid, gamma
 from fraclap.ichol import (IncompleteCholeskyError, MicFactor, mic_factor,
                            mic_factor_with_retry)
 from fraclap.mesh import SimplicialMesh, generate_ball_mesh, mesh_quality
@@ -105,9 +105,8 @@ class TestOperator:
         mesh, op = small_operator(s=0.5)
         with pytest.raises(ValueError, match="not the kernel's order 0.5"):
             OverlayOperator(transfer=op.transfer, plan=op.plan, grid=op.grid, s=0.9)
-        # an equal order given as a FractionalOrder is accepted
-        OverlayOperator(transfer=op.transfer, plan=op.plan, grid=op.grid,
-                        s=FractionalOrder(0.5))
+        # an equal order given as another number type is accepted
+        OverlayOperator(transfer=op.transfer, plan=op.plan, grid=op.grid, s=np.float32(0.5))
 
 
 def mapped(mesh, matrix, shift):
@@ -814,10 +813,8 @@ def naive_circulant_column(kernel, impulse_index):
     explicit reduced transforms (frequency sums written out directly)."""
     n = kernel.n_fd
     size = 2 * n
-    full = kernel.full_tensor()
-
     def t_entry(m):
-        return full[m + 2 * n]
+        return kernel.at(m)
 
     p = np.arange(-n, n)
     # frequency samples of the kernel block

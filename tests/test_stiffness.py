@@ -724,13 +724,34 @@ class TestKernelStructure:
             b = build()
             assert np.array_equal(a.coeffs, b.coeffs)
 
-    def test_full_tensor_reflection(self):
+    def test_at_reads_signed_offsets(self):
         k = fft_uniform(0.5, 2, 3, 16)
-        full = k.full_tensor()
+        p = np.arange(-6, 7)
+        full = k.at(p[:, None], p[None, :])
         assert full.shape == (13, 13)
+        np.testing.assert_array_equal(full[6:, 6:], k.coeffs)
+        # T_{-p} = T_p in each axis on its own
         np.testing.assert_array_equal(full, full[::-1, :])
         np.testing.assert_array_equal(full, full[:, ::-1])
-        np.testing.assert_array_equal(full[6:, 6:], k.coeffs)
+        assert k.at(-2, 5) == k.at(2, -5) == k.coeffs[2, 5]
+        # broadcasting: a row of offsets against one scalar offset
+        np.testing.assert_array_equal(k.at(p, -1), k.coeffs[np.abs(p), 1])
+        assert k.at(np.zeros((2, 1, 3), int), p[:4, None]).shape == (2, 4, 3)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_at_mirrors_every_axis(self, dim):
+        k = fft_uniform(0.5, dim, 2, 16)
+        p = np.arange(-4, 5)
+        full = k.at(*np.ix_(*([p] * dim)))
+        np.testing.assert_array_equal(full, np.flip(full))
+        np.testing.assert_array_equal(full[(slice(4, None),) * dim], k.coeffs)
+
+    def test_at_rejects_wrong_axis_count_and_range(self):
+        k = fft_uniform(0.5, 2, 3, 16)
+        with pytest.raises(ValueError, match="expected 2 offset arrays"):
+            k.at(1)
+        with pytest.raises(IndexError):
+            k.at(7, 0)
 
     def test_positive_zero_offset_every_scheme(self):
         for kernel in (analytic_1d(0.5, 4), fft_uniform(0.3, 2, 4, 32),

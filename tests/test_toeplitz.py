@@ -52,7 +52,7 @@ class TestPlanApply:
         p = ToeplitzPlan(kernel)
         u = np.zeros(5)
         u[2] = 1.0
-        expected = kernel.full_tensor()[2:7]
+        expected = kernel.at(np.arange(-2, 3))
         np.testing.assert_allclose(p.apply(u), expected, rtol=1e-12)
 
     def test_zero_input(self):
@@ -75,13 +75,12 @@ class TestPlanApply:
         kernel = fft_uniform(0.6, 2, n_fd, 32)
         rng = np.random.default_rng(4)
         u = rng.standard_normal((11, 11))
-        full = kernel.full_tensor()
         ref = np.zeros((11, 11))
         for j in range(11):
             for k in range(11):
                 for mm in range(11):
                     for nn in range(11):
-                        ref[j, k] += full[j - mm + 10, k - nn + 10] * u[mm, nn]
+                        ref[j, k] += kernel.at(j - mm, k - nn) * u[mm, nn]
         got = ToeplitzPlan(kernel).apply(u)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -186,9 +185,10 @@ def reference_full_grid_apply(kernel, u, length):
     embedding length on every axis, the generator placed at every offset
     |p| <= 2 n_fd (at length 4 n_fd the offsets +-2 n_fd share a slot)."""
     n = kernel.n_fd
-    place = np.mod(np.arange(-2 * n, 2 * n + 1), length)
+    offsets = np.arange(-2 * n, 2 * n + 1)
+    place = np.mod(offsets, length)
     generator = np.zeros((length,) * kernel.dim)
-    generator[np.ix_(*([place] * kernel.dim))] = kernel.full_tensor()
+    generator[np.ix_(*([place] * kernel.dim))] = kernel.at(*np.ix_(*([offsets] * kernel.dim)))
     spectrum = scipy.fft.rfftn(generator)
     k = 2 * n + 1
     axes = range(u.ndim - 1)
@@ -346,7 +346,32 @@ class TestPlanShape:
                 np.testing.assert_array_equal(got, expected)
 
 
+def reference_dense_materialize(kernel):
+    """dense_materialize as written per dimension before the offset accessor."""
+    k = kernel.offsets_per_axis
+    size = k ** kernel.dim
+    ax = np.arange(k)
+    offset = np.abs(np.subtract.outer(ax, ax))
+    if kernel.dim == 1:
+        return kernel.coeffs[offset]
+    if kernel.dim == 2:
+        full = kernel.coeffs[offset[:, None, :, None], offset[None, :, None, :]]
+        return full.reshape(size, size)
+    full = kernel.coeffs[offset[:, None, None, :, None, None],
+                         offset[None, :, None, None, :, None],
+                         offset[None, None, :, None, None, :]]
+    return full.reshape(size, size)
+
+
 class TestDenseMaterialize:
+    @pytest.mark.parametrize("dim,n_fd", [(1, 1), (1, 7), (2, 1), (2, 4), (3, 1), (3, 3)])
+    def test_bitwise_equals_per_dimension_reference(self, dim, n_fd):
+        for kernel in all_scheme_kernels(dim, n_fd):
+            got = dense_materialize(kernel)
+            ref = reference_dense_materialize(kernel)
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+
     def test_1d_first_row(self):
         import math
         kernel = analytic_1d(0.5, 2)

@@ -24,14 +24,25 @@ def quality(dim, a_h):
     return MeshQuality(dim=dim, a_h=a_h, h_bar=a_h, n_elements=100)
 
 
+def strict_grid(quality, r_fd):
+    """The paper's strict grid: the smallest n_fd with h_fd <= a_h / ((d+1) sqrt(d)),
+    the spacing that guarantees a full-column-rank transfer."""
+    target = quality.a_h / ((quality.dim + 1) * math.sqrt(quality.dim))
+    return capped_grid(quality.dim, r_fd, max(1, math.ceil(r_fd / target - 1e-12)))
+
+
 class TestChooseGrid:
     def test_practical_mode(self):
         grid = choose_grid(quality(2, 0.1), 1.2)
         assert grid.n_fd == 12
         assert grid.h_fd <= 0.1 + 1e-15
 
-    def test_strict_mode(self):
-        grid = choose_grid(quality(2, 0.1), 1.2, mode="strict")
+    def test_no_mode(self):
+        with pytest.raises(TypeError):
+            choose_grid(quality(2, 0.1), 1.2, mode="strict")
+
+    def test_strict_grid_spacing(self):
+        grid = strict_grid(quality(2, 0.1), 1.2)
         assert grid.n_fd == math.ceil(1.2 * 3 * math.sqrt(2) / 0.1)
         assert grid.n_fd == 51
 
@@ -201,32 +212,34 @@ class TestRankCheck:
         grid = OverlayGrid(dim=1, r_fd=1.0, n_fd=2)
         matrix = scipy.sparse.identity(5, format="csr")
         t = TransferMatrix(matrix=matrix, column_sums=np.ones(5), grid=grid)
-        assert column_rank_check(t, mode="exact")
+        assert column_rank_check(t)
         assert column_rank_check(t, mode="heuristic")
 
     def test_zero_column(self):
         grid = OverlayGrid(dim=1, r_fd=1.0, n_fd=2)
         matrix = scipy.sparse.csr_matrix(np.array([[1.0, 0.0]] * 5))
         t = TransferMatrix(matrix=matrix, column_sums=np.array([5.0, 0.0]), grid=grid)
-        assert not column_rank_check(t, mode="exact")
+        assert not column_rank_check(t)
         assert not column_rank_check(t, mode="heuristic")
 
     def test_ball_mesh_full_rank(self):
         mesh = ball_mesh(2, 3)
         grid = choose_grid(mesh_quality(mesh), 1.2)
         t = build_transfer(mesh, grid)
-        assert column_rank_check(t, mode="exact")
+        assert column_rank_check(t)
 
     def test_strict_condition_implies_full_rank(self):
-        for n_r in (3, 5):
-            mesh = ball_mesh(2, n_r)
-            grid = choose_grid(mesh_quality(mesh), 1.2, mode="strict")
-            t = build_transfer(mesh, grid)
-            assert column_rank_check(t, mode="exact")
-        mesh = ball_mesh(3, 3)
-        grid = choose_grid(mesh_quality(mesh), 1.2, mode="strict")
-        t = build_transfer(mesh, grid)
-        assert column_rank_check(t, mode="exact")
+        for mesh in (ball_mesh(2, 3), ball_mesh(2, 5), ball_mesh(3, 3)):
+            t = build_transfer(mesh, strict_grid(mesh_quality(mesh), 1.2))
+            assert t.cols <= 5000
+            assert column_rank_check(t)
+            assert transfer_module._gram_full_rank(t.matrix)
+
+    def test_exact_mode_is_gone(self):
+        mesh = ball_mesh(2, 3)
+        t = build_transfer(mesh, choose_grid(mesh_quality(mesh), 1.2))
+        with pytest.raises(ValueError, match="unknown mode 'exact'"):
+            column_rank_check(t, "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +335,9 @@ def as_transfer(dense):
                           grid=OverlayGrid(dim=1, r_fd=1.0, n_fd=2))
 
 
-def with_grid(mesh, mode="practical"):
-    return mesh, choose_grid(mesh_quality(mesh), 1.2, mode=mode)
+def with_grid(mesh, strict=False):
+    quality = mesh_quality(mesh)
+    return mesh, strict_grid(quality, 1.2) if strict else choose_grid(quality, 1.2)
 
 
 def sliver_mesh():
@@ -338,7 +352,7 @@ def sliver_mesh():
 EQUIVALENCE_CASES = {
     "disk": lambda: with_grid(ball_mesh(2, 10)),
     "ball3d": lambda: with_grid(ball_mesh(3, 4)),
-    "disk_strict": lambda: with_grid(ball_mesh(2, 4), "strict"),
+    "disk_strict": lambda: with_grid(ball_mesh(2, 4), strict=True),
     "rotated_disk": lambda: with_grid(rotated(ball_mesh(2, 10), 3)),
     "rotated_ball3d": lambda: with_grid(rotated(ball_mesh(3, 4), 7)),
     "scattered": lambda: with_grid(scattered_ball(12, 0.3)),
@@ -435,7 +449,7 @@ class TestSparseRankCheck:
     def test_full_rank_transfers_match_dense(self, dim, n_r):
         mesh = ball_mesh(dim, n_r)
         t = build_transfer(mesh, choose_grid(mesh_quality(mesh), 1.2))
-        assert column_rank_check(t, mode="exact") is dense_full_rank(t.matrix) is True
+        assert column_rank_check(t) is dense_full_rank(t.matrix) is True
         assert transfer_module._gram_full_rank(t.matrix) is True
 
     @pytest.mark.parametrize("dense,expected", [
@@ -450,9 +464,9 @@ class TestSparseRankCheck:
     def test_small_matrices_match_dense(self, dense, expected):
         t = as_transfer(dense)
         assert dense_full_rank(t.matrix) is expected
-        assert column_rank_check(t, mode="exact") is expected
+        assert column_rank_check(t) is expected
 
-    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    @pytest.mark.parametrize("mode", ["auto", "heuristic"])
     def test_no_columns(self, mode):
         assert column_rank_check(as_transfer(np.zeros((3, 0))), mode=mode)
 
@@ -463,7 +477,7 @@ class TestSparseRankCheck:
         t = as_transfer(matrix.toarray())
         assert np.all(t.column_sums > 0.0)
         assert not dense_full_rank(t.matrix)
-        assert not column_rank_check(t, mode="exact")
+        assert not column_rank_check(t)
 
     @pytest.mark.parametrize("dim,n_r", [(2, 6), (3, 3)])
     def test_appended_duplicate_column(self, dim, n_r):
@@ -471,7 +485,7 @@ class TestSparseRankCheck:
         matrix = build_transfer(mesh, choose_grid(mesh_quality(mesh), 1.2)).matrix
         t = as_transfer(scipy.sparse.hstack([matrix, matrix[:, [n_r]]]).toarray())
         assert np.all(t.column_sums > 0.0)
-        assert not column_rank_check(t, mode="exact")
+        assert not column_rank_check(t)
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), rows=st.integers(1, 8), cols=st.integers(1, 6))
@@ -486,7 +500,7 @@ class TestSparseRankCheck:
             dense = np.column_stack([dense, scale * dense[:, col]])
         t = as_transfer(dense)
         full = dense_full_rank(t.matrix)
-        assert column_rank_check(t, mode="exact") is full
+        assert column_rank_check(t) is full
         assert transfer_module._gram_full_rank(t.matrix) is full
 
 
@@ -573,7 +587,7 @@ class TestDominanceCertificate:
         assert 2 * square.diagonal()[0] - square[0].sum() < 0.0
         bound, sigma = transfer_module._dominance_certificate(t.matrix)
         assert sigma < bound <= dense_lambda_min(t.matrix)
-        assert column_rank_check(t, mode="exact")
+        assert column_rank_check(t)
         monkeypatch.setattr(transfer_module, "RANK_SWEEPS", 0)
         assert transfer_module._dominance_certificate(t.matrix)[0] == 0.0
 
@@ -596,7 +610,7 @@ class TestDominanceCertificate:
         t = as_transfer(dense)
         assert transfer_module._dominance_certificate(t.matrix)[0] == 0.0
         calls = self.count_inertia_tests(monkeypatch)
-        assert column_rank_check(t, mode="exact") is dense_full_rank(t.matrix) is expected
+        assert column_rank_check(t) is dense_full_rank(t.matrix) is expected
         assert calls == [2]
 
     def test_rank_deficient_transfer_falls_back(self, monkeypatch):
@@ -612,7 +626,7 @@ class TestDominanceCertificate:
         mesh = rotated(ball_mesh(3, 5), 1)
         t = build_transfer(mesh, choose_grid(mesh_quality(mesh), 1.2))
         calls = self.count_inertia_tests(monkeypatch)
-        assert column_rank_check(t, mode="exact") and column_rank_check(t)
+        assert column_rank_check(t)
         assert calls == []
 
     def test_auto_above_5000_columns(self, monkeypatch):
@@ -625,12 +639,10 @@ class TestDominanceCertificate:
         sums[0] = 0.0
         marked = TransferMatrix(matrix=t.matrix, column_sums=sums, grid=t.grid)
         calls = self.count_inertia_tests(monkeypatch)
-        assert column_rank_check(marked) and column_rank_check(marked, mode="exact")
+        assert column_rank_check(marked)
         monkeypatch.setattr(transfer_module, "_dominance_certificate",
                             lambda matrix: (0.0, 1.0))
         assert column_rank_check(t) and not column_rank_check(marked)
-        with pytest.raises(ValueError, match="limited to 5000 columns"):
-            column_rank_check(t, mode="exact")
         assert calls == []
 
     @settings(max_examples=12, deadline=None)
