@@ -162,6 +162,7 @@ def cmd_impact(config: ExperimentConfig) -> int:
 
 def cmd_solve(config: ExperimentConfig) -> int:
     mesh = _meshes(config)[0]
+    config = dataclasses.replace(config, dim=mesh.dim)  # the '# config:' line states what ran
     u, report = solve_bvp(
         mesh, config.s, config.scheme, n_fd=config.n_fd, m=config.m, n_g=config.n_g,
         r_fd=config.r_fd, precond=config.precond, tol=config.tol,
@@ -184,15 +185,21 @@ def cmd_convergence(config: ExperimentConfig) -> int:
     dims = sorted({m.dim for m in meshes})
     if len(dims) > 1:
         raise ValueError(f"convergence levels must share one dimension, got dims {dims}")
+    config = dataclasses.replace(config, dim=dims[0])
+    qualities = [mesh_quality(m) for m in meshes]
+    h_bars = [q.h_bar for q in qualities]
+    if any(fine >= coarse for coarse, fine in zip(h_bars, h_bars[1:])):
+        raise ValueError("convergence levels must refine: h_bar must strictly decrease, got "
+                         + ", ".join(f"{h:.6e}" for h in h_bars))
     # one kernel at the finest grid is sliced per level (entries depend only
     # on the offset, never on the grid size)
     cap = _max_n_fd(config)
-    grids = [choose_grid(mesh_quality(m), config.r_fd, max_n_fd=cap) for m in meshes]
+    grids = [choose_grid(q, config.r_fd, max_n_fd=cap) for q in qualities]
     shared = build_kernel(config.scheme, config.s, dims[0],
                           max(g.n_fd for g in grids), config.m, config.n_g)
     rows = []
     failures = 0
-    for level, (mesh, grid) in enumerate(zip(meshes, grids)):
+    for level, (mesh, grid, h_bar) in enumerate(zip(meshes, grids, h_bars)):
         try:
             u, report = solve_bvp(
                 mesh, config.s, config.scheme, n_fd=grid.n_fd,
@@ -202,7 +209,6 @@ def cmd_convergence(config: ExperimentConfig) -> int:
             raise RuntimeError(f"convergence level {level} failed: {exc}") from exc
         if not report.converged:
             failures += 1
-        h_bar = mesh.n_elements ** (-1.0 / mesh.dim)
         rows.append((mesh.n_elements, h_bar, report.l2_error))
         print(f"level={level} N={mesh.n_elements} h_bar={h_bar:.6e} "
               f"l2_error={report.l2_error:.6e} iterations={report.iterations}")
@@ -223,6 +229,7 @@ def cmd_convergence(config: ExperimentConfig) -> int:
 
 def cmd_precond(config: ExperimentConfig) -> int:
     mesh = _meshes(config)[0]
+    config = dataclasses.replace(config, dim=mesh.dim)
     # one grid, kernel, transfer and operator serve every variant, and the
     # transfer must be full rank for all of them; a failure there is the
     # run's, not a variant's, and reaches main (exit 2)

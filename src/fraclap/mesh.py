@@ -1,7 +1,10 @@
 """Simplicial meshes of the physical domain: file ingestion, a deterministic
 quasi-uniform unit-ball mesher for tests and experiments, and the geometric
 quantities the solver needs (minimum element height, volumes, vertex-lumped
-L2 norms).
+L2 norms).  All simplex geometry comes from one routine, simplex_adjugates:
+the closed-form adjugate and determinant of each edge matrix give volumes and
+orientation (det / d!), the transfer screen's inverses, and the minimum
+element height |det| / max adjugate-row norm.
 
 Vertices are ordered interior-first: indices 0..n_interior-1 are interior,
 the rest lie on the boundary of the simplicial complex.  Boundary facets are
@@ -37,6 +40,7 @@ __all__ = [
     "generate_ball_mesh",
     "mesh_quality",
     "lumped_l2_error",
+    "simplex_adjugates",
 ]
 
 
@@ -74,7 +78,7 @@ class SimplicialMesh:
         if not (0 <= self.n_interior <= n_v):
             raise ValueError("n_interior out of range")
 
-        volumes = _simplex_volumes(vertices, simplices, self.dim)
+        volumes = simplex_adjugates(vertices[simplices])[2] / math.factorial(self.dim)
         scale = np.max(np.abs(vertices)) if n_v else 1.0
         bad = np.nonzero(volumes <= 1e-14 * max(scale, 1.0) ** self.dim)[0]
         if bad.size:
@@ -118,21 +122,38 @@ class MeshQuality:
     n_elements: int
 
 
-def _simplex_volumes(vertices, simplices, dim):
-    if simplices.shape[0] == 0:
-        return np.zeros(0)
-    base = vertices[simplices[:, 0]]
-    edges = vertices[simplices[:, 1:]] - base[:, None, :]
-    det = np.linalg.det(edges)
-    return det / math.factorial(dim)
+def simplex_adjugates(corners):
+    """Edge matrices S, adjugates adj(S) = det(S) S^-1 and determinants of
+    the simplices with corner coordinates ``corners`` (elements, d + 1, d),
+    d <= 3, by closed form: every simplex volume, orientation, facet measure
+    and inverse in fraclap comes from here.
+
+    S[e] holds simplex e's edge vectors from its vertex 0 as columns, so its
+    signed volume is det / d!.  Row i of adj(S) is normal to the facet
+    opposite vertex i + 1, and the sum of the rows to the facet opposite
+    vertex 0; each norm is (d - 1)! times that facet's measure (in 1D the
+    facets are points of measure 1).
+    """
+    spans = (corners[:, 1:] - corners[:, :1]).transpose(0, 2, 1)
+    dim = spans.shape[1]
+    edges = [spans[:, :, k] for k in range(dim)]
+    if dim == 1:
+        adjugate = np.ones_like(spans)
+    elif dim == 2:
+        (a, c), (b, d) = (e.T for e in edges)
+        adjugate = np.stack([np.stack([d, -b], axis=1), np.stack([-c, a], axis=1)], axis=1)
+    else:
+        e0, e1, e2 = edges
+        adjugate = np.stack([np.cross(e1, e2), np.cross(e2, e0), np.cross(e0, e1)], axis=1)
+    det = np.einsum("ek,ek->e", adjugate[:, 0, :], spans[:, :, 0])
+    return spans, adjugate, det
 
 
-def _orient_positive(vertices, simplices, dim):
+def _orient_positive(vertices, simplices):
     """Swap two vertices of negatively oriented simplices; vertex order inside
     a simplex carries no other meaning here."""
     simplices = np.array(simplices, dtype=np.int64, copy=True)
-    vol = _simplex_volumes(vertices, simplices, dim)
-    flip = vol < 0
+    flip = simplex_adjugates(vertices[simplices])[2] < 0
     if np.any(flip):
         simplices[flip, 0], simplices[flip, 1] = (
             simplices[flip, 1].copy(), simplices[flip, 0].copy())
@@ -167,7 +188,7 @@ def _build_mesh(dim, vertices, simplices):
     (stable within each group) and construct the mesh, which validates the
     result on its own.  Returns the mesh and the boundary mask of the input
     vertex numbering."""
-    simplices = _orient_positive(vertices, simplices, dim)
+    simplices = _orient_positive(vertices, simplices)
     boundary = _boundary_vertex_mask(simplices, vertices.shape[0], dim)
     order = np.concatenate([np.flatnonzero(~boundary), np.flatnonzero(boundary)])
     mesh = SimplicialMesh(dim=dim, vertices=vertices[order],
@@ -428,31 +449,15 @@ def _ball_mesh_3d(target_h):
     return _build_mesh(3, vertices, number[inverse].reshape(-1, 4))[0]
 
 
-def _facet_measures(vertices, simplices, dim):
-    """(dim-1)-measure of every facet of every simplex, shape (Ne, dim+1)."""
-    n_e = simplices.shape[0]
-    out = np.empty((n_e, dim + 1))
-    for drop in range(dim + 1):
-        keep = [i for i in range(dim + 1) if i != drop]
-        pts = vertices[simplices[:, keep]]
-        if dim == 1:
-            out[:, drop] = 1.0  # facets are points; use counting measure
-        elif dim == 2:
-            out[:, drop] = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
-        else:
-            cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-            out[:, drop] = 0.5 * np.linalg.norm(cross, axis=1)
-    return out
-
-
 def mesh_quality(mesh: SimplicialMesh) -> MeshQuality:
     """a_h = min over elements of dim * volume / max facet measure (the
-    minimum element height), h_bar = n_elements^{-1/dim}."""
+    minimum element height), that is |det| over the largest norm of the
+    adjugate's rows and their sum; h_bar = n_elements^{-1/dim}."""
     if mesh.n_elements == 0:
         raise ValueError("mesh has no elements")
-    volumes = mesh.element_volumes()
-    facets = _facet_measures(mesh.vertices, mesh.simplices, mesh.dim)
-    heights = mesh.dim * volumes / facets.max(axis=1)
+    _, adjugate, det = simplex_adjugates(mesh.vertices[mesh.simplices])
+    rows = np.concatenate([adjugate, adjugate.sum(axis=1, keepdims=True)], axis=1)
+    heights = np.abs(det) / np.sqrt(np.einsum("efk,efk->ef", rows, rows).max(axis=1))
     return MeshQuality(
         dim=mesh.dim,
         a_h=float(heights.min()),

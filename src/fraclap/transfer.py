@@ -6,6 +6,9 @@ its containing simplex.  Grid nodes outside the domain get empty rows (the
 basis functions vanish outside), and boundary vertices contribute no column
 since their values are pinned to zero.  The column sums d_j form the diagonal
 matrix that makes the grid-to-mesh transpose transfer preserve constants.
+Each simplex's inverse edge matrix, which screens the candidate nodes, is its
+adjugate over its determinant from mesh.simplex_adjugates, the routine that
+also gives volumes and the minimum element height.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .core import OverlayGrid
-from .mesh import MeshQuality, SimplicialMesh
+from .mesh import MeshQuality, SimplicialMesh, simplex_adjugates
 
 __all__ = [
     "TransferMatrix",
@@ -156,32 +159,10 @@ def capped_grid(dim: int, r_fd: float, n_fd: int, max_n_fd: int | None = None) -
     return grid
 
 
-def _edge_inverses(spans: np.ndarray):
-    """Inverses of the (elements, d, d) edge matrices by adjugate over
-    determinant, d <= 3, and the condition estimates ||S||_F ||S^-1||_F."""
-    dim = spans.shape[1]
-    edges = [spans[:, :, k] for k in range(dim)]
-    if dim == 1:
-        adjugate = np.ones_like(spans)
-    elif dim == 2:
-        (a, c), (b, d) = (e.T for e in edges)
-        adjugate = np.stack([np.stack([d, -b], axis=1), np.stack([-c, a], axis=1)], axis=1)
-    else:
-        e0, e1, e2 = edges
-        adjugate = np.stack([np.cross(e1, e2), np.cross(e2, e0), np.cross(e0, e1)], axis=1)
-    det = np.einsum("ek,ek->e", adjugate[:, 0, :], spans[:, :, 0])
-    inverse = adjugate / det[:, None, None]
-    condition = (np.sqrt(np.einsum("eij,eij->e", spans, spans))
-                 * np.sqrt(np.einsum("eij,eij->e", inverse, inverse)))
-    return inverse, condition
-
-
-def _screen(spans: np.ndarray, elem: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Mask of the candidates (spans[elem], rhs) that the exact solve must
-    see: all dim + 1 coordinates by the closed-form inverse >= -_SCREEN_TOL,
-    or a condition estimate >= _SCREEN_COND."""
-    dim = spans.shape[1]
-    inverse, condition = _edge_inverses(spans)
+def _screen(inverse: np.ndarray, elem: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Mask of the candidates (inverse[elem], rhs) whose dim + 1 coordinates
+    by the closed-form inverse are all >= -_SCREEN_TOL."""
+    dim = inverse.shape[1]
     approx = [inverse[elem, i, 0] * rhs[:, 0] for i in range(dim)]
     for i in range(dim):
         for j in range(1, dim):
@@ -189,7 +170,7 @@ def _screen(spans: np.ndarray, elem: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     near = sum(approx) <= 1.0 + _SCREEN_TOL
     for coordinate in approx:
         near &= coordinate >= -_SCREEN_TOL
-    return near | (condition[elem] >= _SCREEN_COND)
+    return near
 
 
 def _locate_nodes(mesh: SimplicialMesh, grid: OverlayGrid):
@@ -223,8 +204,12 @@ def _locate_nodes(mesh: SimplicialMesh, grid: OverlayGrid):
     extent = np.maximum(hi - lo + 1, 0)
     counts = extent.prod(axis=1)
     first = np.concatenate(([0], np.cumsum(counts)))
-    # columns of spans[e] are the edge vectors from vertex 0 of simplex e
-    spans = (pts[:, 1:] - pts[:, :1]).transpose(0, 2, 1)
+    spans, adjugate, det = simplex_adjugates(pts)
+    inverse = adjugate / det[:, None, None]
+    # simplices whose condition estimate ||S||_F ||S^-1||_F reaches
+    # _SCREEN_COND skip the screen: all their candidates take the exact solve
+    unscreened = (np.sqrt(np.einsum("eij,eij->e", spans, spans))
+                  * np.sqrt(np.einsum("eij,eij->e", inverse, inverse))) >= _SCREEN_COND
 
     claimed = np.zeros(grid.n_nodes, dtype=bool)
     found_nodes = [np.zeros(0, dtype=np.int64)]
@@ -244,7 +229,7 @@ def _locate_nodes(mesh: SimplicialMesh, grid: OverlayGrid):
         elem, k_multi, node_ids = elem[fresh], k_multi[fresh], node_ids[fresh]
 
         rhs = k_multi * h - pts[elem, 0]
-        near = _screen(spans[e0:e1], elem - e0, rhs)
+        near = _screen(inverse, elem, rhs) | unscreened[elem]
         elem, node_ids, rhs = elem[near], node_ids[near], rhs[near]
 
         lam_rest = np.linalg.solve(spans[elem], rhs[:, :, None])[:, :, 0]

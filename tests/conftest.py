@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial import Delaunay
 
-from fraclap.mesh import SimplicialMesh, _build_mesh, generate_ball_mesh
+from fraclap.mesh import SimplicialMesh, _build_mesh, _orient_positive, generate_ball_mesh
 
 
 @lru_cache(maxsize=None)
@@ -27,6 +27,26 @@ def scattered_ball(n_r: int, amplitude: float, seed: int = 5) -> SimplicialMesh:
     free = radius < 1.0 - 1.2 * h
     verts[free] += rng.uniform(-amplitude * h, amplitude * h, size=(int(free.sum()), 2))
     return _build_mesh(2, verts, Delaunay(verts).simplices)[0]
+
+
+def rotated(mesh, seed):
+    """The mesh turned by a seeded proper rotation about the origin."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((mesh.dim, mesh.dim)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return SimplicialMesh(dim=mesh.dim, vertices=mesh.vertices @ q.T,
+                          simplices=mesh.simplices, n_interior=mesh.n_interior)
+
+
+def sliver_mesh():
+    """Three triangles around an interior vertex 1e-7 off the diagonal from
+    (-1, -1) to (1, 1); simplex 0 is the sliver along that diagonal, with a
+    condition estimate above 1e7."""
+    pts = np.array([[-1e-7, 1e-7], [-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    simplices = _orient_positive(pts, np.array([[1, 2, 0], [2, 3, 0], [3, 1, 0]]))
+    return SimplicialMesh(dim=2, vertices=pts, simplices=simplices, n_interior=1)
 
 
 @lru_cache(maxsize=None)

@@ -209,6 +209,15 @@ class TestSolveCommand:
     def test_missing_mesh_source(self):
         assert main(["solve", "--dim", "2"]) == 2
 
+    @pytest.mark.parametrize("command", ["solve", "precond"])
+    def test_config_line_states_the_mesh_dim(self, command, tmp_path, capsys):
+        # --dim defaults to 2; the run takes dim 3 from the mesh file
+        mpath = tmp_path / "ball3d.mesh"
+        save_mesh(ball_mesh(3, 2), mpath)
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--mesh", str(mpath), "--m", "128", "--out", str(out)]) == 0
+        assert read_lines(out)[0].startswith(f"# config: command={command} dim=3 ")
+
     @pytest.mark.parametrize("argv", [
         ["--ball", "0.2", "--rfd", "1000"],  # grid cap: n_fd 6585 > 4096
         ["--ball", "0.0004"],                 # mesher ring budget
@@ -327,6 +336,19 @@ class TestConvergenceCommand:
     def test_needs_three_levels(self):
         assert main(["convergence", "--dim", "2", "--ball", "0.2,0.1"]) == 2
 
+    @pytest.mark.parametrize("ball", ["0.1,0.1,0.1", "0.1,0.1,0.07", "0.07,0.1,0.05"])
+    def test_levels_that_do_not_refine_exit_2(self, ball, tmp_path, monkeypatch, capsys):
+        built = count_calls(monkeypatch, "build_kernel")
+        solved = count_calls(monkeypatch, "solve_bvp")
+        out = tmp_path / "conv.csv"
+        assert main(["convergence", "--dim", "2", "--ball", ball, "--out", str(out)]) == 2
+        assert built == [] and solved == [] and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: convergence levels must refine: h_bar must strictly "
+                               "decrease, got ")
+
     def test_every_level_guarded_before_the_kernel(self, monkeypatch, capsys):
         small = ball_mesh(3, 2)
         huge = huge_mesh()
@@ -352,6 +374,7 @@ class TestConvergenceCommand:
             assert code == 0
             captured = capsys.readouterr()
             assert captured.err == ""
+            assert read_lines(out)[0].startswith("# config: command=convergence dim=3 ")
             outputs.append((captured.out.splitlines()[:-1], read_lines(out)[1:]))
         assert outputs[0] == outputs[1]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from itertools import combinations
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from fraclap.mesh import (DegenerateElementError, MeshFormatError, SimplicialMesh,
                           _boundary_vertex_mask, _build_mesh, _icosahedron, generate_ball_mesh,
                           load_mesh, lumped_l2_error, mesh_quality, save_mesh)
+from fraclap.transfer import choose_grid
 
-from conftest import ball_mesh, scattered_ball
+from conftest import ball_mesh, rotated, scattered_ball, sliver_mesh
 
 
 def write_lines(path, lines):
@@ -623,6 +625,67 @@ class TestMeshQuality:
         q = mesh_quality(mesh)
         assert q.h_bar == pytest.approx(mesh.n_elements ** -0.5, rel=1e-14)
         assert q.n_elements == mesh.n_elements
+
+
+def reference_volumes(mesh):
+    """Signed volumes by LAPACK determinants of the edge matrices."""
+    pts = mesh.vertices[mesh.simplices]
+    return np.linalg.det(pts[:, 1:] - pts[:, :1]) / math.factorial(mesh.dim)
+
+
+def reference_facet_measures(mesh):
+    """(dim-1)-measure of every facet of every simplex by edge lengths (2D)
+    and cross products (3D), shape (elements, dim + 1)."""
+    out = np.empty((mesh.n_elements, mesh.dim + 1))
+    for drop in range(mesh.dim + 1):
+        keep = [i for i in range(mesh.dim + 1) if i != drop]
+        pts = mesh.vertices[mesh.simplices[:, keep]]
+        if mesh.dim == 1:
+            out[:, drop] = 1.0  # facets are points; use counting measure
+        elif mesh.dim == 2:
+            out[:, drop] = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
+        else:
+            cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
+            out[:, drop] = 0.5 * np.linalg.norm(cross, axis=1)
+    return out
+
+
+def reference_a_h(mesh):
+    heights = mesh.dim * reference_volumes(mesh) / reference_facet_measures(mesh).max(axis=1)
+    return float(heights.min())
+
+
+def assert_reference_geometry(mesh):
+    np.testing.assert_allclose(mesh.element_volumes(), reference_volumes(mesh),
+                               rtol=1e-13, atol=0.0)
+    assert mesh_quality(mesh).a_h == pytest.approx(reference_a_h(mesh), rel=1e-13, abs=0.0)
+
+
+class TestGeometryAgainstReference:
+    """Volumes and the minimum height from simplex_adjugates against LAPACK
+    determinants and facet measures taken edge by edge."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_random_simplices(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(30):
+            corners = rng.standard_normal((dim + 1, dim))
+            mesh, _ = _build_mesh(dim, corners, np.arange(dim + 1)[None])
+            assert_reference_geometry(mesh)
+
+    def test_sliver(self):
+        assert_reference_geometry(sliver_mesh())
+
+    @pytest.mark.parametrize("dim,target_h", [(2, 0.1), (2, 0.07), (2, 0.05), (2, 0.035),
+                                              (2, 0.025), (3, 0.2)])
+    def test_rotated_balls_keep_n_fd(self, dim, target_h):
+        base = generate_ball_mesh(dim, target_h)
+        for seed in range(10):
+            mesh = rotated(base, seed)
+            assert_reference_geometry(mesh)
+            quality = mesh_quality(mesh)
+            reference = dataclasses.replace(quality, a_h=reference_a_h(mesh))
+            assert choose_grid(quality, 1.2).n_fd == choose_grid(reference, 1.2).n_fd
 
 
 class TestLumpedL2:

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 import fraclap.transfer as transfer_module
 from fraclap.core import OverlayGrid
 from fraclap.mesh import (MeshQuality, SimplicialMesh, _orient_positive, generate_ball_mesh,
-                          mesh_quality)
+                          mesh_quality, simplex_adjugates)
 from fraclap.solver import require_full_rank
 from fraclap.transfer import (N_FD_CAPS, TransferMatrix, TransferRankWarning, build_transfer,
                               capped_grid, choose_grid, column_rank_check)
 
-from conftest import ball_mesh, scattered_ball
+from conftest import ball_mesh, rotated, scattered_ball, sliver_mesh
 
 
 def quality(dim, a_h):
@@ -81,7 +81,7 @@ def unit_triangle_mesh():
     """One triangle with an interior-vertex-free boundary: use a fan around a
     center so the center vertex is interior."""
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-    simplices = _orient_positive(pts, np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1]]), 2)
+    simplices = _orient_positive(pts, np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1]]))
     return SimplicialMesh(dim=2, vertices=pts, simplices=simplices, n_interior=1)
 
 
@@ -103,7 +103,7 @@ class TestBuildTransfer:
         simplices = _orient_positive(pts, np.array([
             [0, 1, 2],
             [0, 3, 1], [1, 3, 4], [1, 4, 2], [2, 4, 5], [2, 5, 0], [0, 5, 3],
-        ]), 2)
+        ]))
         mesh = SimplicialMesh(dim=2, vertices=pts, simplices=simplices, n_interior=3)
         # centroid of the interior triangle is the origin
         grid = OverlayGrid(dim=2, r_fd=2.0, n_fd=2)
@@ -155,7 +155,7 @@ class TestBuildTransfer:
         # a mesh with one interior vertex whose support has no grid node:
         # shrink the fan so the grid (n_fd=1) misses the center support
         pts = np.array([[0.55, 0.56], [0.5, 0.71], [0.7, 0.4], [0.3, 0.37]])
-        simplices = _orient_positive(pts, np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1]]), 2)
+        simplices = _orient_positive(pts, np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1]]))
         mesh = SimplicialMesh(dim=2, vertices=pts, simplices=simplices, n_interior=1)
         grid = OverlayGrid(dim=2, r_fd=1.2, n_fd=1)
         with pytest.warns(TransferRankWarning):
@@ -317,17 +317,6 @@ def dense_full_rank(matrix):
     return bool(eigvals[0] > 1e-12 * max(eigvals[-1], np.finfo(float).tiny))
 
 
-def rotated(mesh, seed):
-    """The mesh turned by a seeded proper rotation about the origin."""
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((mesh.dim, mesh.dim)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0.0:
-        q[:, 0] = -q[:, 0]
-    return SimplicialMesh(dim=mesh.dim, vertices=mesh.vertices @ q.T,
-                          simplices=mesh.simplices, n_interior=mesh.n_interior)
-
-
 def as_transfer(dense):
     dense = np.asarray(dense, dtype=float)
     return TransferMatrix(matrix=scipy.sparse.csr_matrix(dense),
@@ -338,15 +327,6 @@ def as_transfer(dense):
 def with_grid(mesh, strict=False):
     quality = mesh_quality(mesh)
     return mesh, strict_grid(quality, 1.2) if strict else choose_grid(quality, 1.2)
-
-
-def sliver_mesh():
-    """Three triangles around an interior vertex 1e-7 off the diagonal from
-    (-1, -1) to (1, 1); simplex 0 is the sliver along that diagonal, with a
-    condition estimate above 1e7."""
-    pts = np.array([[-1e-7, 1e-7], [-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-    simplices = _orient_positive(pts, np.array([[1, 2, 0], [2, 3, 0], [3, 1, 0]]), 2)
-    return SimplicialMesh(dim=2, vertices=pts, simplices=simplices, n_interior=1)
 
 
 EQUIVALENCE_CASES = {
@@ -411,10 +391,10 @@ class TestVectorisedAssembly:
 
     def test_sliver_candidates_all_take_the_exact_solve(self, monkeypatch):
         mesh, grid = EQUIVALENCE_CASES["sliver"]()
-        pts = mesh.vertices[mesh.simplices[0]]
-        span = (pts[1:] - pts[0]).T
-        _, condition = transfer_module._edge_inverses(span[None])
-        assert condition[0] >= transfer_module._SCREEN_COND
+        spans, adjugate, det = simplex_adjugates(mesh.vertices[mesh.simplices[:1]])
+        span = spans[0]
+        condition = np.linalg.norm(span) * np.linalg.norm(adjugate[0] / det[0])
+        assert condition >= transfer_module._SCREEN_COND
         stacks = self.spy_on_solve(monkeypatch)
         transfer_module._locate_nodes(mesh, grid)
         # the sliver's bounding box is [-1, 1]^2: all 5 x 5 nodes, of which
@@ -430,12 +410,13 @@ class TestVectorisedAssembly:
     def test_closed_form_inverses(self):
         rng = np.random.default_rng(2)
         for dim in (1, 2, 3):
-            spans = rng.standard_normal((20, dim, dim))
-            inverse, condition = transfer_module._edge_inverses(spans)
-            np.testing.assert_allclose(inverse, np.linalg.inv(spans), rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(
-                condition, np.linalg.norm(spans, axis=(1, 2)) * np.linalg.norm(
-                    np.linalg.inv(spans), axis=(1, 2)), rtol=1e-9)
+            corners = rng.standard_normal((20, dim + 1, dim))
+            spans, adjugate, det = simplex_adjugates(corners)
+            np.testing.assert_array_equal(
+                spans, (corners[:, 1:] - corners[:, :1]).transpose(0, 2, 1))
+            np.testing.assert_allclose(det, np.linalg.det(spans), rtol=1e-9)
+            np.testing.assert_allclose(adjugate / det[:, None, None], np.linalg.inv(spans),
+                                       rtol=1e-9, atol=1e-12)
 
     def test_shared_vertex_goes_to_lowest_element(self):
         mesh = unit_triangle_mesh()
