@@ -8,8 +8,7 @@ kernel constructions and two preconditioners (sparse near-field and circulant)
 are provided, plus an experiment command line (``fraclap``).
 """
 
-from .core import (OverlayGrid, QuadratureRule, bessel_j_half_order, gamma, gauss_legendre,
-                   symbol)
+from .core import OverlayGrid, bessel_j_half_order, gamma, gauss_legendre
 from .mesh import (DegenerateElementError, MeshFormatError, MeshQuality, SimplicialMesh,
                    generate_ball_mesh, load_mesh, lumped_l2_error, mesh_quality, save_mesh)
 from .solver import (CirculantPreconditioner, OverlayOperator, Preconditioner, SolveReport,
@@ -18,7 +17,7 @@ from .solver import (CirculantPreconditioner, OverlayOperator, Preconditioner, S
                      require_full_rank, select_grid, solve, solve_bvp)
 from .stiffness import (SCHEMES, DecayProfile, StiffnessKernel, analytic_1d, decay_profile,
                         fft_corrected, fft_uniform, modified_spectral, nonuniform, restrict,
-                        spectral, write_decay_csv, write_kernel_csv)
+                        spectral)
 from .toeplitz import ToeplitzPlan, dense_materialize
 from .transfer import (TransferMatrix, TransferRankWarning, build_transfer, choose_grid,
                        column_rank_check)

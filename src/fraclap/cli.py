@@ -1,8 +1,11 @@
 """Experiment command line: kernel accuracy dumps, decay profiles, the
 error-impact bound, single solves, convergence studies, and preconditioner
-comparisons.  Every command writes CSV (UTF-8, LF) with a '# config:' comment
-echoing the full configuration, plus key=value summary lines on stdout.
-Exit code 0 means every requested run completed and converged.
+comparisons.  Every command writes CSV (UTF-8, LF) through _write_csv: a
+'# config:' comment echoing the configuration that ran, the header, the rows
+and an optional '# key=value' footer, plus key=value summary lines on stdout.
+Errors are measured against the unit-ball solution, so a solve on another
+domain prints l2_error=nan and a convergence study refuses it.  Exit code 0
+means every requested run completed and converged.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stiffness
-from .mesh import generate_ball_mesh, load_mesh, mesh_quality
+from .mesh import generate_ball_mesh, is_unit_ball, load_mesh, mesh_quality
 from .solver import (OverlayOperator, build_kernel, require_full_rank, select_grid, solve,
                      solve_bvp)
-from .stiffness import decay_profile, restrict, write_decay_csv, write_kernel_csv
+from .stiffness import decay_profile, restrict
 from .toeplitz import ToeplitzPlan
 from .transfer import build_transfer, capped_grid, choose_grid
 
@@ -81,46 +84,74 @@ def _max_n_fd(config: ExperimentConfig):
     return None if not config.large else 10 ** 9
 
 
-def _dump_n_fd(config: ExperimentConfig) -> int:
-    """Dump n_fd (default 81) under the solver's cap; --large lifts it."""
+def _write_csv(config: ExperimentConfig, header: str, rows, footer: str = ""):
+    """Write the output CSV, the last step of every command: the '# config:'
+    line, the header, each row (text without its final newline) and
+    '# <footer>' when given; then print where it went."""
+    path = config.default_out()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# config: {config.config_line()}\n{header}\n")
+        for row in rows:
+            fh.write(row + "\n")
+        if footer:
+            fh.write(f"# {footer}\n")
+    print(f"wrote {path}")
+
+
+def _dump_config(config: ExperimentConfig) -> ExperimentConfig:
+    """The config with the dump's n_fd (default 81) under the solver's cap;
+    --large lifts it.  The '# config:' line states the n_fd that ran."""
     n_fd = config.n_fd if config.n_fd is not None else 81
-    return capped_grid(config.dim, config.r_fd, n_fd, _max_n_fd(config)).n_fd
+    n_fd = capped_grid(config.dim, config.r_fd, n_fd, _max_n_fd(config)).n_fd
+    return dataclasses.replace(config, n_fd=n_fd)
+
+
+def _kernel_rows(kernel):
+    """The orthant's rows p1[,p2[,p3]],T in C order of the offsets, with
+    17-significant-digit entries, one text block per slab of equal first
+    offset: one %-format per slab, the later offsets are literal text, the
+    same in every slab."""
+    k = kernel.offsets_per_axis
+    rows = ["%.16e"]
+    for _ in range(kernel.dim - 1):
+        rows = [f"{p},{row}" for p in range(k) for row in rows]
+    for p in range(k):
+        lead = f"{p},"
+        yield (lead + ("\n" + lead).join(rows)) % tuple(kernel.coeffs[p].ravel().tolist())
 
 
 def cmd_kernel(config: ExperimentConfig) -> int:
     """Kernel dump; in one dimension also the max-norm error against the
     analytic closed form."""
-    n_fd = _dump_n_fd(config)
-    kernel = build_kernel(config.scheme, config.s, config.dim, n_fd,
+    config = _dump_config(config)
+    kernel = build_kernel(config.scheme, config.s, config.dim, config.n_fd,
                           config.m, config.n_g)
-    path = config.default_out()
-    write_kernel_csv(kernel, path, config.config_line())
+    footer = ""
     if config.dim == 1:
-        reference = stiffness.analytic_1d(config.s, n_fd)
+        reference = stiffness.analytic_1d(config.s, config.n_fd)
         max_error = float(np.max(np.abs(kernel.coeffs - reference.coeffs)))
-        with open(path, "a", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# max_error={max_error:.16e}\n")
         print(f"max_error={max_error:.6e}")
-    print(f"wrote {path}")
+        footer = f"max_error={max_error:.16e}"
+    header = ",".join(f"p{i + 1}" for i in range(config.dim)) + ",T"
+    _write_csv(config, header, _kernel_rows(kernel), footer)
     return 0
 
 
 def cmd_decay(config: ExperimentConfig) -> int:
-    n_fd = _dump_n_fd(config)
-    kernel = build_kernel(config.scheme, config.s, config.dim, n_fd,
+    config = _dump_config(config)
+    kernel = build_kernel(config.scheme, config.s, config.dim, config.n_fd,
                           config.m, config.n_g)
     profile = decay_profile(kernel)
-    path = config.default_out()
-    write_decay_csv(profile, path, config.config_line())
     print(f"slope={profile.fitted_slope:.6f}")
-    print(f"wrote {path}")
+    _write_csv(config, "abs_p,abs_T",
+               (f"{r:.16e},{t:.16e}" for r, t in zip(profile.radii, profile.magnitudes)))
     return 0
 
 
-def impact_bound_table(dim: int, s: float, delta: int, r_fd: float, n_max: int = 4000):
-    """Bound (2n+1)^d n^{2s} 10^{-delta} / r_fd^{2s} per n, with the model
-    first- and second-order discretization errors 1/n and 1/n^2."""
-    n = np.arange(1, n_max + 1, dtype=float)
+def impact_bound_table(dim: int, s: float, delta: int, r_fd: float):
+    """Bound (2n+1)^d n^{2s} 10^{-delta} / r_fd^{2s} for n = 1..4000, with the
+    model first- and second-order discretization errors 1/n and 1/n^2."""
+    n = np.arange(1, 4001, dtype=float)
     bound = (2 * n + 1) ** dim * n ** (2.0 * s) * 10.0 ** (-delta) / r_fd ** (2.0 * s)
     return n, bound, 1.0 / n, 1.0 / n ** 2
 
@@ -143,12 +174,6 @@ def cmd_impact(config: ExperimentConfig) -> int:
     if config.delta < 1:
         raise ValueError("delta must be at least 1")
     n, bound, err1, err2 = impact_bound_table(config.dim, config.s, config.delta, config.r_fd)
-    path = config.default_out()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config: {config.config_line()}\n")
-        fh.write("n_fd,bound,err1,err2\n")
-        for row in range(n.shape[0]):
-            fh.write(f"{int(n[row])},{bound[row]:.16e},{err1[row]:.16e},{err2[row]:.16e}\n")
     for order, err in ((1, err1), (2, err2)):
         crossing = _crossing(n, bound, err)
         if crossing is None:
@@ -156,7 +181,9 @@ def cmd_impact(config: ExperimentConfig) -> int:
         else:
             print(f"order{order}_crossing_nfd={crossing[0]:.3f}")
             print(f"order{order}_crossing_error={crossing[1]:.6e}")
-    print(f"wrote {path}")
+    _write_csv(config, "n_fd,bound,err1,err2",
+               (f"{int(n[i])},{bound[i]:.16e},{err1[i]:.16e},{err2[i]:.16e}"
+                for i in range(n.shape[0])))
     return 0
 
 
@@ -167,14 +194,9 @@ def cmd_solve(config: ExperimentConfig) -> int:
         mesh, config.s, config.scheme, n_fd=config.n_fd, m=config.m, n_g=config.n_g,
         r_fd=config.r_fd, precond=config.precond, tol=config.tol,
         max_n_fd=_max_n_fd(config))
-    path = config.default_out()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config: {config.config_line()}\n")
-        fh.write("iteration,relative_residual\n")
-        for i, res in enumerate(report.residual_history):
-            fh.write(f"{i},{res:.16e}\n")
     print(report.to_text(), end="")
-    print(f"wrote {path}")
+    _write_csv(config, "iteration,relative_residual",
+               (f"{i},{res:.16e}" for i, res in enumerate(report.residual_history)))
     return 0 if report.converged else 1
 
 
@@ -186,6 +208,10 @@ def cmd_convergence(config: ExperimentConfig) -> int:
     if len(dims) > 1:
         raise ValueError(f"convergence levels must share one dimension, got dims {dims}")
     config = dataclasses.replace(config, dim=dims[0])
+    off_ball = [level for level, m in enumerate(meshes) if not is_unit_ball(m)]
+    if off_ball:
+        raise ValueError("convergence studies measure the error against the unit-ball "
+                         f"solution, but level(s) {off_ball} do not mesh the unit ball")
     qualities = [mesh_quality(m) for m in meshes]
     h_bars = [q.h_bar for q in qualities]
     if any(fine >= coarse for coarse, fine in zip(h_bars, h_bars[1:])):
@@ -215,15 +241,10 @@ def cmd_convergence(config: ExperimentConfig) -> int:
     log_h = np.log([r[1] for r in rows])
     log_e = np.log([r[2] for r in rows])
     order = float(np.polyfit(log_h, log_e, 1)[0])
-    path = config.default_out()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config: {config.config_line()}\n")
-        fh.write("N,h_bar,l2_error\n")
-        for n_el, h_bar, err in rows:
-            fh.write(f"{n_el},{h_bar:.16e},{err:.16e}\n")
-        fh.write(f"# order={order:.6f}\n")
     print(f"order={order:.4f}")
-    print(f"wrote {path}")
+    _write_csv(config, "N,h_bar,l2_error",
+               (f"{n_el},{h_bar:.16e},{err:.16e}" for n_el, h_bar, err in rows),
+               f"order={order:.6f}")
     return 0 if failures == 0 else 1
 
 
@@ -254,16 +275,10 @@ def cmd_precond(config: ExperimentConfig) -> int:
             histories[variant] = []
             iterations[variant] = None
             print(f"precond={variant} failed: {exc}")
-    path = config.default_out()
     longest = max(len(h) for h in histories.values())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config: {config.config_line()}\n")
-        fh.write("iteration," + ",".join(variants) + "\n")
-        for i in range(longest):
-            cells = [f"{histories[v][i]:.16e}" if i < len(histories[v]) else ""
-                     for v in variants]
-            fh.write(f"{i}," + ",".join(cells) + "\n")
-    print(f"wrote {path}")
+    _write_csv(config, "iteration," + ",".join(variants),
+               (f"{i}," + ",".join(f"{histories[v][i]:.16e}" if i < len(histories[v]) else ""
+                                   for v in variants) for i in range(longest)))
     return 0 if not failures and all(iterations[v] is not None for v in variants) else 1
 
 

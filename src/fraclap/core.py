@@ -1,10 +1,9 @@
-"""Shared numerics: fractional order, overlay-grid geometry, the discrete
-symbol of the uniform-grid operator, and thin layers over scipy.special for
-the gamma function, the Bessel functions J_{d/2-1} and Gauss-Legendre rules
-that keep this package's contracts (poles raise, r <= 0 is rejected, rules
-are exactly symmetric).
+"""Shared numerics: fractional order, overlay-grid geometry, and thin layers
+over scipy.special for the gamma function, the Bessel functions J_{d/2-1}
+and Gauss-Legendre rules that keep this package's contracts (poles raise,
+r <= 0 is rejected, rules are exactly symmetric).
 
-Everything here is pure and the types are immutable, so all of it is safe
+Everything here is pure and the grid type is immutable, so all of it is safe
 to share across threads.
 """
 
@@ -17,9 +16,7 @@ import scipy.special
 
 __all__ = [
     "OverlayGrid",
-    "QuadratureRule",
     "order_value",
-    "symbol",
     "gamma",
     "gauss_legendre",
     "bessel_j_half_order",
@@ -73,20 +70,6 @@ class OverlayGrid:
         return self.nodes_per_axis ** self.dim
 
 
-def symbol(xi, s) -> np.ndarray:
-    """Discrete symbol (4 sum_j sin^2(xi_j / 2))^s of the uniform-grid operator.
-
-    ``xi`` holds the frequency components along its last axis, so a plain
-    length-d vector gives a scalar and an (..., d) array is evaluated
-    pointwise.  The value is >= 0 and vanishes exactly where every component
-    is a multiple of 2*pi.
-    """
-    s = order_value(s)
-    xi = np.asarray(xi, dtype=float)
-    total = np.sum(4.0 * np.sin(0.5 * xi) ** 2, axis=-1)
-    return total ** s
-
-
 def gamma(x):
     """Gamma function (scipy.special.gamma) for scalars or arrays; a scalar
     gives a float.  Poles (x a nonpositive integer) raise."""
@@ -116,46 +99,13 @@ def bessel_j_half_order(dim: int, r):
     return amp * np.sin(r)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre rule on (-1, 1): strictly increasing nodes, positive
-    weights summing to 2, exact for polynomials of degree <= 2*order - 1."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise ValueError("nodes and weights must be matching 1-D arrays")
-        if np.any(weights <= 0.0):
-            raise ValueError("quadrature weights must be positive")
-        if abs(weights.sum() - 2.0) > 1e-13:
-            raise ValueError("quadrature weights must sum to 2")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("quadrature nodes must be strictly increasing")
-        if np.max(np.abs(nodes + nodes[::-1])) > 1e-13:
-            raise ValueError("quadrature nodes must be symmetric about 0")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    def mapped(self, a: float, b: float):
-        """Nodes and weights transplanted to the interval [a, b]."""
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        return mid + half * self.nodes, half * self.weights
-
-
-def gauss_legendre(n_g: int) -> QuadratureRule:
-    """Gauss-Legendre nodes and weights on (-1, 1) (scipy.special.roots_legendre),
-    made exactly symmetric: x_k = -x_{n-1-k} and w_k = w_{n-1-k} bitwise, with
-    a centre node of exactly 0 for odd n_g."""
+def gauss_legendre(n_g: int):
+    """Gauss-Legendre (nodes, weights) on (-1, 1) (scipy.special.roots_legendre),
+    exact for polynomials of degree <= 2 n_g - 1 and made exactly symmetric:
+    x_k = -x_{n-1-k} and w_k = w_{n-1-k} bitwise, with a centre node of
+    exactly 0 for odd n_g.  On [a, b] the rule is mid + half * nodes and
+    half * weights, with mid = (a + b) / 2 and half = (b - a) / 2."""
     if int(n_g) != n_g or n_g < 1:
         raise ValueError(f"quadrature order must be an integer >= 1, got {n_g}")
     x, w = scipy.special.roots_legendre(int(n_g))
-    return QuadratureRule(nodes=0.5 * (x - x[::-1]), weights=0.5 * (w + w[::-1]),
-                          order=int(n_g))
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])

@@ -38,6 +38,7 @@ __all__ = [
     "load_mesh",
     "save_mesh",
     "generate_ball_mesh",
+    "is_unit_ball",
     "mesh_quality",
     "lumped_l2_error",
     "simplex_adjugates",
@@ -464,6 +465,14 @@ def mesh_quality(mesh: SimplicialMesh) -> MeshQuality:
         h_bar=float(mesh.n_elements ** (-1.0 / mesh.dim)),
         n_elements=mesh.n_elements,
     )
+
+
+def is_unit_ball(mesh: SimplicialMesh) -> bool:
+    """Whether the mesh fills the unit ball: every boundary vertex has
+    ||x| - 1| <= 1e-12 and every vertex |x| <= 1 + 1e-12."""
+    radii = np.sqrt(np.einsum("ij,ij->i", mesh.vertices, mesh.vertices))
+    return bool(np.abs(radii[mesh.n_interior:] - 1.0).max(initial=0.0) <= 1e-12
+                and radii.max(initial=0.0) <= 1.0 + 1e-12)
 
 
 def lumped_l2_error(mesh: SimplicialMesh, nodal_values, exact_fn) -> float:

@@ -42,7 +42,7 @@ import scipy.sparse
 
 from .core import OverlayGrid, gamma, order_value
 from .ichol import MicFactor, mic_factor_with_retry
-from .mesh import SimplicialMesh, lumped_l2_error, mesh_quality
+from .mesh import SimplicialMesh, is_unit_ball, lumped_l2_error, mesh_quality
 from .stiffness import (StiffnessKernel, analytic_1d, fft_corrected, fft_uniform,
                         modified_spectral, nonuniform, spectral)
 from .toeplitz import ToeplitzPlan
@@ -412,8 +412,8 @@ def solve_bvp(mesh: SimplicialMesh, s, scheme: str = "fft", *,
               kernel: StiffnessKernel | None = None):
     """Setup, then solve(): select_grid's grid (so the n_fd cap holds before
     any kernel is built), the kernel (a supplied one must fit the grid, the
-    mesh and s), the transfer, require_full_rank and the operator.  The
-    report's wall_times time the setup phases, then solve()'s."""
+    mesh, s and the scheme), the transfer, require_full_rank and the
+    operator.  The report's wall_times time the setup phases, then solve()'s."""
     s = order_value(s)
     times = {}
     t0 = time.perf_counter()
@@ -427,6 +427,8 @@ def solve_bvp(mesh: SimplicialMesh, s, scheme: str = "fft", *,
         raise ValueError("supplied kernel does not match the chosen grid")
     elif kernel.s != s:
         raise ValueError(f"supplied kernel has order {kernel.s}, not s = {s}")
+    elif kernel.scheme != scheme:
+        raise ValueError(f"supplied kernel has scheme {kernel.scheme!r}, not {scheme!r}")
     plan_ = ToeplitzPlan(kernel)
     times["kernel"] = time.perf_counter() - t0
 
@@ -447,14 +449,16 @@ def solve_bvp(mesh: SimplicialMesh, s, scheme: str = "fft", *,
 def solve(op: OverlayOperator, mesh: SimplicialMesh, precond: str = "auto", *, f=1.0,
           exact=None, tol: float = 1e-10, max_iter: int = 5000):
     """One solve on a built operator: preconditioner, right-hand side, PCG
-    and the lumped L2 error against exact (default: the closed-form unit-ball
-    solution), at the order s of op.plan.kernel.  No rank is checked here:
-    check each transfer once, before its first solve.  precond "auto" is
-    circulant, or none for the spectral scheme, and falls back to plain CG
-    when the circulant run fails.  Returns the nodal solution over all
-    vertices (boundary entries zero) and a SolveReport with per-phase timings
-    and precond_shift, the diagonal shift of the sparse preconditioner's MIC
-    retry (0.0 if none, and for the other preconditioners)."""
+    and the lumped L2 error against exact, at the order s of op.plan.kernel.
+    Without exact the reference is the closed-form unit-ball solution, which
+    holds only where is_unit_ball(mesh); elsewhere l2_error is NaN.  No rank
+    is checked here: check each transfer once, before its first solve.
+    precond "auto" is circulant, or none for the spectral scheme, and falls
+    back to plain CG when the circulant run fails.  Returns the nodal
+    solution over all vertices (boundary entries zero) and a SolveReport with
+    per-phase timings and precond_shift, the diagonal shift of the sparse
+    preconditioner's MIC retry (0.0 if none, and for the other
+    preconditioners)."""
     s = op.plan.kernel.s
     times = {}
     t0 = time.perf_counter()
@@ -488,8 +492,10 @@ def solve(op: OverlayOperator, mesh: SimplicialMesh, precond: str = "auto", *, f
     t0 = time.perf_counter()
     u_full = np.zeros(mesh.n_vertices)
     u_full[:mesh.n_interior] = u_interior
-    exact_fn = exact if exact is not None else (lambda pts: exact_solution(mesh.dim, s, pts))
-    report.l2_error = lumped_l2_error(mesh, u_full, exact_fn)
+    if exact is None and is_unit_ball(mesh):
+        exact = functools.partial(exact_solution, mesh.dim, s)
+    if exact is not None:
+        report.l2_error = lumped_l2_error(mesh, u_full, exact)
     times["error"] = time.perf_counter() - t0
 
     report.wall_times = times

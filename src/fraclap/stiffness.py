@@ -24,6 +24,7 @@ count.  In 3D the integrand is symmetric in its first two axes bit for bit,
 so only the sample lines with xi_1 <= xi_0 are evaluated: about half.
 
 A decay-profile helper fits the tail slope of log|T_p| against log|p|.
+Nothing here writes files: the command line formats the CSV dumps.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ __all__ = [
     "modified_spectral",
     "restrict",
     "decay_profile",
-    "write_kernel_csv",
-    "write_decay_csv",
 ]
 
 SCHEMES = ("analytic", "fft", "nufft", "spectral", "modspec")
@@ -247,19 +246,19 @@ def spectral(s, dim: int, n_fd: int, n_g: int = 64) -> StiffnessKernel:
     uniq, inverse = np.unique(_squared_offsets(dim, k).ravel(), return_inverse=True)
     rho = np.sqrt(uniq.astype(float))
 
-    rule = gauss_legendre(n_g)
+    gl_nodes, gl_weights = gauss_legendre(n_g)
     lo = radius * rho[:-1]
     hi = radius * rho[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * rule.nodes[None, :]
+    nodes = mid[:, None] + half[:, None] * gl_nodes[None, :]
     fvals = nodes ** (2.0 * s + 0.5 * dim) * bessel_j_half_order(dim, nodes)
-    segments = half * (fvals @ rule.weights)
+    segments = half * (fvals @ gl_weights)
     # The integrand behaves like r^{2s + d - 1} at the origin, so the first
     # interval [0, R rho_1] sees an algebraic singularity that a single panel
     # resolves poorly for small s.  Grade it dyadically toward zero; every
     # sub-panel is analytic and the rule converges to rounding there.
-    segments[0] = _graded_origin_integral(s, dim, hi[0], rule)
+    segments[0] = _graded_origin_integral(s, dim, hi[0], gl_nodes, gl_weights)
     cumulative = np.concatenate(([0.0], np.cumsum(segments)))
 
     values = np.empty(uniq.shape[0])
@@ -298,11 +297,10 @@ def ball_radius(dim: int) -> float:
     return 2.0 * math.sqrt(math.pi) * gamma(0.5 * dim + 1.0) ** (1.0 / dim)
 
 
-def decay_profile(kernel: StiffnessKernel, tail_fraction: float = 0.5) -> DecayProfile:
+def decay_profile(kernel: StiffnessKernel) -> DecayProfile:
     """Offset magnitudes and |T_p| for every nonzero offset in the stored
     orthant, plus the log-log least-squares slope over the tail
-    |p| >= tail_fraction * max|p| (entries with T_p = 0 are excluded from
-    the fit)."""
+    |p| >= max|p| / 2 (entries with T_p = 0 are excluded from the fit)."""
     if kernel.n_fd < 16:
         raise ValueError("decay profile needs n_fd >= 16 for a meaningful tail")
     ssq = _squared_offsets(kernel.dim, kernel.offsets_per_axis).ravel()
@@ -315,7 +313,7 @@ def decay_profile(kernel: StiffnessKernel, tail_fraction: float = 0.5) -> DecayP
     mags = mags[order_idx]
 
     rmax = radii[-1]
-    tail = (radii >= tail_fraction * rmax) & (mags > 0.0)
+    tail = (radii >= 0.5 * rmax) & (mags > 0.0)
     if np.count_nonzero(tail) < 8:
         raise ValueError("fewer than 8 nonzero tail entries, cannot fit decay slope")
     slope = np.polyfit(np.log(radii[tail]), np.log(mags[tail]), 1)[0]
@@ -329,35 +327,6 @@ def _squared_offsets(dim: int, k: int) -> np.ndarray:
     for _ in range(dim - 1):
         total = total[..., None] + squares
     return total
-
-
-def write_kernel_csv(kernel: StiffnessKernel, path, config_line: str | None = None):
-    """Dump the nonnegative orthant as CSV with header p1[,p2[,p3]],T and
-    17-significant-digit scientific entries, rows in C order of the offsets."""
-    k = kernel.offsets_per_axis
-    header = ",".join(f"p{i + 1}" for i in range(kernel.dim)) + ",T"
-    # One %-format per slab of equal first offset: the later offsets are
-    # literal text, the same in every slab.
-    rows = ["%.16e"]
-    for _ in range(kernel.dim - 1):
-        rows = [f"{p},{row}" for p in range(k) for row in rows]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if config_line:
-            fh.write(f"# config: {config_line}\n")
-        fh.write(header + "\n")
-        for p in range(k):
-            lead = f"{p},"
-            fh.write((lead + ("\n" + lead).join(rows) + "\n")
-                     % tuple(kernel.coeffs[p].ravel().tolist()))
-
-
-def write_decay_csv(profile: DecayProfile, path, config_line: str | None = None):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if config_line:
-            fh.write(f"# config: {config_line}\n")
-        fh.write("abs_p,abs_T\n")
-        for r, t in zip(profile.radii, profile.magnitudes):
-            fh.write(f"{r:.16e},{t:.16e}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -627,16 +596,20 @@ def _clustered_nodes(m: int):
     return xi, w
 
 
-def _graded_origin_integral(s, dim, upper, rule):
+def _graded_origin_integral(s, dim, upper, gl_nodes, gl_weights):
     """Integral of r^{2s + d/2} J_{d/2-1}(r) over [0, upper] with dyadic
-    grading toward the singular endpoint."""
+    grading toward the singular endpoint, by the Gauss-Legendre rule mapped
+    to each panel."""
     exponent = 2.0 * s + dim - 1.0  # local behavior r^exponent near 0
     edges = upper * 2.0 ** (-np.arange(1, 54, dtype=float))
     total = 0.0
     hi = upper
     for lo in edges:
-        nodes, weights = rule.mapped(lo, hi)
-        total += weights @ (nodes ** (2.0 * s + 0.5 * dim) * bessel_j_half_order(dim, nodes))
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        nodes = mid + half * gl_nodes
+        total += (half * gl_weights) @ (nodes ** (2.0 * s + 0.5 * dim)
+                                        * bessel_j_half_order(dim, nodes))
         hi = lo
     # closed leading-order contribution of the last sliver [0, hi]
     lead = hi ** (exponent + 1.0) / ((exponent + 1.0) * 2.0 ** (0.5 * dim - 1.0) * gamma(0.5 * dim))

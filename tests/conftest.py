@@ -29,6 +29,18 @@ def scattered_ball(n_r: int, amplitude: float, seed: int = 5) -> SimplicialMesh:
     return _build_mesh(2, verts, Delaunay(verts).simplices)[0]
 
 
+@lru_cache(maxsize=None)
+def square_mesh(n: int) -> SimplicialMesh:
+    """[-0.5, 0.5]^2 cut into n x n squares, each split into two triangles:
+    a bounded domain other than the unit ball, (n - 1)^2 interior vertices."""
+    t = np.linspace(-0.5, 0.5, n + 1)
+    verts = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+    a = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    b, c, d = a + n + 1, a + 1, a + n + 2
+    simplices = np.concatenate([np.column_stack([a, b, d]), np.column_stack([a, d, c])])
+    return _build_mesh(2, verts, simplices)[0]
+
+
 def rotated(mesh, seed):
     """The mesh turned by a seeded proper rotation about the origin."""
     rng = np.random.default_rng(seed)

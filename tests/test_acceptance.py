@@ -304,8 +304,9 @@ def test_criterion_9_property_suite():
         failures.append("DFT round trip")
 
     # quadrature exactness on mapped intervals
-    rule = gauss_legendre(7)
-    xq, wq = rule.mapped(-1.3, 2.7)
+    nodes, weights = gauss_legendre(7)
+    mid, half = 0.5 * (-1.3 + 2.7), 0.5 * (2.7 + 1.3)
+    xq, wq = mid + half * nodes, half * weights
     for k in range(14):
         exact = (2.7 ** (k + 1) - (-1.3) ** (k + 1)) / (k + 1)
         if abs(wq @ xq ** k - exact) > 1e-12 * max(1.0, abs(exact)):

@@ -8,9 +8,13 @@ import fraclap.ichol
 import fraclap.solver
 from fraclap.cli import main, parse_config
 from fraclap.mesh import SimplicialMesh, generate_ball_mesh, save_mesh
+from fraclap.stiffness import StiffnessKernel, analytic_1d, decay_profile
 from fraclap.transfer import TransferRankWarning
 
-from conftest import ball_mesh
+from conftest import ball_mesh, square_mesh
+
+# the settings after m in every test below that leaves them at their defaults
+TAIL = "n_g=64 r_fd=1.2 precond=auto tol=1e-10 delta=12"
 
 
 def read_lines(path):
@@ -80,6 +84,88 @@ class TestParsing:
     def test_unsupported_dim_has_no_default_m(self, tmp_path, capsys):
         assert main(["kernel", "--dim", "4", "--out", str(tmp_path / "k.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: dim must be 1, 2 or 3")
+
+
+def reference_write_kernel_csv(kernel, path, config_line):
+    """A per-row writer of the rows that `fraclap kernel` writes a slab at a time."""
+    k = kernel.offsets_per_axis
+    header = ",".join(f"p{i + 1}" for i in range(kernel.dim)) + ",T"
+    grids = np.meshgrid(*([np.arange(k)] * kernel.dim), indexing="ij")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# config: {config_line}\n")
+        fh.write(header + "\n")
+        flat = [g.ravel() for g in grids]
+        vals = kernel.coeffs.ravel()
+        for row in range(vals.shape[0]):
+            offs = ",".join(str(int(g[row])) for g in flat)
+            fh.write(f"{offs},{vals[row]:.16e}\n")
+
+
+class TestKernelCsv:
+    @pytest.mark.parametrize("dim,n_fd", [(1, 7), (2, 6), (3, 5)])
+    @pytest.mark.parametrize("coeffs", ["random", "fft"])
+    def test_bytes_match_per_row_writer(self, tmp_path, monkeypatch, capsys, dim, n_fd, coeffs):
+        argv = ["kernel", "--dim", str(dim), "--s", "0.3", "--nfd", str(n_fd), "--m", "32",
+                "--out", str(tmp_path / "new.csv")]
+        if coeffs == "random":
+            # both signs, exponents up to three digits, and a negative zero
+            rng = np.random.default_rng(dim)
+            k = 2 * n_fd + 1
+            values = rng.standard_normal((k,) * dim) * 10.0 ** rng.integers(-300, 300, (k,) * dim)
+            values.flat[0] = 1.5
+            values.flat[-1] = -0.0
+            kernel = StiffnessKernel(dim=dim, s=0.3, n_fd=n_fd, scheme="fft", coeffs=values)
+            monkeypatch.setattr(fraclap.cli, "build_kernel", lambda *args: kernel)
+        else:
+            kernel = fraclap.solver.build_kernel("fft", 0.3, dim, n_fd, 32)
+        assert main(argv) == 0
+        reference_write_kernel_csv(kernel, tmp_path / "old.csv", parse_config(argv).config_line())
+        expected = (tmp_path / "old.csv").read_bytes()
+        if dim == 1:
+            max_error = np.max(np.abs(kernel.coeffs - analytic_1d(0.3, n_fd).coeffs))
+            expected += f"# max_error={max_error:.16e}\n".encode()
+            assert f"max_error={max_error:.6e}\n" in capsys.readouterr().out
+        assert (tmp_path / "new.csv").read_bytes() == expected
+
+
+class TestCsvLayout:
+    """Line 1 ('# config:' with the configuration that ran), line 2 (the
+    header) and the footer of every command's CSV."""
+
+    @pytest.mark.parametrize("argv,config,header,footer", [
+        (["kernel"], f"command=kernel dim=2 s=0.5 scheme=fft n_fd=81 m=default {TAIL}",
+         "p1,p2,T", None),
+        (["kernel", "--dim", "1", "--nfd", "16"],
+         f"command=kernel dim=1 s=0.5 scheme=fft n_fd=16 m=default {TAIL}", "p1,T",
+         "# max_error="),
+        (["decay"], f"command=decay dim=2 s=0.5 scheme=fft n_fd=81 m=default {TAIL}",
+         "abs_p,abs_T", None),
+        (["decay", "--dim", "3", "--nfd", "16", "--m", "64"],
+         f"command=decay dim=3 s=0.5 scheme=fft n_fd=16 m=64 {TAIL}", "abs_p,abs_T", None),
+        (["impact"], f"command=impact dim=2 s=0.5 scheme=fft n_fd=None m=default {TAIL}",
+         "n_fd,bound,err1,err2", None),
+        (["solve", "--ball", "0.25", "--m", "256"],
+         f"command=solve dim=2 s=0.5 scheme=fft n_fd=None m=256 {TAIL} ball=0.25",
+         "iteration,relative_residual", None),
+        (["convergence", "--ball", "0.4,0.3,0.2", "--m", "256"],
+         f"command=convergence dim=2 s=0.5 scheme=fft n_fd=None m=256 {TAIL} ball=0.4,0.3,0.2",
+         "N,h_bar,l2_error", "# order="),
+        (["precond", "--ball", "0.25", "--m", "256"],
+         f"command=precond dim=2 s=0.5 scheme=fft n_fd=None m=256 {TAIL} ball=0.25",
+         "iteration,none,sparse,circulant", None),
+    ], ids=["kernel", "kernel-nfd16", "decay", "decay-3d-nfd16", "impact", "solve",
+            "convergence", "precond"])
+    def test_first_lines_and_footer(self, argv, config, header, footer, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        lines = read_lines(out)
+        assert lines[0] == f"# config: {config}"
+        assert lines[1] == header
+        footers = [line for line in lines[1:] if line.startswith("#")]
+        assert footers == ([lines[-1]] if footer else [])
+        if footer:
+            assert lines[-1].startswith(footer)
+        assert capsys.readouterr().out.endswith(f"wrote {out}\n")
 
 
 class TestKernelCommand:
@@ -153,6 +239,16 @@ class TestDecayCommand:
     def test_rejects_small_grid(self):
         assert main(["decay", "--dim", "1", "--scheme", "analytic", "--nfd", "8"]) == 2
 
+    def test_rows_are_the_profile(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert main(["decay", "--dim", "1", "--scheme", "analytic", "--s", "0.5",
+                     "--nfd", "16", "--out", str(out)]) == 0
+        profile = decay_profile(analytic_1d(0.5, 16))
+        rows = np.array([[float(v) for v in line.split(",")] for line in read_lines(out)[2:]])
+        np.testing.assert_array_equal(rows[:, 0], profile.radii)
+        np.testing.assert_array_equal(rows[:, 1], profile.magnitudes)
+        assert f"slope={profile.fitted_slope:.6f}" in capsys.readouterr().out
+
     def test_library_rule_is_the_only_one(self, tmp_path, capsys):
         # decay_profile needs n_fd >= 16; the command adds no rule of its own
         out = tmp_path / "d.csv"
@@ -205,6 +301,23 @@ class TestSolveCommand:
         code = main(["solve", "--dim", "2", "--s", "0.5", "--scheme", "spectral",
                      "--mesh", str(mpath), "--out", str(out)])
         assert code == 0
+
+    def test_square_mesh_has_no_error(self, tmp_path, capsys):
+        # the unit-ball solution is no reference on [-0.5, 0.5]^2
+        mpath = tmp_path / "square.mesh"
+        save_mesh(square_mesh(20), mpath)
+        out = tmp_path / "solve.csv"
+        assert main(["solve", "--mesh", str(mpath), "--m", "256", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "converged=True" in lines and "l2_error=nan" in lines
+
+    def test_ball_mesh_file_has_an_error(self, tmp_path, capsys):
+        mpath = tmp_path / "ball.mesh"
+        save_mesh(ball_mesh(2, 4), mpath)
+        assert main(["solve", "--mesh", str(mpath), "--m", "256",
+                     "--out", str(tmp_path / "solve.csv")]) == 0
+        text = capsys.readouterr().out
+        assert 0.0 < float(text.split("l2_error=")[1].split()[0]) < 0.1
 
     def test_missing_mesh_source(self):
         assert main(["solve", "--dim", "2"]) == 2
@@ -377,6 +490,21 @@ class TestConvergenceCommand:
             assert read_lines(out)[0].startswith("# config: command=convergence dim=3 ")
             outputs.append((captured.out.splitlines()[:-1], read_lines(out)[1:]))
         assert outputs[0] == outputs[1]
+
+    def test_square_levels_exit_2(self, tmp_path, capsys, monkeypatch):
+        paths = []
+        for name, mesh in (("b", ball_mesh(2, 3)), ("s", square_mesh(12)), ("t", square_mesh(16))):
+            paths.append(str(tmp_path / f"{name}.mesh"))
+            save_mesh(mesh, paths[-1])
+        built = count_calls(monkeypatch, "build_kernel")
+        out = tmp_path / "conv.csv"
+        assert main(["convergence", "--mesh", ",".join(paths), "--out", str(out)]) == 2
+        assert built == [] and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: convergence studies measure the error against the "
+                                "unit-ball solution, but level(s) [1, 2] do not mesh the unit "
+                                "ball\n")
 
     def test_mixed_dimensions_exit_2(self, tmp_path, capsys, monkeypatch):
         paths = []

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fraclap.core import (OverlayGrid, QuadratureRule, bessel_j_half_order, gamma,
-                          gauss_legendre, order_value, symbol)
+from fraclap.core import OverlayGrid, bessel_j_half_order, gamma, gauss_legendre, order_value
 
 
 def j0_series(r, terms=80):
@@ -44,37 +43,6 @@ class TestOverlayGrid:
             OverlayGrid(dim=2, r_fd=-1.0, n_fd=3)
         with pytest.raises(ValueError):
             OverlayGrid(dim=2, r_fd=1.0, n_fd=0)
-
-
-class TestSymbol:
-    def test_zero_at_origin(self):
-        assert symbol((0.0, 0.0), 0.3) == 0.0
-
-    def test_corner_value(self):
-        # 4 sin^2(pi/2) + 4 sin^2(pi/2) = 8, then sqrt
-        assert symbol((np.pi, np.pi), 0.5) == pytest.approx(math.sqrt(8.0), abs=1e-12)
-
-    def test_1d_value(self):
-        assert symbol((np.pi,), 0.75) == pytest.approx(4.0 ** 0.75, abs=1e-12)
-
-    def test_even_and_permutation_invariant(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            xi = rng.uniform(-np.pi, np.pi, size=3)
-            s = rng.uniform(0.05, 0.95)
-            base = symbol(xi, s)
-            assert symbol(-xi, s) == pytest.approx(base, rel=1e-14)
-            flipped = xi * np.array([1, -1, 1])
-            assert symbol(flipped, s) == pytest.approx(base, rel=1e-14)
-            assert symbol(xi[::-1], s) == pytest.approx(base, rel=1e-14)
-
-    def test_small_frequency_limit(self):
-        # symbol(xi) / |xi|^{2s} -> 1
-        for s in (0.25, 0.5, 0.9):
-            for direction in ([1.0, 0.0], [0.6, 0.8], [1 / np.sqrt(2)] * 2):
-                xi = 1e-4 * np.asarray(direction)
-                ratio = symbol(xi, s) / np.linalg.norm(xi) ** (2 * s)
-                assert abs(ratio - 1.0) < 1e-6
 
 
 class TestGamma:
@@ -136,30 +104,31 @@ class TestBessel:
 
 class TestGaussLegendre:
     def test_midpoint_rule(self):
-        rule = gauss_legendre(1)
-        np.testing.assert_allclose(rule.nodes, [0.0], atol=1e-15)
-        np.testing.assert_allclose(rule.weights, [2.0], atol=1e-15)
+        nodes, weights = gauss_legendre(1)
+        np.testing.assert_allclose(nodes, [0.0], atol=1e-15)
+        np.testing.assert_allclose(weights, [2.0], atol=1e-15)
 
     def test_two_point_closed_form(self):
-        rule = gauss_legendre(2)
-        np.testing.assert_allclose(rule.nodes, [-1 / math.sqrt(3), 1 / math.sqrt(3)],
-                                   atol=1e-14)
-        np.testing.assert_allclose(rule.weights, [1.0, 1.0], atol=1e-14)
+        nodes, weights = gauss_legendre(2)
+        np.testing.assert_allclose(nodes, [-1 / math.sqrt(3), 1 / math.sqrt(3)], atol=1e-14)
+        np.testing.assert_allclose(weights, [1.0, 1.0], atol=1e-14)
 
     def test_quartic_with_three_points(self):
-        rule = gauss_legendre(3)
-        value = rule.weights @ rule.nodes ** 4
+        nodes, weights = gauss_legendre(3)
+        value = weights @ nodes ** 4
         assert value == pytest.approx(2.0 / 5.0, abs=1e-14)
 
     @pytest.mark.parametrize("n_g", [1, 2, 5, 16, 64])
     def test_exactness_on_mapped_intervals(self, n_g):
         rng = np.random.default_rng(n_g)
-        rule = gauss_legendre(n_g)
+        nodes, weights = gauss_legendre(n_g)
         for _ in range(5):
             a, b = sorted(rng.uniform(-4.0, 4.0, size=2))
             if b - a < 0.1:
                 b = a + 0.5
-            x, w = rule.mapped(a, b)
+            # the map to [a, b] that the stiffness module uses
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            x, w = mid + half * nodes, half * weights
             for k in range(0, 2 * n_g, max(1, (2 * n_g) // 6)):
                 exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
                 got = w @ x ** k
@@ -167,25 +136,22 @@ class TestGaussLegendre:
 
     def test_invariants(self):
         for n_g in (3, 10, 33, 64):
-            rule = gauss_legendre(n_g)
-            assert abs(rule.weights.sum() - 2.0) <= 1e-13
-            assert np.all(np.diff(rule.nodes) > 0)
-            assert np.max(np.abs(rule.nodes + rule.nodes[::-1])) <= 1e-13
+            nodes, weights = gauss_legendre(n_g)
+            assert nodes.shape == weights.shape == (n_g,)
+            assert np.all(weights > 0.0)
+            assert abs(weights.sum() - 2.0) <= 1e-13
+            assert np.all(np.diff(nodes) > 0)
+            assert np.max(np.abs(nodes + nodes[::-1])) <= 1e-13
 
     def test_bitwise_symmetry(self):
         for n_g in range(1, 130):
-            rule = gauss_legendre(n_g)
-            assert np.array_equal(rule.nodes, -rule.nodes[::-1])
-            assert np.array_equal(rule.weights, rule.weights[::-1])
+            nodes, weights = gauss_legendre(n_g)
+            assert np.array_equal(nodes, -nodes[::-1])
+            assert np.array_equal(weights, weights[::-1])
             if n_g % 2:
-                centre = rule.nodes[n_g // 2]
+                centre = nodes[n_g // 2]
                 assert centre == 0.0 and not np.signbit(centre)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             gauss_legendre(0)
-
-    def test_rule_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=np.array([-0.5, 0.5]), weights=np.array([1.0, 0.5]),
-                           order=2)

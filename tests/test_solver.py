@@ -1,5 +1,6 @@
 import math
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fraclap import ichol
 from fraclap.core import OverlayGrid, gamma
 from fraclap.ichol import (IncompleteCholeskyError, MicFactor, mic_factor,
                            mic_factor_with_retry)
-from fraclap.mesh import SimplicialMesh, generate_ball_mesh, mesh_quality
+from fraclap.mesh import SimplicialMesh, generate_ball_mesh, is_unit_ball, mesh_quality
 from fraclap.solver import (CirculantPreconditioner, OverlayOperator, Preconditioner,
                             SolveReport, SparsePreconditioner, assemble_rhs,
                             build_circulant_preconditioner, build_kernel,
@@ -27,7 +28,7 @@ from fraclap.toeplitz import ToeplitzPlan, dense_materialize
 from fraclap.transfer import (GRAM_DEGREE, GRAM_LOWER, GramSolver, TransferMatrix,
                               TransferRankWarning, build_transfer, choose_grid)
 
-from conftest import ball_mesh, scattered_ball
+from conftest import ball_mesh, rotated, scattered_ball, square_mesh
 
 
 def small_operator(n_r=3, s=0.5, m=32, dim=2):
@@ -1015,6 +1016,49 @@ class TestExactSolution:
         assert exact_solution(dim, s, x) == pytest.approx(expected, rel=1e-13)
 
 
+class TestUnitBallReference:
+    """Without exact, l2_error is measured against the closed-form unit-ball
+    solution, and only on a mesh of the unit ball."""
+
+    @pytest.mark.parametrize("mesh", [ball_mesh(2, 4), rotated(ball_mesh(2, 8), 3),
+                                      rotated(ball_mesh(3, 3), 7), scattered_ball(8, 0.3)],
+                             ids=["ball", "rotated ball", "rotated 3D ball", "scattered ball"])
+    def test_ball_error_is_the_closed_form_error(self, mesh):
+        assert is_unit_ball(mesh)
+        _, report = solve_bvp(mesh, 0.5, "fft", m=256)
+        _, explicit = solve_bvp(mesh, 0.5, "fft", m=256,
+                                exact=lambda pts: exact_solution(mesh.dim, 0.5, pts))
+        assert report.converged and 0.0 < report.l2_error < 0.1
+        assert report.l2_error == explicit.l2_error
+
+    def test_square_has_no_default_error(self):
+        mesh = square_mesh(20)
+        assert mesh.n_interior == 361 and not is_unit_ball(mesh)
+        _, report = solve_bvp(mesh, 0.5, "fft", m=256)
+        assert report.converged and math.isnan(report.l2_error)
+        _, explicit = solve_bvp(mesh, 0.5, "fft", m=256, f=0.0, exact=lambda pts: 0.0 * pts[:, 0])
+        assert explicit.l2_error == 0.0
+
+    @pytest.mark.parametrize("scale,accepted", [(1.0 + 5e-13, True), (1.0 - 5e-13, True),
+                                                (1.0 + 2e-12, False), (1.0 - 2e-12, False)])
+    def test_boundary_tolerance(self, scale, accepted):
+        mesh = ball_mesh(2, 4)
+        vertices = mesh.vertices.copy()
+        vertices[-1] *= scale
+        moved = SimplicialMesh(dim=2, vertices=vertices, simplices=mesh.simplices,
+                               n_interior=mesh.n_interior)
+        assert is_unit_ball(moved) == accepted
+
+    def test_interior_vertex_outside_the_ball(self):
+        # a valid mesh with its boundary on the sphere lies inside the ball, so
+        # the rule's second half is checked on the arrays it reads
+        mesh = ball_mesh(2, 4)
+        vertices = mesh.vertices.copy()
+        assert is_unit_ball(SimpleNamespace(vertices=vertices, n_interior=mesh.n_interior))
+        vertices[0] = [0.0, 1.0 + 2e-12]
+        assert not is_unit_ball(SimpleNamespace(vertices=vertices, n_interior=mesh.n_interior))
+
+
 class TestSolveBvp:
     def test_zero_source(self):
         mesh = ball_mesh(2, 4)
@@ -1047,6 +1091,14 @@ class TestSolveBvp:
         with pytest.raises(ValueError, match="order 0.75, not s = 0.5"):
             solve_bvp(mesh, 0.5, "fft", kernel=kernel)
         assert solve_bvp(mesh, 0.75, "fft", kernel=kernel)[1].converged
+
+    def test_rejects_kernel_of_another_scheme(self):
+        # an fft kernel under scheme="nufft" converged and said nothing
+        mesh = ball_mesh(2, 4)
+        kernel = build_kernel("fft", 0.5, 2, 8)
+        with pytest.raises(ValueError, match="supplied kernel has scheme 'fft', not 'nufft'"):
+            solve_bvp(mesh, 0.5, "nufft", n_fd=8, kernel=kernel)
+        assert solve_bvp(mesh, 0.5, "fft", n_fd=8, kernel=kernel)[1].converged
 
     def test_analytic_scheme_needs_1d(self):
         mesh = ball_mesh(2, 4)

@@ -12,9 +12,9 @@ from fraclap.core import gauss_legendre
 from fraclap.solver import build_kernel
 from fraclap.stiffness import (DecayProfile, StiffnessKernel, analytic_1d, ball_radius,
                                decay_profile, fft_corrected, fft_uniform, modified_spectral,
-                               nonuniform, restrict, spectral, write_decay_csv,
-                               write_kernel_csv, _lattice_sum, _modified_spectral_parts,
-                               _psi_integrand, _regularized_integrand, _uniform_fourier)
+                               nonuniform, restrict, spectral, _lattice_sum,
+                               _modified_spectral_parts, _psi_integrand,
+                               _regularized_integrand, _uniform_fourier)
 
 # max-norm errors of the 1D kernels against the closed form, N_FD = 81
 FFT_ERRORS_1D = {
@@ -43,13 +43,13 @@ def max_error_vs_analytic(kernel):
 
 def interval_integral_dyadic(f, a, b, order=40, levels=60):
     """Graded quadrature oracle that resolves an algebraic singularity at a."""
-    rule = gauss_legendre(order)
+    nodes, weights = gauss_legendre(order)
     total = 0.0
     hi = b
     for k in range(1, levels + 1):
         lo = a + (b - a) * 2.0 ** (-k)
-        x, w = rule.mapped(lo, hi)
-        total += w @ f(x)
+        half = 0.5 * (hi - lo)
+        total += (half * weights) @ f(0.5 * (lo + hi) + half * nodes)
         hi = lo
     return total
 
@@ -799,40 +799,6 @@ class TestKernelStructure:
             assert np.max(np.abs(spec.imag)) <= 1e-10 * np.max(np.abs(spec.real))
 
 
-def reference_write_kernel_csv(kernel, path, config_line=None):
-    """The per-row writer that write_kernel_csv replaces."""
-    k = kernel.offsets_per_axis
-    header = ",".join(f"p{i + 1}" for i in range(kernel.dim)) + ",T"
-    grids = np.meshgrid(*([np.arange(k)] * kernel.dim), indexing="ij")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if config_line:
-            fh.write(f"# config: {config_line}\n")
-        fh.write(header + "\n")
-        flat = [g.ravel() for g in grids]
-        vals = kernel.coeffs.ravel()
-        for row in range(vals.shape[0]):
-            offs = ",".join(str(int(g[row])) for g in flat)
-            fh.write(f"{offs},{vals[row]:.16e}\n")
-
-
-class TestWriteKernelCsv:
-    @pytest.mark.parametrize("dim,n_fd", [(1, 7), (2, 6), (3, 5)])
-    @pytest.mark.parametrize("config_line", [None, "dim=2 s=0.5"])
-    def test_bytes_match_per_row_writer(self, tmp_path, dim, n_fd, config_line):
-        rng = np.random.default_rng(dim)
-        k = 2 * n_fd + 1
-        # both signs, exponents up to three digits, and a negative zero
-        coeffs = rng.standard_normal((k,) * dim) * 10.0 ** rng.integers(-300, 300, (k,) * dim)
-        coeffs.flat[0] = 1.5
-        coeffs.flat[-1] = -0.0
-        kernels = [StiffnessKernel(dim=dim, s=0.5, n_fd=n_fd, scheme="fft", coeffs=coeffs),
-                   fft_uniform(0.3, dim, n_fd, 32)]
-        for kernel in kernels:
-            write_kernel_csv(kernel, tmp_path / "new.csv", config_line)
-            reference_write_kernel_csv(kernel, tmp_path / "old.csv", config_line)
-            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-
 class TestDecayProfile:
     def test_requires_resolution(self):
         with pytest.raises(ValueError):
@@ -844,21 +810,10 @@ class TestDecayProfile:
         assert np.all(np.diff(profile.radii) >= 0)
         assert profile.radii.shape == profile.magnitudes.shape
 
-    def test_csv_dumps(self, tmp_path):
-        kernel = analytic_1d(0.5, 16)
-        kpath = tmp_path / "kernel.csv"
-        write_kernel_csv(kernel, kpath, "test")
-        lines = kpath.read_text().splitlines()
-        assert lines[0].startswith("# config:")
-        assert lines[1] == "p1,T"
-        assert len(lines) == 2 + 33
-        value = float(lines[2].split(",")[1])
-        assert value == kernel.coeffs[0]
-
-        profile = decay_profile(kernel)
-        dpath = tmp_path / "decay.csv"
-        write_decay_csv(profile, dpath, "test")
-        lines = dpath.read_text().splitlines()
-        assert lines[0].startswith("# config:")
-        assert lines[1] == "abs_p,abs_T"
-        assert len(lines) == 2 + profile.radii.shape[0]
+    def test_tail_is_the_outer_half(self):
+        # the slope is the least-squares fit over |p| >= max|p| / 2
+        profile = decay_profile(analytic_1d(0.3, 20))
+        tail = profile.radii >= 0.5 * profile.radii[-1]
+        assert tail.sum() == 21
+        slope = np.polyfit(np.log(profile.radii[tail]), np.log(profile.magnitudes[tail]), 1)[0]
+        assert profile.fitted_slope == slope
