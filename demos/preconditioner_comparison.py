@@ -6,22 +6,18 @@ help for the true-kernel schemes.  For the ball-surrogate kernels the
 circulant can be indefinite on the lifted subspace; such runs are reported
 as not converged rather than with a misleading count.
 
-One grid, transfer and rank check serve all nine solves, and the circulant
-runs share the transfer's Gram solver; each scheme builds one kernel.
+Each scheme runs setup once (grid, kernel, transfer and rank check) and its
+three solves share that operator; the circulant run builds the transfer's
+Gram solver.
 """
 
-from fraclap import (OverlayOperator, ToeplitzPlan, build_kernel, build_transfer,
-                     generate_ball_mesh, require_full_rank, select_grid, solve)
+from fraclap import generate_ball_mesh, setup, solve
 
 mesh = generate_ball_mesh(2, 1.0 / 30)
 print(f"mesh: {mesh.n_elements} triangles; s = 0.75, tol = 1e-10\n")
-grid = select_grid(mesh)
-transfer = build_transfer(mesh, grid)
-require_full_rank(transfer)
 
 for scheme in ("fft", "spectral", "modspec"):
-    kernel = build_kernel(scheme, 0.75, 2, grid.n_fd, 2 ** 12 if scheme != "spectral" else None)
-    op = OverlayOperator(transfer=transfer, plan=ToeplitzPlan(kernel), grid=grid, s=0.75)
+    op, _ = setup(mesh, 0.75, scheme, m=2 ** 12 if scheme != "spectral" else None)
     counts = {}
     for precond in ("none", "sparse", "circulant"):
         try:

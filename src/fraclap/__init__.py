@@ -14,7 +14,7 @@ from .mesh import (DegenerateElementError, MeshFormatError, MeshQuality, Simplic
 from .solver import (CirculantPreconditioner, OverlayOperator, Preconditioner, SolveReport,
                      SparsePreconditioner, assemble_rhs, build_circulant_preconditioner,
                      build_kernel, build_sparse_preconditioner, cg_solve, exact_solution,
-                     require_full_rank, select_grid, solve, solve_bvp)
+                     setup, solve, solve_bvp)
 from .stiffness import (SCHEMES, DecayProfile, StiffnessKernel, analytic_1d, decay_profile,
                         fft_corrected, fft_uniform, modified_spectral, nonuniform, restrict,
                         spectral)

@@ -19,15 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stiffness
+from .core import OverlayGrid, order_value
 from .mesh import generate_ball_mesh, is_unit_ball, load_mesh, mesh_quality
-from .solver import (OverlayOperator, build_kernel, require_full_rank, select_grid, solve,
-                     solve_bvp)
+from .solver import build_kernel, setup, solve, solve_bvp
 from .stiffness import decay_profile, restrict
-from .toeplitz import ToeplitzPlan
-from .transfer import build_transfer, capped_grid, choose_grid
+from .transfer import capped_grid, choose_grid
 
 __all__ = ["ExperimentConfig", "cmd_kernel", "cmd_decay", "cmd_impact", "cmd_solve",
-           "cmd_convergence", "cmd_precond", "main"]
+           "cmd_convergence", "cmd_precond", "impact_crossing", "main"]
 
 @dataclass
 class ExperimentConfig:
@@ -156,7 +155,7 @@ def impact_bound_table(dim: int, s: float, delta: int, r_fd: float):
     return n, bound, 1.0 / n, 1.0 / n ** 2
 
 
-def _crossing(n, bound, err):
+def impact_crossing(n, bound, err):
     """Log-interpolated intersection of the bound with a discretization error."""
     diff = np.log(bound) - np.log(err)
     sign_change = np.nonzero((diff[:-1] < 0) & (diff[1:] >= 0))[0]
@@ -173,9 +172,11 @@ def _crossing(n, bound, err):
 def cmd_impact(config: ExperimentConfig) -> int:
     if config.delta < 1:
         raise ValueError("delta must be at least 1")
+    order_value(config.s)
+    OverlayGrid(config.dim, config.r_fd, 1)  # refuses a dim or r_fd out of range
     n, bound, err1, err2 = impact_bound_table(config.dim, config.s, config.delta, config.r_fd)
     for order, err in ((1, err1), (2, err2)):
-        crossing = _crossing(n, bound, err)
+        crossing = impact_crossing(n, bound, err)
         if crossing is None:
             print(f"order{order}_crossing=none")
         else:
@@ -250,15 +251,11 @@ def cmd_convergence(config: ExperimentConfig) -> int:
 
 def cmd_precond(config: ExperimentConfig) -> int:
     mesh = _meshes(config)[0]
-    config = dataclasses.replace(config, dim=mesh.dim)
-    # one grid, kernel, transfer and operator serve every variant, and the
-    # transfer must be full rank for all of them; a failure there is the
-    # run's, not a variant's, and reaches main (exit 2)
-    grid = select_grid(mesh, config.r_fd, config.n_fd, _max_n_fd(config))
-    kernel = build_kernel(config.scheme, config.s, mesh.dim, grid.n_fd, config.m, config.n_g)
-    transfer = build_transfer(mesh, grid)
-    require_full_rank(transfer)
-    op = OverlayOperator(transfer=transfer, plan=ToeplitzPlan(kernel), grid=grid, s=kernel.s)
+    # one setup serves every variant; a failure there is the run's, not a
+    # variant's, and reaches main (exit 2)
+    op, _ = setup(mesh, config.s, config.scheme, n_fd=config.n_fd, m=config.m,
+                  n_g=config.n_g, r_fd=config.r_fd, max_n_fd=_max_n_fd(config))
+    config = dataclasses.replace(config, dim=mesh.dim, n_fd=op.grid.n_fd)
     variants = ("none", "sparse", "circulant")
     histories = {}
     iterations = {}

@@ -46,8 +46,8 @@ class OverlayGrid:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if not (float(self.r_fd) > 0.0):
-            raise ValueError(f"r_fd must be positive, got {self.r_fd}")
+        if not 0.0 < float(self.r_fd) < np.inf:
+            raise ValueError(f"r_fd must be positive and finite, got {self.r_fd}")
         if int(self.n_fd) < 1 or int(self.n_fd) != self.n_fd:
             raise ValueError(f"n_fd must be a positive integer, got {self.n_fd}")
         object.__setattr__(self, "r_fd", float(self.r_fd))

@@ -25,9 +25,10 @@ preconditioned by
 
 The sparse preconditioner's incomplete Cholesky factor is prepared once for
 SuperLU, so its solve is two sparse triangular substitutions.  CG reports
-why it stopped (SolveReport.stop_reason).  solve() runs one solve on a built
-OverlayOperator, so one transfer serves many solves; solve_bvp is setup and
-one solve().
+why it stopped (SolveReport.stop_reason).  setup() builds a mesh's operator
+(grid, kernel, transfer, rank check); solve() runs one solve on a built
+OverlayOperator, so one transfer serves many solves; solve_bvp is setup()
+and one solve().
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ __all__ = [
     "circulant_payload",
     "build_kernel",
     "exact_solution",
-    "require_full_rank",
-    "select_grid",
+    "setup",
     "solve",
     "solve_bvp",
 ]
@@ -286,8 +286,8 @@ def cg_solve(op, b: np.ndarray, precond: Preconditioner | None = None,
     non_finite (p^T A p or r^T M r is NaN or infinite).  A preconditioner that
     is not positive on the initial residual raises ArithmeticError instead.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie strictly in (0, 1), got {tol!r}")
     matvec = op.apply if hasattr(op, "apply") else op
     psolve = precond.apply if precond is not None else (lambda r: r)
     b = np.asarray(b, dtype=float)
@@ -388,48 +388,31 @@ def build_kernel(scheme: str, s, dim: int, n_fd: int, m: int | None = None,
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def require_full_rank(transfer: TransferMatrix):
-    """Raise RuntimeError unless column_rank_check ("auto" mode) finds the
-    transfer's columns independent."""
-    if not column_rank_check(transfer):
-        raise RuntimeError("rank_check: transfer matrix is rank deficient; "
-                           "refine the overlay grid (a larger n_fd) or the mesh")
-
-
-def select_grid(mesh: SimplicialMesh, r_fd: float = 1.2, n_fd: int | None = None,
-                max_n_fd: int | None = None) -> OverlayGrid:
-    """solve_bvp's grid: n_fd's when given, else choose_grid's for the mesh;
-    either way n_fd is capped as in capped_grid (max_n_fd lifts the cap)."""
-    if n_fd is None:
-        return choose_grid(mesh_quality(mesh), r_fd, max_n_fd=max_n_fd)
-    return capped_grid(mesh.dim, r_fd, n_fd, max_n_fd)
-
-
-def solve_bvp(mesh: SimplicialMesh, s, scheme: str = "fft", *,
-              n_fd: int | None = None, m: int | None = None, n_g: int = 64,
-              r_fd: float = 1.2, precond: str = "auto", tol: float = 1e-10,
-              max_iter: int = 5000, f=1.0, exact=None, max_n_fd: int | None = None,
-              kernel: StiffnessKernel | None = None):
-    """Setup, then solve(): select_grid's grid (so the n_fd cap holds before
-    any kernel is built), the kernel (a supplied one must fit the grid, the
-    mesh, s and the scheme), the transfer, require_full_rank and the
-    operator.  The report's wall_times time the setup phases, then solve()'s."""
+def setup(mesh: SimplicialMesh, s, scheme: str = "fft", *, n_fd: int | None = None,
+          m: int | None = None, n_g: int = 64, r_fd: float = 1.2,
+          max_n_fd: int | None = None, kernel: StiffnessKernel | None = None):
+    """The operator of one mesh and its setup's wall times (grid, kernel,
+    transfer, rank_check).  The grid is n_fd's when given, else choose_grid's
+    for the mesh; either way n_fd is capped as in capped_grid (max_n_fd lifts
+    the cap) before any kernel is built.  A supplied kernel of another scheme
+    is refused (ValueError), as OverlayOperator refuses one of another dim,
+    n_fd or order.  RuntimeError unless column_rank_check ("auto" mode) finds
+    the transfer's columns independent."""
     s = order_value(s)
     times = {}
     t0 = time.perf_counter()
-    grid = select_grid(mesh, r_fd, n_fd, max_n_fd)
+    if n_fd is None:
+        grid = choose_grid(mesh_quality(mesh), r_fd, max_n_fd=max_n_fd)
+    else:
+        grid = capped_grid(mesh.dim, r_fd, n_fd, max_n_fd)
     times["grid"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if kernel is None:
         kernel = build_kernel(scheme, s, mesh.dim, grid.n_fd, m, n_g)
-    elif kernel.n_fd != grid.n_fd or kernel.dim != mesh.dim:
-        raise ValueError("supplied kernel does not match the chosen grid")
-    elif kernel.s != s:
-        raise ValueError(f"supplied kernel has order {kernel.s}, not s = {s}")
     elif kernel.scheme != scheme:
         raise ValueError(f"supplied kernel has scheme {kernel.scheme!r}, not {scheme!r}")
-    plan_ = ToeplitzPlan(kernel)
+    plan = ToeplitzPlan(kernel)
     times["kernel"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -437,11 +420,22 @@ def solve_bvp(mesh: SimplicialMesh, s, scheme: str = "fft", *,
     times["transfer"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    require_full_rank(transfer)
+    if not column_rank_check(transfer):
+        raise RuntimeError("rank_check: transfer matrix is rank deficient; "
+                           "refine the overlay grid (a larger n_fd) or the mesh")
     times["rank_check"] = time.perf_counter() - t0
+    return OverlayOperator(transfer=transfer, plan=plan, grid=grid, s=s), times
 
-    op = OverlayOperator(transfer=transfer, plan=plan_, grid=grid, s=s)
-    u_full, report = solve(op, mesh, precond, f=f, exact=exact, tol=tol, max_iter=max_iter)
+
+def solve_bvp(mesh: SimplicialMesh, s, scheme: str = "fft", *,
+              n_fd: int | None = None, m: int | None = None, n_g: int = 64,
+              r_fd: float = 1.2, precond: str = "auto", tol: float = 1e-10,
+              max_n_fd: int | None = None, kernel: StiffnessKernel | None = None):
+    """setup, then solve(); the report's wall_times list the setup phases,
+    then solve()'s."""
+    op, times = setup(mesh, s, scheme, n_fd=n_fd, m=m, n_g=n_g, r_fd=r_fd,
+                      max_n_fd=max_n_fd, kernel=kernel)
+    u_full, report = solve(op, mesh, precond, tol=tol)
     report.wall_times = {**times, **report.wall_times}
     return u_full, report
 
@@ -452,7 +446,7 @@ def solve(op: OverlayOperator, mesh: SimplicialMesh, precond: str = "auto", *, f
     and the lumped L2 error against exact, at the order s of op.plan.kernel.
     Without exact the reference is the closed-form unit-ball solution, which
     holds only where is_unit_ball(mesh); elsewhere l2_error is NaN.  No rank
-    is checked here: check each transfer once, before its first solve.
+    is checked here: setup() checks each transfer once, before its first solve.
     precond "auto" is circulant, or none for the spectral scheme, and falls
     back to plain CG when the circulant run fails.  Returns the nodal
     solution over all vertices (boundary entries zero) and a SolveReport with

@@ -141,8 +141,7 @@ def choose_grid(quality: MeshQuality, r_fd: float,
     """Smallest overlay grid whose spacing meets the practical admissibility
     condition h_fd <= a_h for the given mesh.  The n_fd cap of capped_grid
     guards the memory budget."""
-    if r_fd <= 0.0:
-        raise ValueError("r_fd must be positive")
+    r_fd = OverlayGrid(quality.dim, r_fd, 1).r_fd  # the grid's r_fd check, before the ceil
     n_fd = max(1, math.ceil(r_fd / quality.a_h - 1e-12))
     return capped_grid(quality.dim, r_fd, n_fd, max_n_fd)
 

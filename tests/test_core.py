@@ -44,6 +44,11 @@ class TestOverlayGrid:
         with pytest.raises(ValueError):
             OverlayGrid(dim=2, r_fd=1.0, n_fd=0)
 
+    @pytest.mark.parametrize("r_fd", [0.0, -1.0, math.inf, math.nan])
+    def test_r_fd_must_be_positive_and_finite(self, r_fd):
+        with pytest.raises(ValueError, match=f"r_fd must be positive and finite, got {r_fd}"):
+            OverlayGrid(dim=2, r_fd=r_fd, n_fd=3)
+
 
 class TestGamma:
     def test_against_library_oracle(self):

@@ -21,12 +21,12 @@ from fraclap.solver import (CirculantPreconditioner, OverlayOperator, Preconditi
                             SolveReport, SparsePreconditioner, assemble_rhs,
                             build_circulant_preconditioner, build_kernel,
                             build_sparse_preconditioner, cg_solve, circulant_payload,
-                            exact_solution, require_full_rank, select_grid, solve, solve_bvp,
-                            _near_field_stencil)
+                            exact_solution, setup, solve, solve_bvp, _near_field_stencil)
 from fraclap.stiffness import analytic_1d, fft_uniform, restrict, spectral
 from fraclap.toeplitz import ToeplitzPlan, dense_materialize
 from fraclap.transfer import (GRAM_DEGREE, GRAM_LOWER, GramSolver, TransferMatrix,
-                              TransferRankWarning, build_transfer, choose_grid)
+                              TransferRankWarning, build_transfer, choose_grid,
+                              column_rank_check)
 
 from conftest import ball_mesh, rotated, scattered_ball, square_mesh
 
@@ -302,6 +302,15 @@ class TestCgSolve:
             x, report = cg_solve(op, b, precond, tol=1e-10)
             assert report.converged
             assert report.true_residual <= 1e-8
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, 1.0, math.inf, math.nan])
+    def test_tolerance_outside_unit_interval(self, tol):
+        # an infinite tol declared convergence after one iteration, since the
+        # true-residual cross-check against sqrt(tol) cannot fire
+        mesh, op = small_operator()
+        b = assemble_rhs(mesh, op.transfer, 0.5, 1.0)
+        with pytest.raises(ValueError, match=r"tol must lie strictly in \(0, 1\)"):
+            cg_solve(op, b, tol=tol)
 
 
 class _CraftedPreconditioner(Preconditioner):
@@ -983,7 +992,7 @@ class TestGramSolver:
         # on every one of them
         meshes = [seeded_rotation(generate_ball_mesh(2, h), seed)
                   for h in (0.1, 0.07, 0.05, 0.035)]
-        grids = [select_grid(mesh) for mesh in meshes]
+        grids = [choose_grid(mesh_quality(mesh), 1.2) for mesh in meshes]
         shared = build_kernel("fft", 0.5, 2, max(g.n_fd for g in grids))
         counts = []
         for mesh, grid in zip(meshes, grids):
@@ -1026,8 +1035,8 @@ class TestUnitBallReference:
     def test_ball_error_is_the_closed_form_error(self, mesh):
         assert is_unit_ball(mesh)
         _, report = solve_bvp(mesh, 0.5, "fft", m=256)
-        _, explicit = solve_bvp(mesh, 0.5, "fft", m=256,
-                                exact=lambda pts: exact_solution(mesh.dim, 0.5, pts))
+        _, explicit = solve(setup(mesh, 0.5, "fft", m=256)[0], mesh,
+                            exact=lambda pts: exact_solution(mesh.dim, 0.5, pts))
         assert report.converged and 0.0 < report.l2_error < 0.1
         assert report.l2_error == explicit.l2_error
 
@@ -1036,7 +1045,8 @@ class TestUnitBallReference:
         assert mesh.n_interior == 361 and not is_unit_ball(mesh)
         _, report = solve_bvp(mesh, 0.5, "fft", m=256)
         assert report.converged and math.isnan(report.l2_error)
-        _, explicit = solve_bvp(mesh, 0.5, "fft", m=256, f=0.0, exact=lambda pts: 0.0 * pts[:, 0])
+        _, explicit = solve(setup(mesh, 0.5, "fft", m=256)[0], mesh, f=0.0,
+                            exact=lambda pts: 0.0 * pts[:, 0])
         assert explicit.l2_error == 0.0
 
     @pytest.mark.parametrize("scale,accepted", [(1.0 + 5e-13, True), (1.0 - 5e-13, True),
@@ -1062,7 +1072,7 @@ class TestUnitBallReference:
 class TestSolveBvp:
     def test_zero_source(self):
         mesh = ball_mesh(2, 4)
-        u, report = solve_bvp(mesh, 0.5, "fft", m=64, f=0.0)
+        u, report = solve(setup(mesh, 0.5, "fft", m=64)[0], mesh, f=0.0)
         assert report.converged and report.iterations == 0
         assert np.all(u == 0.0)
 
@@ -1087,8 +1097,8 @@ class TestSolveBvp:
     def test_rejects_kernel_of_another_order(self):
         # a kernel of order 0.75 under s=0.5 converged to a wrong l2_error
         mesh = ball_mesh(2, 4)
-        kernel = fft_uniform(0.75, 2, select_grid(mesh).n_fd, 64)
-        with pytest.raises(ValueError, match="order 0.75, not s = 0.5"):
+        kernel = fft_uniform(0.75, 2, choose_grid(mesh_quality(mesh), 1.2).n_fd, 64)
+        with pytest.raises(ValueError, match="s = 0.5 is not the kernel's order 0.75"):
             solve_bvp(mesh, 0.5, "fft", kernel=kernel)
         assert solve_bvp(mesh, 0.75, "fft", kernel=kernel)[1].converged
 
@@ -1167,14 +1177,42 @@ class TestSolveBvp:
         assert "preconditioner=none\nprecond_shift=0.0000000000000000e+00\n" in text
 
 
+class TestSetup:
+    def test_times_in_pipeline_order(self):
+        mesh = ball_mesh(2, 4)
+        op, times = setup(mesh, 0.5, "fft", m=256)
+        assert list(times) == ["grid", "kernel", "transfer", "rank_check"]
+        assert op.grid == choose_grid(mesh_quality(mesh), 1.2)
+        assert op.n_unknowns == mesh.n_interior
+
+    @pytest.mark.parametrize("scheme,kernel_args,message", [
+        ("fft", (0.5, 2, 9), "kernel of dim 2 and n_fd 9 on"),
+        ("fft", (0.5, 3, 8), "kernel of dim 3 and n_fd 8 on"),
+        ("fft", (0.75, 2, 8), "s = 0.5 is not the kernel's order 0.75"),
+        ("nufft", (0.5, 2, 8), "supplied kernel has scheme 'fft', not 'nufft'")],
+        ids=["n_fd", "dim", "order", "scheme"])
+    def test_refuses_a_kernel_that_does_not_fit(self, scheme, kernel_args, message):
+        # the operator refuses another dim, n_fd or order; setup another scheme
+        mesh = ball_mesh(2, 4)
+        with pytest.raises(ValueError, match=message):
+            setup(mesh, 0.5, scheme, n_fd=8, kernel=fft_uniform(*kernel_args, 64))
+
+    def test_rank_deficient_transfer(self):
+        # n_fd = 3 leaves 218 interior vertices of this disk without a grid node
+        mesh = generate_ball_mesh(2, 0.1)
+        with pytest.warns(TransferRankWarning), \
+                pytest.raises(RuntimeError, match="transfer matrix is rank deficient"):
+            setup(mesh, 0.5, "fft", n_fd=3, m=256)
+
+
 class TestSolve:
     def test_shared_transfer_matches_solve_bvp(self):
         # one transfer serves every case below, so the circulant, auto and
         # fallback cases run on a Gram solver that an earlier case built
         mesh = ball_mesh(2, 6)
-        grid = select_grid(mesh)
+        grid = choose_grid(mesh_quality(mesh), 1.2)
         transfer = build_transfer(mesh, grid)
-        require_full_rank(transfer)
+        assert column_rank_check(transfer)
         for scheme, precond in (("fft", "none"), ("fft", "sparse"), ("fft", "circulant"),
                                 ("fft", "auto"), ("modspec", "auto")):
             kernel = build_kernel(scheme, 0.75, 2, grid.n_fd, 256)
