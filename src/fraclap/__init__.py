@@ -18,7 +18,7 @@ from .solver import (CirculantPreconditioner, OverlayOperator, Preconditioner, S
 from .stiffness import (SCHEMES, DecayProfile, StiffnessKernel, analytic_1d, decay_profile,
                         fft_corrected, fft_uniform, modified_spectral, nonuniform, restrict,
                         spectral)
-from .toeplitz import ToeplitzPlan, dense_materialize
+from .toeplitz import ToeplitzPlan
 from .transfer import (TransferMatrix, TransferRankWarning, build_transfer, choose_grid,
                        column_rank_check)
 

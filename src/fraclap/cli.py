@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stiffness
-from .core import OverlayGrid, order_value
+from .core import OverlayGrid, check_tolerance, order_value
 from .mesh import generate_ball_mesh, is_unit_ball, load_mesh, mesh_quality
 from .solver import build_kernel, setup, solve, solve_bvp
 from .stiffness import decay_profile, restrict
@@ -379,6 +379,8 @@ def main(argv=None) -> int:
         warnings.showwarning = _print_warning
         try:
             config = parse_config(argv)
+            if config.command in ("solve", "convergence", "precond"):
+                check_tolerance(config.tol)  # before any mesh, kernel or setup work
             return _COMMANDS[config.command](config)
         except (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as exc:
             # MemoryError is also what the size caps raise: a resource limit;

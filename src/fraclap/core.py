@@ -17,6 +17,7 @@ import scipy.special
 __all__ = [
     "OverlayGrid",
     "order_value",
+    "check_tolerance",
     "gamma",
     "gauss_legendre",
     "bessel_j_half_order",
@@ -29,6 +30,12 @@ def order_value(s) -> float:
     if not (0.0 < s < 1.0):
         raise ValueError(f"fractional order must lie strictly in (0, 1), got {s!r}")
     return s
+
+
+def check_tolerance(tol):
+    """ValueError unless the relative tolerance tol lies strictly in (0, 1)."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie strictly in (0, 1), got {tol!r}")
 
 
 @dataclass(frozen=True)

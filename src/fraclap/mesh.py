@@ -79,12 +79,16 @@ class SimplicialMesh:
         if not (0 <= self.n_interior <= n_v):
             raise ValueError("n_interior out of range")
 
-        volumes = simplex_adjugates(vertices[simplices])[2] / math.factorial(self.dim)
+        adjugate, det = simplex_adjugates(vertices[simplices])[1:]
+        volumes = det / math.factorial(self.dim)
         scale = np.max(np.abs(vertices)) if n_v else 1.0
         bad = np.nonzero(volumes <= 1e-14 * max(scale, 1.0) ** self.dim)[0]
         if bad.size:
             raise DegenerateElementError(
                 f"simplices {bad[:10].tolist()} have nonpositive or vanishing volume")
+        rows = np.concatenate([adjugate, adjugate.sum(axis=1, keepdims=True)], axis=1)
+        heights = np.abs(det) / np.sqrt(np.einsum("efk,efk->ef", rows, rows).max(axis=1))
+        del adjugate, rows  # not held through the boundary mask's own peak
 
         boundary = _boundary_vertex_mask(simplices, n_v, self.dim)
         expected = np.zeros(n_v, dtype=bool)
@@ -99,6 +103,7 @@ class SimplicialMesh:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "simplices", simplices)
         object.__setattr__(self, "_volumes", volumes)
+        object.__setattr__(self, "_min_height", float(heights.min(initial=np.inf)))
 
     @property
     def n_vertices(self) -> int:
@@ -452,16 +457,13 @@ def _ball_mesh_3d(target_h):
 
 def mesh_quality(mesh: SimplicialMesh) -> MeshQuality:
     """a_h = min over elements of dim * volume / max facet measure (the
-    minimum element height), that is |det| over the largest norm of the
-    adjugate's rows and their sum; h_bar = n_elements^{-1/dim}."""
+    minimum element height), which the mesh's constructor keeps from its one
+    simplex_adjugates pass; h_bar = n_elements^{-1/dim}."""
     if mesh.n_elements == 0:
         raise ValueError("mesh has no elements")
-    _, adjugate, det = simplex_adjugates(mesh.vertices[mesh.simplices])
-    rows = np.concatenate([adjugate, adjugate.sum(axis=1, keepdims=True)], axis=1)
-    heights = np.abs(det) / np.sqrt(np.einsum("efk,efk->ef", rows, rows).max(axis=1))
     return MeshQuality(
         dim=mesh.dim,
-        a_h=float(heights.min()),
+        a_h=mesh._min_height,
         h_bar=float(mesh.n_elements ** (-1.0 / mesh.dim)),
         n_elements=mesh.n_elements,
     )

@@ -2,10 +2,11 @@
 
 The mesh-space operator is A = I^T A_grid I with I the sparse transfer and
 A_grid the dense Toeplitz operator applied through its FFT plan on the
-bounding box of the grid rows that I touches; the right-hand side is
-h_fd^{2s} D f at the interior vertices, so no spacing factor appears in the
-operator itself.  The system is solved by conjugate gradients, optionally
-preconditioned by
+bounding box of the grid rows that I touches.  The operator holds that one
+window of I (its rows in the box and their transpose), and both
+preconditioners read it.  The right-hand side is h_fd^{2s} D f at the
+interior vertices, so no spacing factor appears in the operator itself.  The
+system is solved by conjugate gradients, optionally preconditioned by
 
   sparse    modified incomplete Cholesky of I^T A_grid^(near) I, where
             A_grid^(near) keeps the kernel entries at offsets with Chebyshev
@@ -14,9 +15,10 @@ preconditioned by
   circulant the grid operator restricted to 2*n_fd points per axis becomes a
             circulant diagonalized by the DFT; its inverse is conjugated back
             to mesh space through the pseudo-inverse of the transfer, realized
-            with a solve of the Gram matrix I^T I on each side (solve, lift,
-            frequency solve, restrict, solve).  The Gram solve is a fixed
-            Chebyshev polynomial in the Jacobi-scaled Gram matrix
+            with a solve of the Gram matrix I^T I on each side (solve, lift
+            into the box with the window's rows, frequency solve, restrict
+            from the box with their transpose, solve).  The Gram solve is a
+            fixed Chebyshev polynomial in the Jacobi-scaled Gram matrix
             (transfer.GramSolver), symmetric positive definite with no
             factorisation; it is kept on the transfer
             (TransferMatrix.gram_solver), so it is shared.  The payload is
@@ -41,7 +43,7 @@ import numpy as np
 import scipy.fft
 import scipy.sparse
 
-from .core import OverlayGrid, gamma, order_value
+from .core import OverlayGrid, check_tolerance, gamma, order_value
 from .ichol import MicFactor, mic_factor_with_retry
 from .mesh import SimplicialMesh, is_unit_ball, lumped_l2_error, mesh_quality
 from .stiffness import (StiffnessKernel, analytic_1d, fft_corrected, fft_uniform,
@@ -73,6 +75,14 @@ __all__ = [
 DEFAULT_M = {1: 2 ** 14, 2: 2 ** 14, 3: 2 ** 10}
 
 
+def _check_kernel(kernel: StiffnessKernel, grid: OverlayGrid, s):
+    """ValueError unless the kernel has the grid's dim and n_fd and order s."""
+    if (kernel.dim, kernel.n_fd) != (grid.dim, grid.n_fd):
+        raise ValueError(f"kernel of dim {kernel.dim} and n_fd {kernel.n_fd} on {grid}")
+    if order_value(s) != kernel.s:
+        raise ValueError(f"s = {s} is not the kernel's order {kernel.s}")
+
+
 @dataclass(frozen=True)
 class OverlayOperator:
     """Matrix-free action u -> I^T (A_grid (I u)) on interior-vertex vectors.
@@ -81,13 +91,13 @@ class OverlayOperator:
     and n_fd, and ``s`` must be the kernel's order; ValueError otherwise.
     I u vanishes outside the bounding box of the grid rows that hold nonzero
     entries of the transfer, and I^T reads nothing there, so the Toeplitz
-    product runs on that box alone: the transfer's rows inside it and a plan
-    of the box's shape built from ``plan.kernel`` (the block of a Toeplitz
-    matrix on any box has the same generator).  When the box is the whole
-    grid, or the transfer has no nonzero entries, the rows are the transfer's
-    own and the plan is ``plan``.  ``plan`` stays the whole-grid plan that the
-    preconditioners read.  The rows' transpose is stored in CSR form once, so
-    no apply builds it.
+    product runs on that box alone.  The operator holds that one window of the
+    transfer, which both preconditioners read: ``box`` (slices of the grid),
+    ``rows`` (the transfer's rows inside it), ``rows_t`` (their CSR transpose,
+    stored once) and ``box_plan`` (a plan of the box's shape from
+    ``plan.kernel``: a Toeplitz block on any box has the same generator).  When
+    the box is the whole grid, or the transfer has no nonzero entries, ``rows``
+    is the transfer's matrix and ``box_plan`` is ``plan``, the whole-grid plan.
     """
 
     transfer: TransferMatrix
@@ -96,14 +106,11 @@ class OverlayOperator:
     s: float
 
     def __post_init__(self):
-        kernel = self.plan.kernel
         if self.grid != self.transfer.grid:
             raise ValueError(f"grid {self.grid} is not the transfer's grid {self.transfer.grid}")
-        if (kernel.dim, kernel.n_fd) != (self.grid.dim, self.grid.n_fd):
-            raise ValueError(f"kernel of dim {kernel.dim} and n_fd {kernel.n_fd} on {self.grid}")
-        if order_value(self.s) != kernel.s:
-            raise ValueError(f"s = {self.s} is not the kernel's order {kernel.s}")
+        _check_kernel(self.plan.kernel, self.grid, self.s)
         matrix = self.transfer.matrix
+        box = tuple(slice(0, n) for n in self.grid.shape)
         rows, box_plan = matrix, self.plan
         # stored zeros (coordinates clipped to 0) do not widen the box
         nonzero = matrix.copy()
@@ -114,16 +121,18 @@ class OverlayOperator:
             ranges = [np.arange(k.min(), k.max() + 1) for k in nodes]
             shape = tuple(r.size for r in ranges)
             if shape != self.grid.shape:
+                box = tuple(slice(int(r[0]), int(r[-1]) + 1) for r in ranges)
                 rows = matrix[np.ravel_multi_index(np.ix_(*ranges), self.grid.shape).ravel()]
-                box_plan = ToeplitzPlan(kernel, shape)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_rows_t", rows.T.tocsr())
-        object.__setattr__(self, "_box_plan", box_plan)
+                box_plan = ToeplitzPlan(self.plan.kernel, shape)
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows_t", rows.T.tocsr())
+        object.__setattr__(self, "box_plan", box_plan)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        g = self._rows @ np.asarray(u, dtype=float)
-        v = self._box_plan.apply(g.reshape(self._box_plan.grid_shape))
-        return self._rows_t @ v.ravel()
+        g = self.rows @ np.asarray(u, dtype=float)
+        v = self.box_plan.apply(g.reshape(self.box_plan.grid_shape))
+        return self.rows_t @ v.ravel()
 
     @property
     def n_unknowns(self) -> int:
@@ -168,26 +177,25 @@ class SparsePreconditioner(Preconditioner):
 class CirculantPreconditioner(Preconditioner):
     variant = "circulant"
 
-    def __init__(self, payload: np.ndarray, transfer: TransferMatrix):
-        self.transfer = transfer
-        self.gram_solver = transfer.gram_solver
-        self._transfer_t = transfer.matrix.T.tocsr()
-        self.grid = grid = transfer.grid
-        self._sub = (slice(0, 2 * grid.n_fd),) * grid.dim
+    def __init__(self, payload: np.ndarray, op: OverlayOperator):
+        self.op = op
+        self.gram_solver = op.transfer.gram_solver
+        self._sub = (slice(0, 2 * op.grid.n_fd),) * op.grid.dim
         # the payload is even, so its half spectrum pairs with rfftn
-        self._half_payload = np.ascontiguousarray(payload[..., :grid.n_fd + 1])
+        self._half_payload = np.ascontiguousarray(payload[..., :op.grid.n_fd + 1])
 
     def circulant_solve(self, w_sub: np.ndarray) -> np.ndarray:
         """Frequency-diagonal solve on the 2*n_fd-per-axis sub-grid."""
         return scipy.fft.irfftn(scipy.fft.rfftn(w_sub) / self._half_payload, s=w_sub.shape)
 
     def apply(self, r):
+        op = self.op
         z = self.gram_solver.solve(r)
-        g = (self.transfer.matrix @ z).reshape(self.grid.shape)
-        out = np.zeros(self.grid.shape)
+        g = np.zeros(op.grid.shape)
+        g[op.box] = (op.rows @ z).reshape(op.box_plan.grid_shape)
+        out = np.zeros(op.grid.shape)
         out[self._sub] = self.circulant_solve(g[self._sub])
-        t = self._transfer_t @ out.ravel()
-        return self.gram_solver.solve(t)
+        return self.gram_solver.solve(op.rows_t @ out[op.box].ravel())
 
 
 def _near_field_stencil(kernel: StiffnessKernel, shape) -> scipy.sparse.csr_matrix:
@@ -206,8 +214,8 @@ def build_sparse_preconditioner(op: OverlayOperator) -> SparsePreconditioner:
     """Near-field mesh operator I^T A_grid^(near) I (the 3^dim-point pattern)
     factored by modified incomplete Cholesky (drop threshold 1e-3), assembled
     on the operator's box: no matrix spans the whole grid."""
-    near = _near_field_stencil(op.plan.kernel, op._box_plan.grid_shape)
-    a_mesh = (op._rows_t @ (near @ op._rows)).tocsc()
+    near = _near_field_stencil(op.plan.kernel, op.box_plan.grid_shape)
+    a_mesh = (op.rows_t @ (near @ op.rows)).tocsc()
     factor = mic_factor_with_retry(a_mesh)
     return SparsePreconditioner(factor, 3 ** op.grid.dim)
 
@@ -237,7 +245,7 @@ def circulant_payload(kernel: StiffnessKernel) -> np.ndarray:
 
 
 def build_circulant_preconditioner(op: OverlayOperator) -> CirculantPreconditioner:
-    return CirculantPreconditioner(circulant_payload(op.plan.kernel), op.transfer)
+    return CirculantPreconditioner(circulant_payload(op.plan.kernel), op)
 
 
 @dataclass
@@ -286,8 +294,7 @@ def cg_solve(op, b: np.ndarray, precond: Preconditioner | None = None,
     non_finite (p^T A p or r^T M r is NaN or infinite).  A preconditioner that
     is not positive on the initial residual raises ArithmeticError instead.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie strictly in (0, 1), got {tol!r}")
+    check_tolerance(tol)
     matvec = op.apply if hasattr(op, "apply") else op
     psolve = precond.apply if precond is not None else (lambda r: r)
     b = np.asarray(b, dtype=float)
@@ -394,10 +401,10 @@ def setup(mesh: SimplicialMesh, s, scheme: str = "fft", *, n_fd: int | None = No
     """The operator of one mesh and its setup's wall times (grid, kernel,
     transfer, rank_check).  The grid is n_fd's when given, else choose_grid's
     for the mesh; either way n_fd is capped as in capped_grid (max_n_fd lifts
-    the cap) before any kernel is built.  A supplied kernel of another scheme
-    is refused (ValueError), as OverlayOperator refuses one of another dim,
-    n_fd or order.  RuntimeError unless column_rank_check ("auto" mode) finds
-    the transfer's columns independent."""
+    the cap) before any kernel is built.  A supplied kernel of another scheme,
+    dim, n_fd or order is refused (ValueError) before the transfer is built.
+    RuntimeError unless column_rank_check ("auto" mode) finds the transfer's
+    columns independent."""
     s = order_value(s)
     times = {}
     t0 = time.perf_counter()
@@ -412,6 +419,7 @@ def setup(mesh: SimplicialMesh, s, scheme: str = "fft", *, n_fd: int | None = No
         kernel = build_kernel(scheme, s, mesh.dim, grid.n_fd, m, n_g)
     elif kernel.scheme != scheme:
         raise ValueError(f"supplied kernel has scheme {kernel.scheme!r}, not {scheme!r}")
+    _check_kernel(kernel, grid, s)
     plan = ToeplitzPlan(kernel)
     times["kernel"] = time.perf_counter() - t0
 
@@ -432,7 +440,8 @@ def solve_bvp(mesh: SimplicialMesh, s, scheme: str = "fft", *,
               r_fd: float = 1.2, precond: str = "auto", tol: float = 1e-10,
               max_n_fd: int | None = None, kernel: StiffnessKernel | None = None):
     """setup, then solve(); the report's wall_times list the setup phases,
-    then solve()'s."""
+    then solve()'s.  A tol outside (0, 1) is refused before setup."""
+    check_tolerance(tol)
     op, times = setup(mesh, s, scheme, n_fd=n_fd, m=m, n_g=n_g, r_fd=r_fd,
                       max_n_fd=max_n_fd, kernel=kernel)
     u_full, report = solve(op, mesh, precond, tol=tol)

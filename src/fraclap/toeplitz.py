@@ -31,9 +31,7 @@ import scipy.fft
 
 from .stiffness import StiffnessKernel
 
-__all__ = ["ToeplitzPlan", "dense_materialize"]
-
-_DENSE_LIMIT = 20000
+__all__ = ["ToeplitzPlan"]
 
 
 class ToeplitzPlan:
@@ -89,22 +87,3 @@ class ToeplitzPlan:
             spec = scipy.fft.ifft(spec, axis=axis, overwrite_x=True)
             spec = spec[(slice(None),) * axis + (slice(0, sizes[axis]),)]
         return scipy.fft.irfft(spec, n=lengths[-1], axis=-1)[..., :sizes[-1]].copy()
-
-
-def dense_materialize(kernel: StiffnessKernel) -> np.ndarray:
-    """Dense symmetric matrix A[(j),(m)] = T_{j-m} over flattened grid nodes.
-
-    Oracle scale only: refuses more than 20000 nodes.  For the fft and
-    analytic kernels the result is positive definite.
-    """
-    k = kernel.offsets_per_axis
-    size = k ** kernel.dim
-    if size > _DENSE_LIMIT:
-        raise ValueError(f"dense materialization limited to {_DENSE_LIMIT} nodes, got {size}")
-    dim = kernel.dim
-    ax = np.arange(k)
-    diff = np.subtract.outer(ax, ax)
-    # axis a's offset j_a - m_a spans output axes a (row) and dim + a (column)
-    offsets = [np.expand_dims(diff, [i for i in range(2 * dim) if i not in (a, dim + a)])
-               for a in range(dim)]
-    return kernel.at(*offsets).reshape(size, size)

@@ -65,3 +65,26 @@ def sliver_mesh():
 def reference_kernel_1d(s: float, n_fd: int):
     from fraclap.stiffness import analytic_1d
     return analytic_1d(s, n_fd)
+
+
+# the dense oracle refuses grids of more nodes than this
+_DENSE_LIMIT = 20000
+
+
+def dense_materialize(kernel):
+    """Dense symmetric matrix A[(j),(m)] = T_{j-m} over flattened grid nodes.
+
+    Oracle scale only: refuses more than 20000 nodes.  For the fft and
+    analytic kernels the result is positive definite.
+    """
+    k = kernel.offsets_per_axis
+    size = k ** kernel.dim
+    if size > _DENSE_LIMIT:
+        raise ValueError(f"dense materialization limited to {_DENSE_LIMIT} nodes, got {size}")
+    dim = kernel.dim
+    ax = np.arange(k)
+    diff = np.subtract.outer(ax, ax)
+    # axis a's offset j_a - m_a spans output axes a (row) and dim + a (column)
+    offsets = [np.expand_dims(diff, [i for i in range(2 * dim) if i not in (a, dim + a)])
+               for a in range(dim)]
+    return kernel.at(*offsets).reshape(size, size)

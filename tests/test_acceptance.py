@@ -18,11 +18,11 @@ from fraclap.solver import (assemble_rhs, build_circulant_preconditioner, build_
                             OverlayOperator)
 from fraclap.stiffness import (analytic_1d, decay_profile, fft_uniform, modified_spectral,
                                nonuniform, restrict, spectral)
-from fraclap.toeplitz import ToeplitzPlan, dense_materialize
+from fraclap.toeplitz import ToeplitzPlan
 from fraclap.transfer import build_transfer, capped_grid, choose_grid, column_rank_check
 from fraclap.core import gauss_legendre
 
-from conftest import ball_mesh, scattered_ball
+from conftest import ball_mesh, dense_materialize, scattered_ball
 
 # reference max-norm kernel errors in one dimension (N_FD = 81)
 FFT_REFERENCE = {

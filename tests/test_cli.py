@@ -387,6 +387,24 @@ class TestSolveCommand:
         [line] = captured.err.splitlines()
         assert line == f"error: tol must lie strictly in (0, 1), got {float(tol)!r}"
 
+    @pytest.mark.parametrize("command,ball", [("solve", "0.3"), ("convergence", "0.3,0.2,0.1"),
+                                              ("precond", "0.3")])
+    def test_tolerance_refused_before_any_work(self, command, ball, monkeypatch, tmp_path,
+                                               capsys):
+        # convergence --tol 2 failed only in level 0's solve, after the shared
+        # kernel and level 0's setup; precond ran its setup and exited 1
+        def refuse(*args, **kwargs):
+            raise AssertionError("work ran before the tolerance check")
+        for name in ("generate_ball_mesh", "build_kernel", "setup", "solve_bvp"):
+            monkeypatch.setattr(fraclap.cli, name, refuse)
+        out = tmp_path / "t.csv"
+        assert main([command, "--dim", "2", "--ball", ball, "--tol", "2",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err == "error: tol must lie strictly in (0, 1), got 2.0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("r_fd", ["inf", "nan", "-1"])
     @pytest.mark.parametrize("n_fd", [[], ["--nfd", "10"]])
     def test_r_fd_not_positive_and_finite_exit_2(self, r_fd, n_fd, tmp_path, capsys):

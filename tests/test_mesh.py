@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from fraclap.mesh import (DegenerateElementError, MeshFormatError, SimplicialMesh,
                           _boundary_vertex_mask, _build_mesh, _icosahedron, generate_ball_mesh,
-                          load_mesh, lumped_l2_error, mesh_quality, save_mesh)
+                          load_mesh, lumped_l2_error, mesh_quality, save_mesh,
+                          simplex_adjugates)
 from fraclap.transfer import choose_grid
 
 from conftest import ball_mesh, rotated, scattered_ball, sliver_mesh
@@ -686,6 +687,17 @@ class TestGeometryAgainstReference:
             quality = mesh_quality(mesh)
             reference = dataclasses.replace(quality, a_h=reference_a_h(mesh))
             assert choose_grid(quality, 1.2).n_fd == choose_grid(reference, 1.2).n_fd
+
+
+@pytest.mark.parametrize("dim,n_r", [(2, 6), (3, 3)])
+def test_a_h_is_bitwise_the_adjugate_formula(dim, n_r):
+    # the constructor's pass keeps the height that mesh_quality computed
+    # with a pass of its own
+    for mesh in (ball_mesh(dim, n_r), rotated(ball_mesh(dim, n_r), 1)):
+        _, adjugate, det = simplex_adjugates(mesh.vertices[mesh.simplices])
+        rows = np.concatenate([adjugate, adjugate.sum(axis=1, keepdims=True)], axis=1)
+        heights = np.abs(det) / np.sqrt(np.einsum("efk,efk->ef", rows, rows).max(axis=1))
+        assert mesh_quality(mesh).a_h == float(heights.min())
 
 
 class TestLumpedL2:

@@ -10,25 +10,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve_triangular
 
+import fraclap.mesh
 import fraclap.solver
 import fraclap.transfer
 from fraclap import ichol
 from fraclap.core import OverlayGrid, gamma
 from fraclap.ichol import (IncompleteCholeskyError, MicFactor, mic_factor,
                            mic_factor_with_retry)
-from fraclap.mesh import SimplicialMesh, generate_ball_mesh, is_unit_ball, mesh_quality
+from fraclap.mesh import (SimplicialMesh, generate_ball_mesh, is_unit_ball, mesh_quality,
+                          simplex_adjugates)
 from fraclap.solver import (CirculantPreconditioner, OverlayOperator, Preconditioner,
                             SolveReport, SparsePreconditioner, assemble_rhs,
                             build_circulant_preconditioner, build_kernel,
                             build_sparse_preconditioner, cg_solve, circulant_payload,
                             exact_solution, setup, solve, solve_bvp, _near_field_stencil)
 from fraclap.stiffness import analytic_1d, fft_uniform, restrict, spectral
-from fraclap.toeplitz import ToeplitzPlan, dense_materialize
+from fraclap.toeplitz import ToeplitzPlan
 from fraclap.transfer import (GRAM_DEGREE, GRAM_LOWER, GramSolver, TransferMatrix,
                               TransferRankWarning, build_transfer, choose_grid,
                               column_rank_check)
 
-from conftest import ball_mesh, rotated, scattered_ball, square_mesh
+from conftest import ball_mesh, dense_materialize, rotated, scattered_ball, square_mesh
 
 
 def small_operator(n_r=3, s=0.5, m=32, dim=2):
@@ -161,7 +163,7 @@ class TestOperatorBox:
     @pytest.mark.parametrize("name", sorted(BOX_MESHES))
     def test_box_equals_full_grid_product(self, name):
         op = overlay_operator(BOX_MESHES[name]())
-        box = op._box_plan.grid_shape
+        box = op.box_plan.grid_shape
         assert box == touched_extent(op)
         assert all(b < n for b, n in zip(box, op.grid.shape))
         if name.startswith("off-centre"):
@@ -182,8 +184,8 @@ class TestOperatorBox:
                              plan=ToeplitzPlan(fft_uniform(0.5, dim, n_fd, 2 * n_fd + 2)),
                              grid=grid, s=0.5)
         assert touched_extent(op) == op.grid.shape
-        assert op._box_plan is op.plan
-        assert op._rows is op.transfer.matrix
+        assert op.box_plan is op.plan
+        assert op.rows is op.transfer.matrix
         u = np.random.default_rng(1).standard_normal(op.n_unknowns)
         np.testing.assert_array_equal(op.apply(u), full_grid_product(op, u))
 
@@ -194,7 +196,7 @@ class TestOperatorBox:
         op = overlay_operator(mapped(ball_mesh(dim, n_r), 1.2 * np.eye(dim), 0.0))
         assert touched_extent(op, stored=True) == op.grid.shape
         # (a rounding residue can still reach an edge node on some axis)
-        box = op._box_plan.grid_shape
+        box = op.box_plan.grid_shape
         assert box == touched_extent(op) != op.grid.shape
         u = np.random.default_rng(1).standard_normal(op.n_unknowns)
         ref = full_grid_product(op, u)
@@ -204,7 +206,7 @@ class TestOperatorBox:
         # the CLI's --ball 0.025 disk: stored zeros span 111 x 111 nodes
         op = overlay_operator(generate_ball_mesh(2, 0.025))
         assert touched_extent(op, stored=True) == (111, 111)
-        assert op._box_plan.grid_shape == (110, 111)
+        assert op.box_plan.grid_shape == (110, 111)
         rng = np.random.default_rng(2)
         for _ in range(2):
             u = rng.standard_normal(op.n_unknowns)
@@ -219,7 +221,7 @@ class TestOperatorBox:
         c, s = math.cos(angle), math.sin(angle)
         op = overlay_operator(mapped(generate_ball_mesh(2, 0.025), [[c, -s], [s, c]], 0.0))
         assert touched_extent(op, stored=True) == (109, 109)
-        assert op._box_plan.grid_shape == (109, 109)
+        assert op.box_plan.grid_shape == (109, 109)
 
     @pytest.mark.parametrize("name", sorted(BOX_MESHES))
     def test_stored_transposes_are_bitwise_the_transposed_products(self, name):
@@ -227,10 +229,13 @@ class TestOperatorBox:
         pre = build_circulant_preconditioner(op)
         rng = np.random.default_rng(3)
         u = rng.standard_normal(op.n_unknowns)
-        g = op._box_plan.apply((op._rows @ u).reshape(op._box_plan.grid_shape))
-        np.testing.assert_array_equal(op.apply(u), op._rows.T @ g.ravel())
+        g = op.box_plan.apply((op.rows @ u).reshape(op.box_plan.grid_shape))
+        np.testing.assert_array_equal(op.apply(u), op.rows.T @ g.ravel())
+        # the circulant preconditioner restricts with the operator's rows_t
+        assert pre.op is op
         w = rng.standard_normal(op.grid.n_nodes)
-        np.testing.assert_array_equal(pre._transfer_t @ w, op.transfer.matrix.T @ w)
+        np.testing.assert_array_equal(op.rows_t @ w.reshape(op.grid.shape)[op.box].ravel(),
+                                      op.transfer.matrix.T @ w)
 
     def test_empty_transfer_keeps_the_whole_grid(self):
         grid = OverlayGrid(dim=2, r_fd=1.2, n_fd=3)
@@ -238,13 +243,13 @@ class TestOperatorBox:
                                   column_sums=np.zeros(2), grid=grid)
         plan = ToeplitzPlan(fft_uniform(0.5, 2, 3, 16))
         op = OverlayOperator(transfer=transfer, plan=plan, grid=grid, s=0.5)
-        assert op._box_plan is plan
+        assert op.box_plan is plan
         assert np.all(op.apply(np.ones(2)) == 0.0)
 
     def test_preconditioners_read_the_whole_grid_plan(self):
         op = overlay_operator(BOX_MESHES["off-centre 2D ellipse"]())
         assert op.plan.grid_shape == op.grid.shape
-        assert op._box_plan.kernel is op.plan.kernel
+        assert op.box_plan.kernel is op.plan.kernel
 
 
 class TestAssembleRhs:
@@ -754,7 +759,7 @@ class TestSparsePreconditioner:
     @pytest.mark.parametrize("name", sorted(NEAR_FIELD_CASES))
     def test_box_assembly_equals_whole_grid_reference(self, name, monkeypatch):
         op = NEAR_FIELD_CASES[name]()
-        box = op._box_plan.grid_shape
+        box = op.box_plan.grid_shape
         if name == "identity transfer":
             assert box == op.grid.shape
         elif name == "one-node-wide box":
@@ -767,7 +772,7 @@ class TestSparsePreconditioner:
 
     def test_stencil_mask_size(self):
         mesh, op = small_operator()
-        shape = op._box_plan.grid_shape
+        shape = op.box_plan.grid_shape
         near = _near_field_stencil(op.plan.kernel, shape)
         center = np.ravel_multi_index(tuple(n // 2 for n in shape), shape)
         row = near.getrow(center)
@@ -886,7 +891,9 @@ class TestCirculantPreconditioner:
                        spectral(0.5, dim, n_fd, 16)):
             payload = circulant_payload(kernel)
             grid = OverlayGrid(dim=dim, r_fd=1.0, n_fd=n_fd)
-            precond = CirculantPreconditioner(payload, identity_transfer(grid))
+            op = OverlayOperator(transfer=identity_transfer(grid), plan=ToeplitzPlan(kernel),
+                                 grid=grid, s=0.5)
+            precond = CirculantPreconditioner(payload, op)
             w = np.random.default_rng(dim).standard_normal((2 * n_fd,) * dim)
             spectrum = scipy.fft.fftn(w)
             for got, ref in ((precond.circulant_solve(w),
@@ -910,6 +917,50 @@ class TestCirculantPreconditioner:
         x1, rep1 = cg_solve(op, b, build_circulant_preconditioner(op), tol=1e-10)
         assert rep1.converged
         assert rep1.iterations < rep0.iterations
+
+
+CIRCULANT_WINDOW_CASES = {
+    **{name: (lambda build=build: overlay_operator(build())) for name, build in BOX_MESHES.items()},
+    "identity transfer": NEAR_FIELD_CASES["identity transfer"],
+    "one-node-wide box": NEAR_FIELD_CASES["one-node-wide box"],
+}
+
+
+def whole_grid_circulant(pre, op, r):
+    """gram.solve(I^T pad(circ(I gram.solve(r)))) with the whole transfer and
+    its whole-grid transpose, as the circulant preconditioner applied it
+    before it read the operator's window."""
+    gram = op.transfer.gram_solver
+    g = (op.transfer.matrix @ gram.solve(r)).reshape(op.grid.shape)
+    sub = (slice(0, 2 * op.grid.n_fd),) * op.grid.dim
+    padded = np.zeros(op.grid.shape)
+    padded[sub] = pre.circulant_solve(g[sub])
+    return gram.solve(op.transfer.matrix.T.tocsr() @ padded.ravel())
+
+
+class TestPreconditionersReadTheWindow:
+    @pytest.mark.parametrize("name", sorted(CIRCULANT_WINDOW_CASES))
+    def test_circulant_apply_equals_whole_grid_formula(self, name):
+        op = CIRCULANT_WINDOW_CASES[name]()
+        assert tuple(b.stop - b.start for b in op.box) == op.box_plan.grid_shape
+        assert op.rows.shape == (math.prod(op.box_plan.grid_shape), op.n_unknowns)
+        if name == "identity transfer":
+            assert op.box == tuple(slice(0, n) for n in op.grid.shape)
+        pre = build_circulant_preconditioner(op)
+        rng = np.random.default_rng(4)
+        for _ in range(2):
+            r = rng.standard_normal(op.n_unknowns)
+            np.testing.assert_array_equal(pre.apply(r), whole_grid_circulant(pre, op, r))
+
+    # (the identity transfer has as many unknowns as grid nodes)
+    @pytest.mark.parametrize("name", sorted(set(CIRCULANT_WINDOW_CASES) - {"identity transfer"}))
+    def test_no_preconditioner_matrix_spans_the_grid(self, name):
+        op = CIRCULANT_WINDOW_CASES[name]()
+        sparse, circulant = build_sparse_preconditioner(op), build_circulant_preconditioner(op)
+        held = [*vars(sparse).values(), *vars(sparse.factor).values(), *vars(circulant).values()]
+        matrices = [v for v in held if scipy.sparse.issparse(v)]
+        assert matrices  # the factor's triangle
+        assert all(op.grid.n_nodes not in m.shape for m in matrices)
 
 
 GRAM_MESHES = {
@@ -1192,7 +1243,7 @@ class TestSetup:
         ("nufft", (0.5, 2, 8), "supplied kernel has scheme 'fft', not 'nufft'")],
         ids=["n_fd", "dim", "order", "scheme"])
     def test_refuses_a_kernel_that_does_not_fit(self, scheme, kernel_args, message):
-        # the operator refuses another dim, n_fd or order; setup another scheme
+        # setup refuses another scheme, dim, n_fd or order
         mesh = ball_mesh(2, 4)
         with pytest.raises(ValueError, match=message):
             setup(mesh, 0.5, scheme, n_fd=8, kernel=fft_uniform(*kernel_args, 64))
@@ -1203,6 +1254,41 @@ class TestSetup:
         with pytest.warns(TransferRankWarning), \
                 pytest.raises(RuntimeError, match="transfer matrix is rank deficient"):
             setup(mesh, 0.5, "fft", n_fd=3, m=256)
+
+
+    @pytest.mark.parametrize("kernel_args", [(0.5, 2, 9), (0.5, 3, 8), (0.75, 2, 8)],
+                             ids=["n_fd", "dim", "order"])
+    def test_refuses_a_kernel_before_the_transfer(self, kernel_args, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_transfer ran before the kernel check")
+        monkeypatch.setattr(fraclap.solver, "build_transfer", refuse)
+        with pytest.raises(ValueError, match="kernel of dim|is not the kernel's order"):
+            setup(ball_mesh(2, 4), 0.5, "fft", n_fd=8, kernel=fft_uniform(*kernel_args, 64))
+
+    @pytest.mark.parametrize("tol", [0.0, 1.0, 2.0, float("inf"), float("nan")])
+    def test_solve_bvp_refuses_tol_before_setup(self, tol, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("setup ran before the tolerance check")
+        for name in ("choose_grid", "capped_grid", "build_kernel", "build_transfer"):
+            monkeypatch.setattr(fraclap.solver, name, refuse)
+        with pytest.raises(ValueError, match=r"tol must lie strictly in \(0, 1\), got "):
+            solve_bvp(ball_mesh(2, 4), 0.5, "fft", tol=tol)
+
+    def test_one_adjugate_pass_per_setup(self, monkeypatch):
+        # the mesh's constructor keeps a_h from its own pass, so mesh_quality
+        # runs none and setup runs only the transfer's screen
+        mesh = ball_mesh(2, 4)
+        calls = []
+
+        def spy(corners):
+            calls.append(corners.shape[0])
+            return simplex_adjugates(corners)
+        monkeypatch.setattr(fraclap.mesh, "simplex_adjugates", spy)
+        monkeypatch.setattr(fraclap.transfer, "simplex_adjugates", spy)
+        mesh_quality(mesh)
+        assert calls == []
+        setup(mesh, 0.5, "fft", m=256)
+        assert calls == [mesh.n_elements]
 
 
 class TestSolve:

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraclap.stiffness import analytic_1d, fft_uniform, modified_spectral, nonuniform, spectral
-from fraclap.toeplitz import ToeplitzPlan, dense_materialize
+from fraclap.toeplitz import ToeplitzPlan
+
+from conftest import dense_materialize
 
 
 def naive_dft(values):
