@@ -190,11 +190,12 @@ def cmd_impact(config: ExperimentConfig) -> int:
 
 def cmd_solve(config: ExperimentConfig) -> int:
     mesh = _meshes(config)[0]
-    config = dataclasses.replace(config, dim=mesh.dim)  # the '# config:' line states what ran
-    u, report = solve_bvp(
-        mesh, config.s, config.scheme, n_fd=config.n_fd, m=config.m, n_g=config.n_g,
-        r_fd=config.r_fd, precond=config.precond, tol=config.tol,
-        max_n_fd=_max_n_fd(config))
+    op, times = setup(mesh, config.s, config.scheme, n_fd=config.n_fd, m=config.m,
+                      n_g=config.n_g, r_fd=config.r_fd, max_n_fd=_max_n_fd(config))
+    # the '# config:' line states what ran
+    config = dataclasses.replace(config, dim=mesh.dim, n_fd=op.grid.n_fd)
+    u, report = solve(op, mesh, config.precond, tol=config.tol)
+    report.wall_times = {**times, **report.wall_times}
     print(report.to_text(), end="")
     _write_csv(config, "iteration,relative_residual",
                (f"{i},{res:.16e}" for i, res in enumerate(report.residual_history)))

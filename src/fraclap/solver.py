@@ -2,28 +2,28 @@
 
 The mesh-space operator is A = I^T A_grid I with I the sparse transfer and
 A_grid the dense Toeplitz operator applied through its FFT plan on the
-bounding box of the grid rows that I touches.  The operator holds that one
-window of I (its rows in the box and their transpose), and both
-preconditioners read it.  The right-hand side is h_fd^{2s} D f at the
-interior vertices, so no spacing factor appears in the operator itself.  The
-system is solved by conjugate gradients, optionally preconditioned by
+bounding box of the grid rows that I touches.  The transfer is stored on
+that box with its transpose (TransferMatrix.box, .matrix, .transpose), and
+the operator and both preconditioners read it there.  The right-hand side is
+h_fd^{2s} D f at the interior vertices, so no spacing factor appears in the
+operator itself.  The system is solved by conjugate gradients, optionally
+preconditioned by
 
   sparse    modified incomplete Cholesky of I^T A_grid^(near) I, where
             A_grid^(near) keeps the kernel entries at offsets with Chebyshev
             norm <= 1 (3/9/27-point patterns in 1/2/3 dimensions),
-            assembled as a Kronecker sum on the operator's box;
+            assembled as a Kronecker sum on the transfer's box;
   circulant the grid operator restricted to 2*n_fd points per axis becomes a
             circulant diagonalized by the DFT; its inverse is conjugated back
             to mesh space through the pseudo-inverse of the transfer, realized
             with a solve of the Gram matrix I^T I on each side (solve, lift
-            into the box with the window's rows, frequency solve, restrict
-            from the box with their transpose, solve).  The Gram solve is a
-            fixed Chebyshev polynomial in the Jacobi-scaled Gram matrix
-            (transfer.GramSolver), symmetric positive definite with no
-            factorisation; it is kept on the transfer
-            (TransferMatrix.gram_solver), so it is shared.  The payload is
-            real and even, so the frequency solve is a real-to-real
-            transform pair over the half spectrum.
+            into the box with I, frequency solve, restrict from the box with
+            I^T, solve).  The Gram solve is a fixed Chebyshev polynomial in
+            the Jacobi-scaled Gram matrix (transfer.GramSolver), symmetric
+            positive definite with no factorisation; it is kept on the
+            transfer (TransferMatrix.gram_solver), so it is shared.  The
+            payload is real and even, so the frequency solve is a
+            real-to-real transform pair over the half spectrum.
 
 The sparse preconditioner's incomplete Cholesky factor is prepared once for
 SuperLU, so its solve is two sparse triangular substitutions.  CG reports
@@ -89,15 +89,10 @@ class OverlayOperator:
 
     ``grid`` must be the transfer's grid, ``plan.kernel`` must have its dim
     and n_fd, and ``s`` must be the kernel's order; ValueError otherwise.
-    I u vanishes outside the bounding box of the grid rows that hold nonzero
-    entries of the transfer, and I^T reads nothing there, so the Toeplitz
-    product runs on that box alone.  The operator holds that one window of the
-    transfer, which both preconditioners read: ``box`` (slices of the grid),
-    ``rows`` (the transfer's rows inside it), ``rows_t`` (their CSR transpose,
-    stored once) and ``box_plan`` (a plan of the box's shape from
-    ``plan.kernel``: a Toeplitz block on any box has the same generator).  When
-    the box is the whole grid, or the transfer has no nonzero entries, ``rows``
-    is the transfer's matrix and ``box_plan`` is ``plan``, the whole-grid plan.
+    The transfer is stored on its box (TransferMatrix.box), so the Toeplitz
+    product runs on that box alone, through ``box_plan``: a plan of the box's
+    shape from ``plan.kernel``, since a Toeplitz block on any box has the same
+    generator.  The operator holds nothing else.
     """
 
     transfer: TransferMatrix
@@ -109,30 +104,13 @@ class OverlayOperator:
         if self.grid != self.transfer.grid:
             raise ValueError(f"grid {self.grid} is not the transfer's grid {self.transfer.grid}")
         _check_kernel(self.plan.kernel, self.grid, self.s)
-        matrix = self.transfer.matrix
-        box = tuple(slice(0, n) for n in self.grid.shape)
-        rows, box_plan = matrix, self.plan
-        # stored zeros (coordinates clipped to 0) do not widen the box
-        nonzero = matrix.copy()
-        nonzero.eliminate_zeros()
-        touched = np.flatnonzero(np.diff(nonzero.indptr))
-        if touched.size:
-            nodes = np.unravel_index(touched, self.grid.shape)
-            ranges = [np.arange(k.min(), k.max() + 1) for k in nodes]
-            shape = tuple(r.size for r in ranges)
-            if shape != self.grid.shape:
-                box = tuple(slice(int(r[0]), int(r[-1]) + 1) for r in ranges)
-                rows = matrix[np.ravel_multi_index(np.ix_(*ranges), self.grid.shape).ravel()]
-                box_plan = ToeplitzPlan(self.plan.kernel, shape)
-        object.__setattr__(self, "box", box)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "rows_t", rows.T.tocsr())
-        object.__setattr__(self, "box_plan", box_plan)
+        shape = tuple(b.stop - b.start for b in self.transfer.box)
+        object.__setattr__(self, "box_plan", ToeplitzPlan(self.plan.kernel, shape))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        g = self.rows @ np.asarray(u, dtype=float)
+        g = self.transfer.matrix @ np.asarray(u, dtype=float)
         v = self.box_plan.apply(g.reshape(self.box_plan.grid_shape))
-        return self.rows_t @ v.ravel()
+        return self.transfer.transpose @ v.ravel()
 
     @property
     def n_unknowns(self) -> int:
@@ -189,13 +167,13 @@ class CirculantPreconditioner(Preconditioner):
         return scipy.fft.irfftn(scipy.fft.rfftn(w_sub) / self._half_payload, s=w_sub.shape)
 
     def apply(self, r):
-        op = self.op
+        op, transfer = self.op, self.op.transfer
         z = self.gram_solver.solve(r)
         g = np.zeros(op.grid.shape)
-        g[op.box] = (op.rows @ z).reshape(op.box_plan.grid_shape)
+        g[transfer.box] = (transfer.matrix @ z).reshape(op.box_plan.grid_shape)
         out = np.zeros(op.grid.shape)
         out[self._sub] = self.circulant_solve(g[self._sub])
-        return self.gram_solver.solve(op.rows_t @ out[op.box].ravel())
+        return self.gram_solver.solve(transfer.transpose @ out[transfer.box].ravel())
 
 
 def _near_field_stencil(kernel: StiffnessKernel, shape) -> scipy.sparse.csr_matrix:
@@ -213,9 +191,9 @@ def _near_field_stencil(kernel: StiffnessKernel, shape) -> scipy.sparse.csr_matr
 def build_sparse_preconditioner(op: OverlayOperator) -> SparsePreconditioner:
     """Near-field mesh operator I^T A_grid^(near) I (the 3^dim-point pattern)
     factored by modified incomplete Cholesky (drop threshold 1e-3), assembled
-    on the operator's box: no matrix spans the whole grid."""
+    on the transfer's box: no matrix spans more of the grid."""
     near = _near_field_stencil(op.plan.kernel, op.box_plan.grid_shape)
-    a_mesh = (op.rows_t @ (near @ op.rows)).tocsc()
+    a_mesh = (op.transfer.transpose @ (near @ op.transfer.matrix)).tocsc()
     factor = mic_factor_with_retry(a_mesh)
     return SparsePreconditioner(factor, 3 ** op.grid.dim)
 

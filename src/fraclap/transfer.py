@@ -2,13 +2,15 @@
 
 Entry (k, j) is the piecewise-linear basis function of interior vertex j
 evaluated at grid node k, i.e. the barycentric coordinate of the node within
-its containing simplex.  Grid nodes outside the domain get empty rows (the
+its containing simplex.  Grid nodes outside the domain carry no entry (the
 basis functions vanish outside), and boundary vertices contribute no column
 since their values are pinned to zero.  The column sums d_j form the diagonal
 matrix that makes the grid-to-mesh transpose transfer preserve constants.
-Each simplex's inverse edge matrix, which screens the candidate nodes, is its
-adjugate over its determinant from mesh.simplex_adjugates, the routine that
-also gives volumes and the minimum element height.
+The transfer is stored once, on the bounding box of the nodes holding a
+positive entry, with its CSR transpose.  Each simplex's inverse edge matrix,
+which screens the candidate nodes, is its adjugate over its determinant from
+mesh.simplex_adjugates, the routine that also gives volumes and the minimum
+element height.
 """
 
 from __future__ import annotations
@@ -64,17 +66,22 @@ class TransferRankWarning(UserWarning):
 
 @dataclass(frozen=True)
 class TransferMatrix:
+    """I on its box, a tuple of grid slices: row r of ``matrix`` is the box's
+    node r in C order, and every node outside the box has an empty row of I."""
+
     matrix: scipy.sparse.csr_matrix
     column_sums: np.ndarray
     grid: OverlayGrid
-
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
+    box: tuple
 
     @property
     def cols(self) -> int:
         return self.matrix.shape[1]
+
+    @cached_property
+    def transpose(self) -> scipy.sparse.csr_matrix:
+        """I^T in CSR form, built on first use and kept."""
+        return self.matrix.T.tocsr()
 
     @cached_property
     def gram_solver(self) -> GramSolver:
@@ -260,10 +267,12 @@ def build_transfer(mesh: SimplicialMesh, grid: OverlayGrid) -> TransferMatrix:
     one batched barycentric solve per chunk and no loop over elements.  Each
     covered node keeps the barycentric coordinates, clipped to [0, 1], from
     the lowest-index simplex containing it, with containment tolerance
-    1e-12.  The result is a canonical CSR matrix (sorted indices, no
-    duplicates; coordinates that clip to zero stay stored).  Columns with
-    zero sum are reported as a TransferRankWarning; the rank check refuses
-    such a transfer.
+    1e-12.  The box is the bounding box of the nodes holding a positive
+    entry (the whole grid when none does), so coordinates that clip to zero
+    do not widen it; those inside it stay stored, those outside are dropped.
+    The result is a canonical CSR matrix (sorted indices, no duplicates) over
+    the box's nodes.  Columns with zero sum are reported as a
+    TransferRankWarning; the rank check refuses such a transfer.
     """
     if mesh.dim != grid.dim:
         raise ValueError(f"mesh dim {mesh.dim} does not match grid dim {grid.dim}")
@@ -274,11 +283,20 @@ def build_transfer(mesh: SimplicialMesh, grid: OverlayGrid) -> TransferMatrix:
 
     node_ids, owners, lam = _locate_nodes(mesh, grid)
     simp = mesh.simplices[owners]
+    lam = np.clip(lam, 0.0, 1.0)
+    nodes = np.unravel_index(node_ids, grid.shape)
+    # nodes whose entries all clip to zero (stored zeros) do not widen the box
+    positive = np.any((simp < mesh.n_interior) & (lam > 0.0), axis=1)
+    box = tuple(slice(int(k[positive].min()), int(k[positive].max()) + 1) if positive.any()
+                else slice(0, n) for k, n in zip(nodes, grid.shape))
+    shape = tuple(b.stop - b.start for b in box)
+    inside = np.logical_and.reduce([(k >= b.start) & (k < b.stop) for k, b in zip(nodes, box)])
+    box_ids = np.ravel_multi_index([k[inside] - b.start for k, b in zip(nodes, box)], shape)
+    simp, lam = simp[inside], lam[inside]
     keep = simp < mesh.n_interior
-    rows = np.broadcast_to(node_ids[:, None], simp.shape)[keep]
-    matrix = scipy.sparse.csr_matrix(
-        (np.clip(lam, 0.0, 1.0)[keep], (rows, simp[keep])),
-        shape=(grid.n_nodes, mesh.n_interior))
+    rows = np.broadcast_to(box_ids[:, None], simp.shape)[keep]
+    matrix = scipy.sparse.csr_matrix((lam[keep], (rows, simp[keep])),
+                                     shape=(math.prod(shape), mesh.n_interior))
     matrix.sort_indices()
     column_sums = np.asarray(matrix.sum(axis=0)).ravel()
 
@@ -287,7 +305,7 @@ def build_transfer(mesh: SimplicialMesh, grid: OverlayGrid) -> TransferMatrix:
         warnings.warn(f"{dead.size} interior vertex column(s) received no grid node "
                       f"(first few: {dead[:8].tolist()}); the transfer is rank deficient",
                       TransferRankWarning, stacklevel=2)
-    return TransferMatrix(matrix=matrix, column_sums=column_sums, grid=grid)
+    return TransferMatrix(matrix=matrix, column_sums=column_sums, grid=grid, box=box)
 
 
 def column_rank_check(transfer: TransferMatrix, mode: str = "auto") -> bool:

@@ -4,9 +4,11 @@ are constructed once per session."""
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse
 from scipy.spatial import Delaunay
 
 from fraclap.mesh import SimplicialMesh, _build_mesh, _orient_positive, generate_ball_mesh
+from fraclap.transfer import TransferMatrix
 
 
 @lru_cache(maxsize=None)
@@ -88,3 +90,30 @@ def dense_materialize(kernel):
     offsets = [np.expand_dims(diff, [i for i in range(2 * dim) if i not in (a, dim + a)])
                for a in range(dim)]
     return kernel.at(*offsets).reshape(size, size)
+
+
+def whole_grid(transfer):
+    """The transfer's matrix with a row for every grid node, for the dense
+    oracles: the box's rows put back at their nodes (stored zeros included),
+    every other row empty."""
+    grid = transfer.grid
+    nodes = np.arange(grid.n_nodes).reshape(grid.shape)[transfer.box].ravel()
+    coo = transfer.matrix.tocoo()
+    return scipy.sparse.csr_matrix((coo.data, (nodes[coo.row], coo.col)),
+                                   shape=(grid.n_nodes, transfer.cols))
+
+
+def hand_transfer(matrix, grid, column_sums=None):
+    """TransferMatrix of a hand-made matrix with a row for every grid node,
+    cut to its box as build_transfer cuts: the bounding box of the nodes
+    holding a positive entry, or the whole grid when none does.  The column
+    sums default to the matrix's."""
+    matrix = scipy.sparse.csr_matrix(matrix)
+    assert matrix.shape[0] == grid.n_nodes
+    nodes = np.unravel_index(np.flatnonzero((matrix > 0.0).getnnz(axis=1)), grid.shape)
+    box = tuple(slice(int(k.min()), int(k.max()) + 1) if k.size else slice(0, n)
+                for k, n in zip(nodes, grid.shape))
+    if column_sums is None:
+        column_sums = np.asarray(matrix.sum(axis=0)).ravel()
+    rows = np.arange(grid.n_nodes).reshape(grid.shape)[box].ravel()
+    return TransferMatrix(matrix=matrix[rows], column_sums=column_sums, grid=grid, box=box)

@@ -22,7 +22,7 @@ from fraclap.toeplitz import ToeplitzPlan
 from fraclap.transfer import build_transfer, capped_grid, choose_grid, column_rank_check
 from fraclap.core import gauss_legendre
 
-from conftest import ball_mesh, dense_materialize, scattered_ball
+from conftest import ball_mesh, dense_materialize, scattered_ball, whole_grid
 
 # reference max-norm kernel errors in one dimension (N_FD = 81)
 FFT_REFERENCE = {
@@ -266,11 +266,13 @@ def test_criterion_9_property_suite():
     transfer = build_transfer(mesh, grid)
     kernel = fft_uniform(0.5, 2, grid.n_fd, max(64, 2 * grid.n_fd + 1))
     op = OverlayOperator(transfer=transfer, plan=ToeplitzPlan(kernel), grid=grid, s=0.5)
+    # the transfer on every grid node, as the dense oracle sees it
+    matrix = whole_grid(transfer)
     for _ in range(5):
         u = rng.standard_normal(transfer.cols)
-        v = rng.standard_normal(transfer.rows)
-        a = (transfer.matrix @ u) @ v
-        b = u @ (transfer.matrix.T @ v)
+        v = rng.standard_normal(matrix.shape[0])
+        a = (matrix @ u) @ v
+        b = u @ (matrix.T @ v)
         if abs(a - b) > 1e-13 * max(1.0, abs(a)):
             failures.append("transfer adjoint identity")
         w = rng.standard_normal(transfer.cols)
@@ -280,7 +282,7 @@ def test_criterion_9_property_suite():
             failures.append("operator adjoint identity")
 
     # PCG against a dense direct solve
-    dense = transfer.matrix.toarray().T @ dense_materialize(kernel) @ transfer.matrix.toarray()
+    dense = matrix.toarray().T @ dense_materialize(kernel) @ matrix.toarray()
     rhs_vec = assemble_rhs(mesh, transfer, 0.5, 1.0)
     direct = np.linalg.solve(dense, rhs_vec)
     for precond in (None, build_sparse_preconditioner(op), build_circulant_preconditioner(op)):
@@ -289,12 +291,12 @@ def test_criterion_9_property_suite():
             failures.append(f"PCG vs dense solve ({rep.preconditioner})")
 
     # partition of unity and constant preservation
-    ones_grid = transfer.matrix @ np.ones(transfer.cols)
-    row_sums = np.asarray(transfer.matrix.sum(axis=1)).ravel()
+    ones_grid = matrix @ np.ones(transfer.cols)
+    row_sums = np.asarray(matrix.sum(axis=1)).ravel()
     covered = row_sums > 1.0 - 1e-12
     if not np.allclose(ones_grid[covered], 1.0, atol=1e-12):
         failures.append("partition of unity")
-    back = (transfer.matrix.T @ np.ones(transfer.rows)) / transfer.column_sums
+    back = (matrix.T @ np.ones(matrix.shape[0])) / transfer.column_sums
     if not np.allclose(back, 1.0, rtol=1e-13):
         failures.append("constant preservation")
 

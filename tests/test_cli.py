@@ -145,7 +145,7 @@ class TestCsvLayout:
         (["impact"], f"command=impact dim=2 s=0.5 scheme=fft n_fd=None m=default {TAIL}",
          "n_fd,bound,err1,err2", None),
         (["solve", "--ball", "0.25", "--m", "256"],
-         f"command=solve dim=2 s=0.5 scheme=fft n_fd=None m=256 {TAIL} ball=0.25",
+         f"command=solve dim=2 s=0.5 scheme=fft n_fd=7 m=256 {TAIL} ball=0.25",
          "iteration,relative_residual", None),
         (["convergence", "--ball", "0.4,0.3,0.2", "--m", "256"],
          f"command=convergence dim=2 s=0.5 scheme=fft n_fd=None m=256 {TAIL} ball=0.4,0.3,0.2",

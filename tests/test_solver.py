@@ -26,11 +26,11 @@ from fraclap.solver import (CirculantPreconditioner, OverlayOperator, Preconditi
                             exact_solution, setup, solve, solve_bvp, _near_field_stencil)
 from fraclap.stiffness import analytic_1d, fft_uniform, restrict, spectral
 from fraclap.toeplitz import ToeplitzPlan
-from fraclap.transfer import (GRAM_DEGREE, GRAM_LOWER, GramSolver, TransferMatrix,
-                              TransferRankWarning, build_transfer, choose_grid,
-                              column_rank_check)
+from fraclap.transfer import (GRAM_DEGREE, GRAM_LOWER, GramSolver, TransferRankWarning,
+                              build_transfer, choose_grid, column_rank_check)
 
-from conftest import ball_mesh, dense_materialize, rotated, scattered_ball, square_mesh
+from conftest import (ball_mesh, dense_materialize, hand_transfer, rotated, scattered_ball,
+                      square_mesh, whole_grid)
 
 
 def small_operator(n_r=3, s=0.5, m=32, dim=2):
@@ -44,14 +44,13 @@ def small_operator(n_r=3, s=0.5, m=32, dim=2):
 
 def dense_operator_matrix(op):
     dense_grid = dense_materialize(op.plan.kernel)
-    t = op.transfer.matrix.toarray()
+    t = whole_grid(op.transfer).toarray()
     return t.T @ dense_grid @ t
 
 
 def identity_transfer(grid):
     n = grid.n_nodes
-    return TransferMatrix(matrix=scipy.sparse.identity(n, format="csr"),
-                          column_sums=np.ones(n), grid=grid)
+    return hand_transfer(scipy.sparse.identity(n, format="csr"), grid, np.ones(n))
 
 
 class TestOperator:
@@ -135,17 +134,27 @@ def overlay_operator(mesh, s=0.5):
 def full_grid_product(op, u):
     """I^T (A_grid (I u)) with the whole-grid plan, as the operator computed
     it before the product ran on a box."""
-    g = op.transfer.matrix @ u
-    return op.transfer.matrix.T @ op.plan.apply(g.reshape(op.grid.shape)).ravel()
+    matrix = whole_grid(op.transfer)
+    g = matrix @ u
+    return matrix.T @ op.plan.apply(g.reshape(op.grid.shape)).ravel()
 
 
-def touched_extent(op, stored=False):
-    """Bounding box of the grid rows holding nonzero entries of the transfer
-    (stored entries, zeros included, with stored=True)."""
-    matrix = op.transfer.matrix
-    rows = np.flatnonzero(matrix.getnnz(axis=1) if stored else matrix.count_nonzero(axis=1))
-    nodes = np.unravel_index(rows, op.grid.shape)
-    return tuple(int(k.max() - k.min() + 1) for k in nodes)
+def extent(nodes, grid):
+    """Nodes per axis of the bounding box of these grid nodes."""
+    return tuple(int(k.max() - k.min() + 1) for k in np.unravel_index(nodes, grid.shape))
+
+
+def touched_extent(op):
+    """Bounding box of the grid rows holding nonzero entries of the transfer."""
+    return extent(np.flatnonzero(whole_grid(op.transfer).count_nonzero(axis=1)), op.grid)
+
+
+def stored_extent(mesh, grid):
+    """Bounding box of the covered nodes whose owner simplex has an interior
+    vertex: the rows a transfer over the whole grid would store, zeros
+    (coordinates clipped to 0) included."""
+    nodes, owners, _ = fraclap.transfer._locate_nodes(mesh, grid)
+    return extent(nodes[np.any(mesh.simplices[owners] < mesh.n_interior, axis=1)], grid)
 
 
 BOX_MESHES = {
@@ -176,7 +185,7 @@ class TestOperatorBox:
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("dim,n_fd", [(2, 6), (3, 3)])
-    def test_whole_grid_box_reuses_the_plan(self, dim, n_fd):
+    def test_whole_grid_box_plans_the_grid_shape(self, dim, n_fd):
         # a mesh has no interior vertex on the grid's edge nodes, so only a
         # transfer built by hand reaches them with nonzero entries
         grid = OverlayGrid(dim=dim, r_fd=1.2, n_fd=n_fd)
@@ -184,8 +193,9 @@ class TestOperatorBox:
                              plan=ToeplitzPlan(fft_uniform(0.5, dim, n_fd, 2 * n_fd + 2)),
                              grid=grid, s=0.5)
         assert touched_extent(op) == op.grid.shape
-        assert op.box_plan is op.plan
-        assert op.rows is op.transfer.matrix
+        assert op.transfer.box == tuple(slice(0, n) for n in op.grid.shape)
+        assert op.box_plan.grid_shape == op.plan.grid_shape == op.grid.shape
+        assert op.transfer.matrix.shape == (op.grid.n_nodes, op.n_unknowns)
         u = np.random.default_rng(1).standard_normal(op.n_unknowns)
         np.testing.assert_array_equal(op.apply(u), full_grid_product(op, u))
 
@@ -193,20 +203,24 @@ class TestOperatorBox:
     def test_stored_zeros_do_not_widen_the_box(self, dim, n_r):
         # a ball of radius r_fd = 1.2 has boundary vertices on the grid's
         # edge nodes, whose rows hold only (zero) entries of the transfer
-        op = overlay_operator(mapped(ball_mesh(dim, n_r), 1.2 * np.eye(dim), 0.0))
-        assert touched_extent(op, stored=True) == op.grid.shape
+        mesh = mapped(ball_mesh(dim, n_r), 1.2 * np.eye(dim), 0.0)
+        op = overlay_operator(mesh)
+        assert stored_extent(mesh, op.grid) == op.grid.shape
         # (a rounding residue can still reach an edge node on some axis)
         box = op.box_plan.grid_shape
         assert box == touched_extent(op) != op.grid.shape
+        assert op.transfer.matrix.shape[0] == math.prod(box)
         u = np.random.default_rng(1).standard_normal(op.n_unknowns)
         ref = full_grid_product(op, u)
         assert np.linalg.norm(op.apply(u) - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_unrotated_disk_box_by_nonzero_entries(self):
         # the CLI's --ball 0.025 disk: stored zeros span 111 x 111 nodes
-        op = overlay_operator(generate_ball_mesh(2, 0.025))
-        assert touched_extent(op, stored=True) == (111, 111)
+        mesh = generate_ball_mesh(2, 0.025)
+        op = overlay_operator(mesh)
+        assert stored_extent(mesh, op.grid) == (111, 111)
         assert op.box_plan.grid_shape == (110, 111)
+        assert op.transfer.matrix.shape[0] == 110 * 111
         rng = np.random.default_rng(2)
         for _ in range(2):
             u = rng.standard_normal(op.n_unknowns)
@@ -219,8 +233,9 @@ class TestOperatorBox:
         # benchmark workload draws it: both boxes are 109 x 109
         angle = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi)
         c, s = math.cos(angle), math.sin(angle)
-        op = overlay_operator(mapped(generate_ball_mesh(2, 0.025), [[c, -s], [s, c]], 0.0))
-        assert touched_extent(op, stored=True) == (109, 109)
+        mesh = mapped(generate_ball_mesh(2, 0.025), [[c, -s], [s, c]], 0.0)
+        op = overlay_operator(mesh)
+        assert stored_extent(mesh, op.grid) == (109, 109)
         assert op.box_plan.grid_shape == (109, 109)
 
     @pytest.mark.parametrize("name", sorted(BOX_MESHES))
@@ -229,21 +244,23 @@ class TestOperatorBox:
         pre = build_circulant_preconditioner(op)
         rng = np.random.default_rng(3)
         u = rng.standard_normal(op.n_unknowns)
-        g = op.box_plan.apply((op.rows @ u).reshape(op.box_plan.grid_shape))
-        np.testing.assert_array_equal(op.apply(u), op.rows.T @ g.ravel())
-        # the circulant preconditioner restricts with the operator's rows_t
+        t = op.transfer
+        g = op.box_plan.apply((t.matrix @ u).reshape(op.box_plan.grid_shape))
+        np.testing.assert_array_equal(op.apply(u), t.matrix.T @ g.ravel())
+        # the circulant preconditioner restricts with the transfer's one transpose
         assert pre.op is op
+        assert t.transpose is t.transpose
         w = rng.standard_normal(op.grid.n_nodes)
-        np.testing.assert_array_equal(op.rows_t @ w.reshape(op.grid.shape)[op.box].ravel(),
-                                      op.transfer.matrix.T @ w)
+        np.testing.assert_array_equal(t.transpose @ w.reshape(op.grid.shape)[t.box].ravel(),
+                                      whole_grid(t).T @ w)
 
     def test_empty_transfer_keeps_the_whole_grid(self):
         grid = OverlayGrid(dim=2, r_fd=1.2, n_fd=3)
-        transfer = TransferMatrix(matrix=scipy.sparse.csr_matrix((grid.n_nodes, 2)),
-                                  column_sums=np.zeros(2), grid=grid)
+        transfer = hand_transfer(scipy.sparse.csr_matrix((grid.n_nodes, 2)), grid)
+        assert transfer.box == tuple(slice(0, n) for n in grid.shape)
         plan = ToeplitzPlan(fft_uniform(0.5, 2, 3, 16))
         op = OverlayOperator(transfer=transfer, plan=plan, grid=grid, s=0.5)
-        assert op.box_plan is plan
+        assert op.box_plan.grid_shape == plan.grid_shape
         assert np.all(op.apply(np.ones(2)) == 0.0)
 
     def test_preconditioners_read_the_whole_grid_plan(self):
@@ -552,7 +569,7 @@ def mic_equivalence_cases():
     for dim, n_r in ((2, 5), (3, 3)):
         mesh, op = small_operator(n_r=n_r, dim=dim)
         near = reference_near_field_matrix(op.plan.kernel, op.grid)
-        t = op.transfer.matrix
+        t = whole_grid(op.transfer)
         cases[f"sparse{dim}d"] = ((t.T @ (near @ t)).tocsc(), 1e-3)
         cases[f"gram{dim}d"] = ((t.T @ t).tocsc(), 1e-3)
     return cases
@@ -734,7 +751,7 @@ def line_transfer(grid, row):
                                  grid.shape)
     weights = np.random.default_rng(7).uniform(0.5, 1.0, k)
     matrix = scipy.sparse.csr_matrix((weights, (nodes, np.arange(k))), shape=(grid.n_nodes, k))
-    return TransferMatrix(matrix=matrix, column_sums=weights, grid=grid)
+    return hand_transfer(matrix, grid, weights)
 
 
 def hand_operator(transfer, s=0.5):
@@ -766,7 +783,7 @@ class TestSparsePreconditioner:
             assert box == (1, op.grid.nodes_per_axis)
         else:
             assert np.prod(box) < op.grid.n_nodes
-        t = op.transfer.matrix
+        t = whole_grid(op.transfer)
         ref = t.T @ (reference_near_field_matrix(op.plan.kernel, op.grid) @ t)
         assert_bitwise_equal(assembled_near_field(op, monkeypatch), ref)
 
@@ -802,7 +819,8 @@ class TestSparsePreconditioner:
         mesh, op = small_operator(n_r=5)
         precond = build_sparse_preconditioner(op)
         near = reference_near_field_matrix(op.plan.kernel, op.grid)
-        a_mesh = op.transfer.matrix.T @ (near @ op.transfer.matrix)
+        t = whole_grid(op.transfer)
+        a_mesh = t.T @ (near @ t)
         rng = np.random.default_rng(4)
         for _ in range(5):
             v = rng.standard_normal(op.n_unknowns)
@@ -928,24 +946,25 @@ CIRCULANT_WINDOW_CASES = {
 
 def whole_grid_circulant(pre, op, r):
     """gram.solve(I^T pad(circ(I gram.solve(r)))) with the whole transfer and
-    its whole-grid transpose, as the circulant preconditioner applied it
-    before it read the operator's window."""
+    its whole-grid transpose, put back on every grid node (whole_grid)."""
     gram = op.transfer.gram_solver
-    g = (op.transfer.matrix @ gram.solve(r)).reshape(op.grid.shape)
+    matrix = whole_grid(op.transfer)
+    g = (matrix @ gram.solve(r)).reshape(op.grid.shape)
     sub = (slice(0, 2 * op.grid.n_fd),) * op.grid.dim
     padded = np.zeros(op.grid.shape)
     padded[sub] = pre.circulant_solve(g[sub])
-    return gram.solve(op.transfer.matrix.T.tocsr() @ padded.ravel())
+    return gram.solve(matrix.T.tocsr() @ padded.ravel())
 
 
 class TestPreconditionersReadTheWindow:
     @pytest.mark.parametrize("name", sorted(CIRCULANT_WINDOW_CASES))
     def test_circulant_apply_equals_whole_grid_formula(self, name):
         op = CIRCULANT_WINDOW_CASES[name]()
-        assert tuple(b.stop - b.start for b in op.box) == op.box_plan.grid_shape
-        assert op.rows.shape == (math.prod(op.box_plan.grid_shape), op.n_unknowns)
+        box = op.transfer.box
+        assert tuple(b.stop - b.start for b in box) == op.box_plan.grid_shape
+        assert op.transfer.matrix.shape == (math.prod(op.box_plan.grid_shape), op.n_unknowns)
         if name == "identity transfer":
-            assert op.box == tuple(slice(0, n) for n in op.grid.shape)
+            assert box == tuple(slice(0, n) for n in op.grid.shape)
         pre = build_circulant_preconditioner(op)
         rng = np.random.default_rng(4)
         for _ in range(2):

@@ -13,10 +13,13 @@ import fraclap.transfer as transfer_module
 from fraclap.core import OverlayGrid
 from fraclap.mesh import (MeshQuality, SimplicialMesh, _orient_positive, generate_ball_mesh,
                           mesh_quality, simplex_adjugates)
+from fraclap.solver import OverlayOperator
+from fraclap.stiffness import fft_uniform
+from fraclap.toeplitz import ToeplitzPlan
 from fraclap.transfer import (N_FD_CAPS, TransferMatrix, TransferRankWarning, build_transfer,
                               capped_grid, choose_grid, column_rank_check)
 
-from conftest import ball_mesh, rotated, scattered_ball, sliver_mesh
+from conftest import ball_mesh, hand_transfer, rotated, scattered_ball, sliver_mesh, whole_grid
 
 
 def quality(dim, a_h):
@@ -96,7 +99,7 @@ class TestBuildTransfer:
         grid = OverlayGrid(dim=2, r_fd=2.0, n_fd=2)  # node exactly at the origin
         transfer = build_transfer(mesh, grid)
         center_row = grid.n_nodes // 2
-        row = transfer.matrix.getrow(center_row).toarray().ravel()
+        row = whole_grid(transfer).getrow(center_row).toarray().ravel()
         assert row[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_centroid_weights(self):
@@ -114,21 +117,22 @@ class TestBuildTransfer:
         grid = OverlayGrid(dim=2, r_fd=2.0, n_fd=2)
         transfer = build_transfer(mesh, grid)
         center_row = grid.n_nodes // 2
-        row = transfer.matrix.getrow(center_row).toarray().ravel()
+        row = whole_grid(transfer).getrow(center_row).toarray().ravel()
         np.testing.assert_allclose(row, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_outside_nodes_have_empty_rows(self):
         mesh = ball_mesh(2, 4)
         grid = OverlayGrid(dim=2, r_fd=1.2, n_fd=8)
         transfer = build_transfer(mesh, grid)
-        corner = transfer.matrix.getrow(0)
+        corner = whole_grid(transfer).getrow(0)
         assert corner.nnz == 0
+        assert all(b.start > 0 for b in transfer.box)
 
     def test_entries_are_barycentric(self):
         mesh = ball_mesh(2, 4)
         grid = choose_grid(mesh_quality(mesh), 1.2)
         transfer = build_transfer(mesh, grid)
-        coo = transfer.matrix.tocoo()
+        coo = whole_grid(transfer).tocoo()
         assert np.all(coo.data >= 0.0) and np.all(coo.data <= 1.0)
         rows = np.asarray(transfer.matrix.sum(axis=1)).ravel()
         assert rows.max() <= 1.0 + 1e-12
@@ -192,14 +196,14 @@ class TestApply:
 
     def test_zero(self, transfer):
         t, mesh = transfer
-        assert np.all(t.matrix.T @ np.zeros(t.rows) == 0.0)
+        assert np.all(t.matrix.T @ np.zeros(t.matrix.shape[0]) == 0.0)
 
     def test_adjoint_identity(self, transfer):
         t, mesh = transfer
         rng = np.random.default_rng(11)
         for _ in range(5):
             u = rng.standard_normal(t.cols)
-            v = rng.standard_normal(t.rows)
+            v = rng.standard_normal(t.matrix.shape[0])
             a = (t.matrix @ u) @ v
             b = u @ (t.matrix.T @ v)
             assert abs(a - b) <= 1e-13 * max(1.0, abs(a))
@@ -207,7 +211,7 @@ class TestApply:
     def test_constant_preservation_rows(self, transfer):
         # row sums of D^-1 T^T equal one exactly
         t, mesh = transfer
-        row_sums = (t.matrix.T @ np.ones(t.rows)) / t.column_sums
+        row_sums = (t.matrix.T @ np.ones(t.matrix.shape[0])) / t.column_sums
         np.testing.assert_allclose(row_sums, 1.0, rtol=1e-14)
 
 
@@ -215,14 +219,14 @@ class TestRankCheck:
     def test_identity_like(self):
         grid = OverlayGrid(dim=1, r_fd=1.0, n_fd=2)
         matrix = scipy.sparse.identity(5, format="csr")
-        t = TransferMatrix(matrix=matrix, column_sums=np.ones(5), grid=grid)
+        t = hand_transfer(matrix, grid, np.ones(5))
         assert column_rank_check(t)
         assert column_rank_check(t, mode="heuristic")
 
     def test_zero_column(self):
         grid = OverlayGrid(dim=1, r_fd=1.0, n_fd=2)
         matrix = scipy.sparse.csr_matrix(np.array([[1.0, 0.0]] * 5))
-        t = TransferMatrix(matrix=matrix, column_sums=np.array([5.0, 0.0]), grid=grid)
+        t = hand_transfer(matrix, grid, np.array([5.0, 0.0]))
         assert not column_rank_check(t)
         assert not column_rank_check(t, mode="heuristic")
 
@@ -302,6 +306,15 @@ def reference_matrix(mesh, grid):
     return matrix
 
 
+def assert_box_holds_the_positive_entries(transfer, ref):
+    """The whole-grid reference ``ref`` cut to the transfer's box, after
+    checking that the box is the bounding box of ref's positive entries (the
+    whole grid when it has none), so no positive entry lies outside it."""
+    boxed = hand_transfer(ref, transfer.grid)
+    assert transfer.box == boxed.box
+    return boxed.matrix
+
+
 def reference_heuristic(matrix):
     csc = matrix.tocsc()
     csc.sort_indices()
@@ -322,10 +335,13 @@ def dense_full_rank(matrix):
 
 
 def as_transfer(dense):
+    """A hand-made transfer whose rows are the first nodes of a 1D grid."""
     dense = np.asarray(dense, dtype=float)
+    rows = dense.shape[0]
     return TransferMatrix(matrix=scipy.sparse.csr_matrix(dense),
                           column_sums=dense.sum(axis=0),
-                          grid=OverlayGrid(dim=1, r_fd=1.0, n_fd=2))
+                          grid=OverlayGrid(dim=1, r_fd=1.0, n_fd=max(2, rows // 2)),
+                          box=(slice(0, rows),))
 
 
 def with_grid(mesh, strict=False):
@@ -367,9 +383,10 @@ class TestVectorisedAssembly:
         ref = reference_matrix(mesh, grid)
         transfer = build_transfer(mesh, grid)
         assert transfer.matrix.has_canonical_format
-        np.testing.assert_array_equal(transfer.matrix.indptr, ref.indptr)
-        np.testing.assert_array_equal(transfer.matrix.indices, ref.indices)
-        np.testing.assert_allclose(transfer.matrix.data, ref.data, rtol=0.0, atol=1e-15)
+        boxed = assert_box_holds_the_positive_entries(transfer, ref)
+        np.testing.assert_array_equal(transfer.matrix.indptr, boxed.indptr)
+        np.testing.assert_array_equal(transfer.matrix.indices, boxed.indices)
+        np.testing.assert_allclose(transfer.matrix.data, boxed.data, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(transfer.column_sums, np.asarray(ref.sum(axis=0)).ravel(),
                                    rtol=0.0, atol=1e-14)
 
@@ -427,6 +444,40 @@ class TestVectorisedAssembly:
         grid = OverlayGrid(dim=2, r_fd=2.0, n_fd=2)
         nodes, owners, _ = transfer_module._locate_nodes(mesh, grid)
         assert owners[list(nodes).index(grid.n_nodes // 2)] == 0
+
+
+class TestBoxedTransferProperties:
+    """The transfer held on its box, over random scattered disks and grids
+    from far too coarse to finer than the mesh."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), n_r=st.integers(3, 7),
+           amplitude=st.floats(0.0, 0.3), n_fd=st.integers(2, 24))
+    def test_box_transfer(self, seed, n_r, amplitude, n_fd):
+        mesh = scattered_ball(n_r, amplitude, seed)
+        grid = capped_grid(2, 1.2, n_fd)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TransferRankWarning)
+            t = build_transfer(mesh, grid)
+        boxed = assert_box_holds_the_positive_entries(t, reference_matrix(mesh, grid))
+        np.testing.assert_array_equal(t.matrix.indptr, boxed.indptr)
+        np.testing.assert_array_equal(t.matrix.indices, boxed.indices)
+        np.testing.assert_allclose(t.matrix.data, boxed.data, rtol=0.0, atol=1e-15)
+
+        transpose = t.matrix.T.tocsr()
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(t.transpose, name), getattr(transpose, name))
+
+        rng = np.random.default_rng(seed)
+        u, w = rng.standard_normal((2, t.cols))
+        v = rng.standard_normal(t.matrix.shape[0])
+        a, b = (t.matrix @ u) @ v, u @ (t.transpose @ v)
+        assert abs(a - b) <= 1e-13 * max(1.0, abs(a))
+
+        op = OverlayOperator(transfer=t, plan=ToeplitzPlan(fft_uniform(0.5, 2, n_fd, 2 * n_fd + 2)),
+                             grid=grid, s=0.5)
+        a, b = op.apply(u) @ w, u @ op.apply(w)
+        assert abs(a - b) <= 1e-11 * max(1.0, abs(a))
 
 
 class TestSparseRankCheck:
@@ -622,7 +673,7 @@ class TestDominanceCertificate:
         # matrix, so a zeroed column sum shows which of the two decided
         sums = t.column_sums.copy()
         sums[0] = 0.0
-        marked = TransferMatrix(matrix=t.matrix, column_sums=sums, grid=t.grid)
+        marked = TransferMatrix(matrix=t.matrix, column_sums=sums, grid=t.grid, box=t.box)
         calls = self.count_inertia_tests(monkeypatch)
         assert column_rank_check(marked)
         monkeypatch.setattr(transfer_module, "_dominance_certificate",
