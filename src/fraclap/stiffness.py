@@ -18,10 +18,13 @@ Schemes:
   modspec   the fft sum of the regularized integrand plus the spectral ball term
 
 The fft, modspec and nufft schemes evaluate their integrand in independent
-chunks, run on a thread pool of up to the usable cores; every chunk writes
-only its own slice, so the coefficients are bitwise the same for any worker
-count.  In 3D the integrand is symmetric in its first two axes bit for bit,
-so only the sample lines with xi_1 <= xi_0 are evaluated: about half.
+chunks, and every chunk writes only its own slice, so the coefficients are
+bitwise the same for any worker count.  fft and modspec run their chunks on
+a thread pool of up to the usable cores, since each chunk's DCT-I is single
+threaded; nufft runs them in the calling thread, since each chunk's cosine
+contraction is a matrix product that BLAS already threads.  In 3D the
+integrand is symmetric in its first two axes bit for bit, so only the
+sample lines with xi_1 <= xi_0 are evaluated: about half.
 
 A decay-profile helper fits the tail slope of log|T_p| against log|p|.
 Nothing here writes files: the command line formats the CSV dumps.
@@ -198,8 +201,8 @@ def nonuniform(s, dim: int, n_fd: int, m: int) -> StiffnessKernel:
     its own).  Each axis then contracts with cos(p xi_j) w_j / (2 pi): with
     n = floor(M/2) + 1, that is n^d symbol evaluations in 1D and 2D and
     n^2 (n + 1)/2 in 3D, exact up to rounding at every size, taken in bounded
-    chunks on up to the usable cores (see _chunked_sum); the result does not
-    depend on the number of workers.
+    chunks in the calling thread (see _chunked_sum): each chunk's contraction
+    is a matrix product, which BLAS threads.
     """
     s = order_value(s)
     n_fd = _check_n_fd(n_fd)
@@ -217,7 +220,8 @@ def nonuniform(s, dim: int, n_fd: int, m: int) -> StiffnessKernel:
     def contract(x, axis):
         return np.moveaxis(np.tensordot(x, factors, axes=(axis, 1)), -1, axis)
 
-    coeffs = np.ascontiguousarray(_chunked_sum(_psi_integrand(s), xi, dim, k, contract))
+    coeffs = np.ascontiguousarray(_chunked_sum(_psi_integrand(s), xi, dim, k, contract,
+                                               pooled=False))
     return StiffnessKernel(dim=dim, s=s, n_fd=n_fd, scheme="nufft", coeffs=coeffs)
 
 
@@ -372,13 +376,14 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _for_each_chunk(run, n: int, step: int):
-    """Call run(i0) for i0 = 0, step, 2 step, ... below n, on a thread pool
-    of min(usable cores, chunk count) workers created for this call; one
-    worker runs the loop inline.  Each call must write only its own slice of
-    the output, so the result is the same for any worker count."""
+def _for_each_chunk(run, n: int, step: int, pooled: bool):
+    """Call run(i0) for i0 = 0, step, 2 step, ... below n.  When pooled, on a
+    thread pool of min(usable cores, chunk count) workers created for this
+    call; otherwise, or with one worker, the loop runs in the calling thread.
+    Each call must write only its own slice of the output, so the result is
+    the same for any worker count."""
     starts = range(0, n, step)
-    workers = min(_usable_cores(), len(starts))
+    workers = min(_usable_cores(), len(starts)) if pooled else 1
     if workers <= 1:
         for i0 in starts:
             run(i0)
@@ -430,14 +435,16 @@ def _uniform_fourier(integrand, dim: int, n_fd: int, m: int) -> np.ndarray:
         x = scipy.fft.dct(x, type=1, axis=axis, overwrite_x=True)  # x is a temporary
         return np.take(x, keep, axis=axis)
 
-    return _chunked_sum(integrand, xi, dim, k, transform) / float(m) ** dim
+    return _chunked_sum(integrand, xi, dim, k, transform, pooled=True) / float(m) ** dim
 
 
-def _chunked_sum(integrand, xi, dim: int, k: int, transform) -> np.ndarray:
+def _chunked_sum(integrand, xi, dim: int, k: int, transform, *, pooled: bool) -> np.ndarray:
     """transform(..., axis 0) of ... transform(..., axis d-1) of g sampled on
     the tensor grid xi^d, where transform(x, axis) maps that axis of x from
     len(xi) samples to k outputs.  g is evaluated in chunks of about
-    _DCT_CHUNK_ELEMS samples along axis 0, run on up to the usable cores; in
+    _DCT_CHUNK_ELEMS samples along axis 0, run on up to the usable cores when
+    pooled (a single-threaded transform gains from the pool) and in the
+    calling thread otherwise (a transform that threads itself does not); in
     each chunk the other axes are transformed one at a time, last axis first,
     and axis 0 is transformed last, serially.  The chunks write disjoint rows,
     so the result does not depend on the number of workers.
@@ -445,7 +452,7 @@ def _chunked_sum(integrand, xi, dim: int, k: int, transform) -> np.ndarray:
     In 3D only the lines i1 <= i0 are evaluated (see _triangle_sum), about
     half of the len(xi)^3 samples."""
     if dim == 3:
-        return _triangle_sum(integrand, xi, k, transform)
+        return _triangle_sum(integrand, xi, k, transform, pooled)
     axes = [xi.reshape((1,) * i + (-1,) + (1,) * (dim - 1 - i)) for i in range(dim)]
     step = max(1, _DCT_CHUNK_ELEMS // xi.size ** (dim - 1))
     partial = np.empty((xi.size,) + (k,) * (dim - 1))
@@ -456,11 +463,11 @@ def _chunked_sum(integrand, xi, dim: int, k: int, transform) -> np.ndarray:
             block = transform(block, axis)
         partial[i0:i0 + step] = block
 
-    _for_each_chunk(run_chunk, xi.size, step)
+    _for_each_chunk(run_chunk, xi.size, step, pooled)
     return transform(partial, 0)
 
 
-def _triangle_sum(integrand, xi, k: int, transform) -> np.ndarray:
+def _triangle_sum(integrand, xi, k: int, transform, pooled: bool) -> np.ndarray:
     """_chunked_sum in 3D from the lines (i0, i1) with i1 <= i0.
 
     Both integrands add their per-axis terms left to right, and a + b == b + a
@@ -499,7 +506,7 @@ def _triangle_sum(integrand, xi, k: int, transform) -> np.ndarray:
         padded[row_of_line, i1] = block
         partial[rows] = transform(padded, 1)
 
-    _for_each_chunk(run_chunk, n, step)
+    _for_each_chunk(run_chunk, n, step, pooled)
     half = transform(partial, 0)
     del partial                             # freed before the sum allocates
     return half + half.swapaxes(0, 1)

@@ -336,6 +336,25 @@ class TestSolveCommand:
     def test_missing_mesh_source(self):
         assert main(["solve", "--dim", "2"]) == 2
 
+    # every kind of failure that main() sees: invalid input, a resource cap,
+    # a rank-deficient transfer (after its one warning), a numerical
+    # breakdown (the MIC factor of the modspec near field) and a missing file
+    @pytest.mark.parametrize("argv,warnings", [
+        (["--dim", "1", "--ball", "0.05"], 0),
+        (["--dim", "2", "--ball", "0.3", "--nfd", "5000"], 0),
+        (["--dim", "2", "--ball", "0.1", "--nfd", "3"], 1),
+        (["--dim", "2", "--scheme", "modspec", "--precond", "sparse", "--ball", "0.1"], 0),
+        (["--dim", "2", "--mesh", "missing.mesh"], 0),
+    ], ids=["invalid_input", "nfd_cap", "rank_deficient", "mic_breakdown", "missing_mesh"])
+    def test_every_failure_kind_exit_2(self, argv, warnings, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", *argv, "--out", "s.csv"]) == 2
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == warnings + 1
+        assert sum(line.startswith("warning: ") for line in lines) == warnings
+        assert lines[-1].startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["solve", "precond"])
     def test_config_line_states_the_mesh_dim(self, command, tmp_path, capsys):
         # --dim defaults to 2; the run takes dim 3 from the mesh file

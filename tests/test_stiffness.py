@@ -322,9 +322,10 @@ class TestUniformFourier:
             _uniform_fourier(_psi_integrand(0.5), 2, 3, 6)
 
 
-def reference_chunked_sum(integrand, xi, dim, k, transform):
-    """The chunk loop over every line of the tensor grid, run serially: the
-    formulation that the 3D triangle sum replaces."""
+def reference_chunked_sum(integrand, xi, dim, k, transform, *, pooled):
+    """The chunk loop over every line of the tensor grid, run serially
+    whatever ``pooled`` says: the formulation that the 3D triangle sum
+    replaces."""
     axes = [xi.reshape((1,) * i + (-1,) + (1,) * (dim - 1 - i)) for i in range(dim)]
     step = max(1, stiffness._DCT_CHUNK_ELEMS // xi.size ** (dim - 1))
     partial = np.empty((xi.size,) + (k,) * (dim - 1))
@@ -401,7 +402,7 @@ class TestTriangleSum:
             lines.append(list(zip(i0.tolist(), i1.tolist())))
             return psi(axes)
 
-        got = stiffness._chunked_sum(integrand, xi, 3, n, lambda x, axis: x)
+        got = stiffness._chunked_sum(integrand, xi, 3, n, lambda x, axis: x, pooled=False)
         expected = psi((xi[:, None, None], xi[None, :, None], xi[None, None, :]))
         assert got.tobytes() == expected.tobytes()
         flat = sorted(line for chunk in lines for line in chunk)
@@ -512,21 +513,34 @@ class TestChunkPool:
         assert pooled.tobytes() == inline.tobytes()
 
     # several chunks along the floor(m/2) + 1 folded node rows (33, 32, 11,
-    # 10); all but the first leave a short last chunk
+    # 10); all but the first leave a short last chunk.  nufft's contraction
+    # is a BLAS product, which threads itself, so its chunks never take the
+    # pool, however many cores are usable
     @pytest.mark.parametrize("dim,n_fd,m,budget", [(2, 4, 64, 390), (2, 4, 63, 320),
                                                    (3, 2, 20, 4 * 11 ** 2),
                                                    (3, 2, 19, 3 * 10 ** 2)])
-    def test_nufft_direct_pooled_equals_one_worker(self, monkeypatch, dim, n_fd, m, budget):
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_nufft_runs_inline_and_equals_one_worker(self, monkeypatch, dim, n_fd, m, budget,
+                                                     cores):
         monkeypatch.setattr(stiffness, "_DCT_CHUNK_ELEMS", budget)
 
         def build():
             return nonuniform(0.3, dim, n_fd, m)
 
-        inline, sizes = build_with_cores(monkeypatch, 1, build)
+        one_core, sizes = build_with_cores(monkeypatch, 1, build)
         assert sizes == []
-        pooled, sizes = build_with_cores(monkeypatch, 2, build)
-        assert sizes == [2]
-        assert pooled.tobytes() == inline.tobytes()
+        several, sizes = build_with_cores(monkeypatch, cores, build)
+        assert sizes == []
+        assert several.tobytes() == one_core.tobytes()
+
+    # the DCT-I schemes keep the pool: their transform is single threaded
+    @pytest.mark.parametrize("dim,n_fd,m,budget", [(2, 4, 64, 4 * 33), (3, 3, 24, 3 * 13 ** 2)])
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("build", [fft_uniform, modified_spectral])
+    def test_dct_schemes_still_pool(self, monkeypatch, build, dim, n_fd, m, budget, cores):
+        monkeypatch.setattr(stiffness, "_DCT_CHUNK_ELEMS", budget)
+        _, sizes = build_with_cores(monkeypatch, cores, lambda: build(0.45, dim, n_fd, m))
+        assert sizes == [cores]
 
     @pytest.mark.parametrize("dim,n_fd,m,budget", [(1, 5, 100, 7), (2, 4, 64, 4 * 33),
                                                    (3, 3, 24, 3 * 13 ** 2),
@@ -561,7 +575,7 @@ class TestChunkPool:
         inline, sizes = build_with_cores(monkeypatch, 1, build)
         assert sizes == []
         pooled, sizes = build_with_cores(monkeypatch, 3, build)
-        assert sizes == [min(3, chunks)]
+        assert sizes == ([] if name == "nufft" else [min(3, chunks)])
         assert pooled.tobytes() == inline.tobytes()
 
     def test_pool_never_exceeds_chunk_count(self, monkeypatch):
@@ -585,9 +599,10 @@ class TestChunkPool:
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_concurrent_builds_agree(self, monkeypatch):
-        # two callers at once, each on a pool of more workers than cores, with
-        # frequent thread switches: a chunk written to the wrong slice or a
-        # shared temporary would show as a differing coefficient
+        # two callers at once, the DCT-I builds each on a pool of more workers
+        # than cores, with frequent thread switches: a chunk written to the
+        # wrong slice or a shared temporary would show as a differing
+        # coefficient
         monkeypatch.setattr(stiffness, "_DCT_CHUNK_ELEMS", 2 ** 11)
         builds = [lambda: fft_uniform(0.5, 2, 8, 256),
                   lambda: modified_spectral(0.5, 3, 3, 24, 16),
@@ -626,7 +641,7 @@ class TestChunkPool:
                 raise FloatingPointError("chunk 6")
 
         with pytest.raises(FloatingPointError, match="chunk 6"):
-            stiffness._for_each_chunk(run, 10, 3)
+            stiffness._for_each_chunk(run, 10, 3, pooled=True)
         assert set(seen) <= {0, 3, 6, 9} and 6 in seen
 
     def test_usable_cores_falls_back_to_cpu_count(self, monkeypatch):

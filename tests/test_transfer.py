@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -349,6 +350,27 @@ def with_grid(mesh, strict=False):
     return mesh, strict_grid(quality, 1.2) if strict else choose_grid(quality, 1.2)
 
 
+def assert_same_bytes(transfer, expected):
+    """The stored arrays and the box of two transfers, byte for byte."""
+    for a, b in ((transfer.matrix.indptr, expected.matrix.indptr),
+                 (transfer.matrix.indices, expected.matrix.indices),
+                 (transfer.matrix.data, expected.matrix.data),
+                 (transfer.column_sums, expected.column_sums)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert transfer.box == expected.box
+
+
+def count_adjugate_passes(monkeypatch):
+    """Element counts of every simplex_adjugates call that build_transfer makes."""
+    passes = []
+
+    def counting(corners):
+        passes.append(len(corners))
+        return simplex_adjugates(corners)
+    monkeypatch.setattr(transfer_module, "simplex_adjugates", counting)
+    return passes
+
+
 EQUIVALENCE_CASES = {
     "disk": lambda: with_grid(ball_mesh(2, 10)),
     "ball3d": lambda: with_grid(ball_mesh(3, 4)),
@@ -392,11 +414,34 @@ class TestVectorisedAssembly:
 
     def test_chunking_does_not_change_the_result(self, case, monkeypatch):
         mesh, grid = case
-        whole = build_transfer(mesh, grid).matrix
+        whole = build_transfer(mesh, grid)
         monkeypatch.setattr(transfer_module, "_CHUNK", 5)
-        chunked = build_transfer(mesh, grid).matrix
-        assert (whole != chunked).nnz == 0
-        np.testing.assert_array_equal(whole.indices, chunked.indices)
+        assert_same_bytes(build_transfer(mesh, grid), whole)
+
+    @pytest.mark.parametrize("chunk", [1 << 10, 1 << 40])
+    def test_chunking_does_not_change_a_3d_ball(self, chunk, monkeypatch):
+        # the 3D h=0.1 ball spans several default chunks, each forming its
+        # own elements' geometry; 1 << 40 forms the whole mesh's at once
+        mesh, grid = with_grid(ball_mesh(3, 10))
+        passes = count_adjugate_passes(monkeypatch)
+        default = build_transfer(mesh, grid)
+        assert len(passes) > 1 and sum(passes) == mesh.n_elements
+        passes.clear()
+        monkeypatch.setattr(transfer_module, "_CHUNK", chunk)
+        assert_same_bytes(build_transfer(mesh, grid), default)
+        assert (len(passes) == 1) == (chunk == 1 << 40)
+
+    def test_traced_peak_of_a_3d_ball(self):
+        # the whole mesh's corners, edge matrices and inverses, formed at
+        # once, take the traced peak to 27.8 MiB; formed per chunk, 12.8 MiB
+        mesh, grid = with_grid(ball_mesh(3, 10))
+        tracemalloc.start()
+        try:
+            build_transfer(mesh, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
 
     @staticmethod
     def spy_on_solve(monkeypatch):
