@@ -5,7 +5,9 @@ comparisons.  Every command writes CSV (UTF-8, LF) through _write_csv: a
 and an optional '# key=value' footer, plus key=value summary lines on stdout.
 Errors are measured against the unit-ball solution, so a solve on another
 domain prints l2_error=nan and a convergence study refuses it.  Exit code 0
-means every requested run completed and converged.
+means every requested run completed and converged, 1 that a run did not
+(a numerical breakdown included; its stop_reason says why), and 2 invalid
+input, a resource limit, a rank-deficient transfer or a failed internal check.
 """
 
 from __future__ import annotations
@@ -58,9 +60,6 @@ class ExperimentConfig:
             parts.append("mesh=" + ",".join(self.mesh))
         return " ".join(parts)
 
-    def default_out(self) -> str:
-        return self.out if self.out else f"{self.command}_out.csv"
-
 
 def _meshes(config: ExperimentConfig):
     """Mesh sequence from --mesh paths or --ball target_h values.  Every 3D
@@ -87,7 +86,7 @@ def _write_csv(config: ExperimentConfig, header: str, rows, footer: str = ""):
     """Write the output CSV, the last step of every command: the '# config:'
     line, the header, each row (text without its final newline) and
     '# <footer>' when given; then print where it went."""
-    path = config.default_out()
+    path = config.out or f"{config.command}_out.csv"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config: {config.config_line()}\n{header}\n")
         for row in rows:
@@ -238,7 +237,7 @@ def cmd_convergence(config: ExperimentConfig) -> int:
         if not report.converged:
             failures += 1
         rows.append((mesh.n_elements, h_bar, report.l2_error))
-        print(f"level={level} N={mesh.n_elements} h_bar={h_bar:.6e} "
+        print(f"level={level} N={mesh.n_elements} h_bar={h_bar:.6e} n_fd={grid.n_fd} "
               f"l2_error={report.l2_error:.6e} iterations={report.iterations}")
     log_h = np.log([r[1] for r in rows])
     log_e = np.log([r[2] for r in rows])
@@ -259,25 +258,18 @@ def cmd_precond(config: ExperimentConfig) -> int:
     config = dataclasses.replace(config, dim=mesh.dim, n_fd=op.grid.n_fd)
     variants = ("none", "sparse", "circulant")
     histories = {}
-    iterations = {}
-    failures = []
+    converged = True
     for variant in variants:
-        try:
-            u, report = solve(op, mesh, variant, tol=config.tol)
-            histories[variant] = report.residual_history
-            iterations[variant] = report.iterations if report.converged else None
-            status = report.iterations if report.converged else "no convergence"
-            print(f"precond={variant} iterations={status}")
-        except Exception as exc:
-            failures.append(variant)
-            histories[variant] = []
-            iterations[variant] = None
-            print(f"precond={variant} failed: {exc}")
+        u, report = solve(op, mesh, variant, tol=config.tol)
+        histories[variant] = report.residual_history
+        converged &= report.converged
+        status = report.iterations if report.converged else "no convergence"
+        print(f"precond={variant} iterations={status}")
     longest = max(len(h) for h in histories.values())
     _write_csv(config, "iteration," + ",".join(variants),
                (f"{i}," + ",".join(f"{histories[v][i]:.16e}" if i < len(histories[v]) else ""
                                    for v in variants) for i in range(longest)))
-    return 0 if not failures and all(iterations[v] is not None for v in variants) else 1
+    return 0 if converged else 1
 
 
 def _load_config_file(path) -> dict:
@@ -292,10 +284,6 @@ def _load_config_file(path) -> dict:
             key, value = body.split("=", 1)
             out[key.strip()] = value.strip()
     return out
-
-
-def _parse_ball_list(text):
-    return [float(tok) for tok in text.split(",") if tok]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,7 +340,7 @@ def parse_config(argv=None) -> ExperimentConfig:
         if value is not None:
             merged[key] = value
     if isinstance(merged.get("ball"), str):
-        merged["ball"] = _parse_ball_list(merged["ball"])
+        merged["ball"] = [float(tok) for tok in merged["ball"].split(",") if tok]
     if isinstance(merged.get("mesh"), str):
         merged["mesh"] = [tok for tok in merged["mesh"].split(",") if tok]
     merged["large"] = bool(merged.get("large"))
@@ -385,8 +373,8 @@ def main(argv=None) -> int:
             return _COMMANDS[config.command](config)
         except (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as exc:
             # MemoryError is also what the size caps raise: a resource limit;
-            # ArithmeticError is a numerical breakdown (an indefinite
-            # preconditioner, a permuted incomplete Cholesky triangle)
+            # ArithmeticError is a failed internal check.  A breakdown inside
+            # a solve raises nothing: its report says it and the run exits 1
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

@@ -18,6 +18,8 @@ __all__ = [
     "OverlayGrid",
     "order_value",
     "check_tolerance",
+    "check_dim",
+    "check_n_fd",
     "gamma",
     "gauss_legendre",
     "bessel_j_half_order",
@@ -38,6 +40,19 @@ def check_tolerance(tol):
         raise ValueError(f"tol must lie strictly in (0, 1), got {tol!r}")
 
 
+def check_dim(dim):
+    """ValueError unless dim is 1, 2 or 3."""
+    if dim not in (1, 2, 3):
+        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+
+
+def check_n_fd(n_fd) -> int:
+    """n_fd as an int, refused (ValueError) unless it is a positive integer."""
+    if int(n_fd) != n_fd or n_fd < 1:
+        raise ValueError(f"n_fd must be a positive integer, got {n_fd}")
+    return int(n_fd)
+
+
 @dataclass(frozen=True)
 class OverlayGrid:
     """Uniform grid on the cube (-r_fd, r_fd)^dim with 2*n_fd + 1 nodes per axis.
@@ -51,14 +66,11 @@ class OverlayGrid:
     n_fd: int
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
+        check_dim(self.dim)
         if not 0.0 < float(self.r_fd) < np.inf:
             raise ValueError(f"r_fd must be positive and finite, got {self.r_fd}")
-        if int(self.n_fd) < 1 or int(self.n_fd) != self.n_fd:
-            raise ValueError(f"n_fd must be a positive integer, got {self.n_fd}")
+        object.__setattr__(self, "n_fd", check_n_fd(self.n_fd))
         object.__setattr__(self, "r_fd", float(self.r_fd))
-        object.__setattr__(self, "n_fd", int(self.n_fd))
 
     @property
     def h_fd(self) -> float:
@@ -93,8 +105,7 @@ def bessel_j_half_order(dim: int, r):
     d = 1 and d = 3 reduce to the closed forms sqrt(2/(pi r)) cos(r) and
     sqrt(2/(pi r)) sin(r); d = 2 is J0 (scipy.special.j0).
     """
-    if dim not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+    check_dim(dim)
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("bessel_j_half_order requires r > 0")

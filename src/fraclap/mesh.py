@@ -30,6 +30,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from .core import check_dim
+
 __all__ = [
     "SimplicialMesh",
     "MeshQuality",
@@ -67,8 +69,7 @@ class SimplicialMesh:
     def __post_init__(self):
         vertices = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
         simplices = np.ascontiguousarray(np.asarray(self.simplices, dtype=np.int64))
-        if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
+        check_dim(self.dim)
         if vertices.ndim != 2 or vertices.shape[1] != self.dim:
             raise ValueError(f"vertices must have shape (n, {self.dim})")
         if simplices.ndim != 2 or simplices.shape[1] != self.dim + 1:

@@ -43,8 +43,8 @@ import numpy as np
 import scipy.fft
 import scipy.sparse
 
-from .core import OverlayGrid, check_tolerance, gamma, order_value
-from .ichol import MicFactor, mic_factor_with_retry
+from .core import OverlayGrid, check_dim, check_tolerance, gamma, order_value
+from .ichol import IncompleteCholeskyError, MicFactor, mic_factor_with_retry
 from .mesh import SimplicialMesh, is_unit_ball, lumped_l2_error, mesh_quality
 from .stiffness import (StiffnessKernel, analytic_1d, fft_corrected, fft_uniform,
                         modified_spectral, nonuniform, spectral)
@@ -150,6 +150,16 @@ class SparsePreconditioner(Preconditioner):
 
     def apply(self, r):
         return self.factor.solve(r)
+
+
+class _BrokenDown(Preconditioner):
+    """Zero on every residual: stands in for a build that broke down."""
+
+    def __init__(self, variant: str):
+        self.variant = variant
+
+    def apply(self, r):
+        return np.zeros_like(r)
 
 
 class CirculantPreconditioner(Preconditioner):
@@ -269,8 +279,9 @@ def cg_solve(op, b: np.ndarray, precond: Preconditioner | None = None,
     operator_not_positive (p^T A p <= 0); preconditioner_indefinite
     (r^T M r <= 0 on a nonzero residual); true_residual_mismatch (the
     preconditioned norm met tol but the true residual exceeds sqrt(tol));
-    non_finite (p^T A p or r^T M r is NaN or infinite).  A preconditioner that
-    is not positive on the initial residual raises ArithmeticError instead.
+    non_finite (p^T A p or r^T M r is NaN or infinite).  The initial residual
+    is checked as every later one: a stop there returns x = 0 after 0
+    iterations, with an empty history and a true residual of 1.
     """
     check_tolerance(tol)
     matvec = op.apply if hasattr(op, "apply") else op
@@ -287,41 +298,37 @@ def cg_solve(op, b: np.ndarray, precond: Preconditioner | None = None,
 
     x = np.zeros_like(b)
     r = b.copy()
-    z = psolve(r)
-    rho = float(r @ z)
-    if not rho > 0.0:
-        raise ArithmeticError("preconditioner is not positive definite on the initial residual")
-    rho0 = rho
-    p = z.copy()
-    report.residual_history.append(1.0)
     report.stop_reason = "max_iter"
-
-    for iteration in range(1, max_iter + 1):
-        ap = matvec(p)
-        denom = float(p @ ap)
-        if not denom > 0.0:
-            report.stop_reason = "operator_not_positive" if np.isfinite(denom) else "non_finite"
-            report.iterations = iteration - 1
-            break
-        alpha = rho / denom
-        x += alpha * p
-        r -= alpha * ap
+    # iteration 0 takes no step: it checks the initial residual as each later
+    # iteration checks its own
+    for iteration in range(max_iter + 1):
+        if iteration:
+            ap = matvec(p)
+            denom = float(p @ ap)
+            if not denom > 0.0:
+                report.stop_reason = "operator_not_positive" if np.isfinite(denom) else "non_finite"
+                break
+            alpha = rho / denom
+            x += alpha * p
+            r -= alpha * ap
+            report.iterations = iteration
         z = psolve(r)
         rho_next = float(r @ z)
-        report.iterations = iteration
         if not np.isfinite(rho_next):
             report.stop_reason = "non_finite"
             break
         if rho_next < 0.0 or (rho_next == 0.0 and np.any(r)):
             report.stop_reason = "preconditioner_indefinite"
             break
+        if not iteration:
+            rho0 = rho_next
         rel = np.sqrt(rho_next / rho0)
         report.residual_history.append(rel)
         if rel <= tol:
             report.converged = True
             report.stop_reason = "converged"
             break
-        p = z + (rho_next / rho) * p
+        p = z + (rho_next / rho) * p if iteration else z.copy()
         rho = rho_next
 
     report.true_residual = float(np.linalg.norm(b - matvec(x)) / b_norm)
@@ -361,8 +368,7 @@ def build_kernel(scheme: str, s, dim: int, n_fd: int, m: int | None = None,
     if scheme == "fft":
         return fft_corrected(s, dim, n_fd) if m is None else fft_uniform(s, dim, n_fd, m)
     if m is None:
-        if dim not in DEFAULT_M:
-            raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+        check_dim(dim)
         m = DEFAULT_M[dim]
     if scheme == "nufft":
         return nonuniform(s, dim, n_fd, m)
@@ -435,11 +441,13 @@ def solve(op: OverlayOperator, mesh: SimplicialMesh, precond: str = "auto", *, f
     holds only where is_unit_ball(mesh); elsewhere l2_error is NaN.  No rank
     is checked here: setup() checks each transfer once, before its first solve.
     precond "auto" is circulant, or none for the spectral scheme, and falls
-    back to plain CG when the circulant run fails.  Returns the nodal
-    solution over all vertices (boundary entries zero) and a SolveReport with
-    per-phase timings and precond_shift, the diagonal shift of the sparse
-    preconditioner's MIC retry (0.0 if none, and for the other
-    preconditioners)."""
+    back to plain CG when the circulant run does not converge.  A numerical
+    breakdown is reported, never raised: a MIC factor that breaks down after
+    its retry gives CG's first-residual stop (preconditioner_indefinite,
+    u = 0).  Returns the nodal solution over all vertices (boundary entries
+    zero) and a SolveReport with per-phase timings and precond_shift, the
+    diagonal shift of the sparse preconditioner's MIC retry (0.0 if none,
+    and for the other preconditioners)."""
     s = op.plan.kernel.s
     times = {}
     t0 = time.perf_counter()
@@ -450,17 +458,16 @@ def solve(op: OverlayOperator, mesh: SimplicialMesh, precond: str = "auto", *, f
                 "circulant": build_circulant_preconditioner}
     if precond not in builders:
         raise ValueError(f"unknown preconditioner {precond!r}")
-    preconditioner = builders[precond](op)
+    try:
+        preconditioner = builders[precond](op)
+    except IncompleteCholeskyError:
+        # MIC broke down after its shift retry: CG reports it at the first residual
+        preconditioner = _BrokenDown(f"sparse{3 ** op.grid.dim}")
     times["precond"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     b = assemble_rhs(mesh, op.transfer, s, f)
-    try:
-        u_interior, report = cg_solve(op, b, preconditioner, tol=tol, max_iter=max_iter)
-    except ArithmeticError:
-        if not (auto and preconditioner is not None):
-            raise
-        u_interior, report = None, SolveReport(converged=False)
+    u_interior, report = cg_solve(op, b, preconditioner, tol=tol, max_iter=max_iter)
     if auto and preconditioner is not None and not report.converged:
         # the circulant surrogate of a ball-based kernel can be indefinite on
         # the lifted subspace; auto mode falls back to plain CG in that case

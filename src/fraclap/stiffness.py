@@ -42,7 +42,8 @@ import numpy as np
 import scipy.fft
 import scipy.special
 
-from .core import bessel_j_half_order, gamma, gauss_legendre, order_value
+from .core import (bessel_j_half_order, check_dim, check_n_fd, gamma, gauss_legendre,
+                   order_value)
 
 __all__ = [
     "SCHEMES",
@@ -125,7 +126,7 @@ def analytic_1d(s, n_fd: int) -> StiffnessKernel:
     gamma factors individually overflow.  T_0 > 0 and T_p < 0 for p >= 1.
     """
     s = order_value(s)
-    n_fd = _check_n_fd(n_fd)
+    n_fd = check_n_fd(n_fd)
     p_max = 2 * n_fd
     t = np.empty(p_max + 1)
     t[0] = gamma(2.0 * s + 1.0) / gamma(1.0 + s) ** 2
@@ -150,7 +151,7 @@ def fft_uniform(s, dim: int, n_fd: int, m: int) -> StiffnessKernel:
     reaches the same accuracy at a far smaller m.
     """
     s = order_value(s)
-    n_fd = _check_n_fd(n_fd)
+    n_fd = check_n_fd(n_fd)
     coeffs = _uniform_fourier(_psi_integrand(s), dim, n_fd, m)
     return StiffnessKernel(dim=dim, s=s, n_fd=n_fd, scheme="fft", coeffs=coeffs)
 
@@ -174,9 +175,8 @@ def fft_corrected(s, dim: int, n_fd: int, m: int | None = None) -> StiffnessKern
     Raises ValueError otherwise; the scheme tag is "fft".
     """
     s = order_value(s)
-    n_fd = _check_n_fd(n_fd)
-    if dim not in _CORRECTED_M_MIN:
-        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+    n_fd = check_n_fd(n_fd)
+    check_dim(dim)
     if m is None:
         m = max(_CORRECTED_M_MIN[dim], 1 << (16 * n_fd - 1).bit_length())
     elif m % 2 or m < 4 * n_fd:
@@ -205,9 +205,8 @@ def nonuniform(s, dim: int, n_fd: int, m: int) -> StiffnessKernel:
     is a matrix product, which BLAS threads.
     """
     s = order_value(s)
-    n_fd = _check_n_fd(n_fd)
-    if dim not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+    n_fd = check_n_fd(n_fd)
+    check_dim(dim)
     if m < 2 * n_fd + 1:
         raise ValueError(f"m must be at least 2*n_fd + 1 = {2 * n_fd + 1}, got {m}")
 
@@ -239,9 +238,8 @@ def spectral(s, dim: int, n_fd: int, n_g: int = 64) -> StiffnessKernel:
     n_g-point Gauss-Legendre rule, so equal radii share one evaluation.
     """
     s = order_value(s)
-    n_fd = _check_n_fd(n_fd)
-    if dim not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+    n_fd = check_n_fd(n_fd)
+    check_dim(dim)
     if n_g < 4:
         raise ValueError(f"n_g must be at least 4, got {n_g}")
 
@@ -290,7 +288,7 @@ def restrict(kernel: StiffnessKernel, n_fd: int) -> StiffnessKernel:
     default m may differ: a smaller n_fd can pick a smaller m."""
     if n_fd > kernel.n_fd:
         raise ValueError(f"cannot restrict n_fd {kernel.n_fd} to larger value {n_fd}")
-    n_fd = _check_n_fd(n_fd)
+    n_fd = check_n_fd(n_fd)
     sl = (slice(0, 2 * n_fd + 1),) * kernel.dim
     return StiffnessKernel(dim=kernel.dim, s=kernel.s, n_fd=n_fd,
                            scheme=kernel.scheme, coeffs=kernel.coeffs[sl].copy())
@@ -335,12 +333,6 @@ def _squared_offsets(dim: int, k: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # trapezoid-sum machinery (fft, modspec and nufft)
-
-def _check_n_fd(n_fd) -> int:
-    if int(n_fd) != n_fd or n_fd < 1:
-        raise ValueError(f"n_fd must be a positive integer, got {n_fd}")
-    return int(n_fd)
-
 
 def _psi_integrand(s):
     def evaluate(axes):
@@ -410,8 +402,7 @@ def _uniform_fourier(integrand, dim: int, n_fd: int, m: int) -> np.ndarray:
     not depend on the number of workers.  Raises ArithmeticError if g is not
     even.
     """
-    if dim not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+    check_dim(dim)
     k = 2 * n_fd + 1
     if m < k:
         raise ValueError(f"m must be at least 2*n_fd + 1 = {k}, got {m}")

@@ -7,9 +7,9 @@ import fraclap.cli
 import fraclap.ichol
 import fraclap.solver
 from fraclap.cli import main, parse_config
-from fraclap.mesh import SimplicialMesh, generate_ball_mesh, save_mesh
+from fraclap.mesh import SimplicialMesh, generate_ball_mesh, mesh_quality, save_mesh
 from fraclap.stiffness import StiffnessKernel, analytic_1d, decay_profile
-from fraclap.transfer import TransferRankWarning
+from fraclap.transfer import TransferRankWarning, choose_grid
 
 from conftest import ball_mesh, square_mesh
 
@@ -337,15 +337,13 @@ class TestSolveCommand:
         assert main(["solve", "--dim", "2"]) == 2
 
     # every kind of failure that main() sees: invalid input, a resource cap,
-    # a rank-deficient transfer (after its one warning), a numerical
-    # breakdown (the MIC factor of the modspec near field) and a missing file
+    # a rank-deficient transfer (after its one warning) and a missing file
     @pytest.mark.parametrize("argv,warnings", [
         (["--dim", "1", "--ball", "0.05"], 0),
         (["--dim", "2", "--ball", "0.3", "--nfd", "5000"], 0),
         (["--dim", "2", "--ball", "0.1", "--nfd", "3"], 1),
-        (["--dim", "2", "--scheme", "modspec", "--precond", "sparse", "--ball", "0.1"], 0),
         (["--dim", "2", "--mesh", "missing.mesh"], 0),
-    ], ids=["invalid_input", "nfd_cap", "rank_deficient", "mic_breakdown", "missing_mesh"])
+    ], ids=["invalid_input", "nfd_cap", "rank_deficient", "missing_mesh"])
     def test_every_failure_kind_exit_2(self, argv, warnings, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["solve", *argv, "--out", "s.csv"]) == 2
@@ -354,6 +352,42 @@ class TestSolveCommand:
         assert len(lines) == warnings + 1
         assert sum(line.startswith("warning: ") for line in lines) == warnings
         assert lines[-1].startswith("error: ") and "Traceback" not in err
+
+    # a numerical breakdown inside a solve is a reported outcome: the MIC
+    # factor of the modspec near field, which breaks down after its retry,
+    # and the modspec circulant at s=0.75, indefinite on the first residual
+    # (both exited 2)
+    @pytest.mark.parametrize("argv,preconditioner", [
+        (["--precond", "sparse", "--ball", "0.1"], "sparse9"),
+        (["--precond", "circulant", "--ball", "0.05", "--s", "0.75"], "circulant"),
+    ], ids=["mic_breakdown", "circulant_first_residual"])
+    def test_breakdown_exit_1(self, argv, preconditioner, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--dim", "2", "--scheme", "modspec", *argv,
+                     "--out", "s.csv"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        for line in ("converged=False", "stop_reason=preconditioner_indefinite",
+                     "iterations=0", "true_residual=1.0000000000000000e+00",
+                     f"preconditioner={preconditioner}",
+                     "precond_shift=0.0000000000000000e+00"):
+            assert line in lines
+        assert captured.err == ""
+        assert read_lines(tmp_path / "s.csv")[1:] == ["iteration,relative_residual"]
+
+    def test_precond_breakdowns_exit_1(self, tmp_path, capsys):
+        # modspec at s=0.75: the sparse factor breaks down after its retry and
+        # the circulant on the first residual; each printed "failed:"
+        out = tmp_path / "p.csv"
+        assert main(["precond", "--dim", "2", "--ball", "0.05", "--s", "0.75",
+                     "--scheme", "modspec", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "precond=none iterations=51", "precond=sparse iterations=no convergence",
+            "precond=circulant iterations=no convergence", f"wrote {out}"]
+        assert captured.err == ""
+        assert read_lines(out)[1] == "iteration,none,sparse,circulant"
+        assert read_lines(out)[2] == "0,1.0000000000000000e+00,,"
 
     @pytest.mark.parametrize("command", ["solve", "precond"])
     def test_config_line_states_the_mesh_dim(self, command, tmp_path, capsys):
@@ -443,17 +477,6 @@ class TestSolveCommand:
         assert err.startswith("error: ") and "beyond the cap 128" in err
         assert "Traceback" not in err
 
-    def test_indefinite_initial_residual_exit_2(self, tmp_path, capsys, monkeypatch):
-        def indefinite(*args, **kwargs):
-            raise ArithmeticError("preconditioner is not positive definite on the initial residual")
-        monkeypatch.setattr(fraclap.solver, "cg_solve", indefinite)
-        code = main(["solve", "--dim", "2", "--m", "256", "--ball", "0.25",
-                     "--precond", "sparse", "--out", str(tmp_path / "s.csv")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: preconditioner is not positive definite")
-        assert "Traceback" not in err
-
     def test_permuted_mic_triangle_exit_2(self, tmp_path, capsys, monkeypatch):
         def permuting(lower, **kwargs):
             order = np.arange(lower.shape[0])[::-1].copy()
@@ -515,6 +538,12 @@ class TestConvergenceCommand:
         text = capsys.readouterr().out
         order = float(text.split("order=")[1].split()[0])
         assert 0.5 < order < 1.5
+        # each level states the n_fd it ran, which neither the CSV nor the
+        # '# config:' line (n_fd=None) says
+        n_fds = [choose_grid(mesh_quality(generate_ball_mesh(2, h)), 1.2).n_fd
+                 for h in (0.2, 0.1, 0.05)]
+        levels = [line.split() for line in text.splitlines() if line.startswith("level=")]
+        assert [fields[3] for fields in levels] == [f"n_fd={n}" for n in n_fds]
         lines = read_lines(out)
         assert lines[1] == "N,h_bar,l2_error"
         assert lines[-1].startswith("# order=")

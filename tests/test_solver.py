@@ -423,10 +423,22 @@ class TestCgStopReason:
         assert not report.converged and report.iterations == 1
         assert report.true_residual > 1e-5
 
-    def test_initial_indefinite_still_raises(self):
+    @pytest.mark.parametrize("apply_fn,stop_reason", [
+        (lambda call, r: -r, "preconditioner_indefinite"),
+        (lambda call, r: np.zeros_like(r), "preconditioner_indefinite"),
+        (lambda call, r: np.full_like(r, np.nan), "non_finite"),
+    ], ids=["negative", "zero", "nan"])
+    def test_initial_breakdown_reported(self, apply_fn, stop_reason):
+        # a breakdown on the first residual is the report of a later one,
+        # before any step: it raised ArithmeticError
         a, b = self.spd_system()
-        with pytest.raises(ArithmeticError):
-            cg_solve(lambda v: a @ v, b, _CraftedPreconditioner(lambda call, r: -r))
+        precond = _CraftedPreconditioner(apply_fn)
+        x, report = cg_solve(lambda v: a @ v, b, precond)
+        assert report.stop_reason == stop_reason
+        assert not report.converged and report.iterations == 0
+        assert report.residual_history == [] and report.true_residual == 1.0
+        assert np.all(x == 0.0) and precond.calls == 1
+        assert report.preconditioner == "crafted"
 
 
 
@@ -1208,6 +1220,25 @@ class TestSolveBvp:
         assert report.converged
         assert report.precond_shift == shifts[-1] > 0.0
         assert f"\nprecond_shift={shifts[-1]:.16e}\n" in report.to_text()
+
+    def test_sparse_breakdown_reported(self, monkeypatch):
+        # a MIC factor that breaks down after its retry is CG's first-residual
+        # stop in solve(); it raised IncompleteCholeskyError from solve_bvp.
+        # build_sparse_preconditioner itself still raises it
+        def breaks(matrix, drop_tol=1e-3, shift=0.0):
+            raise IncompleteCholeskyError(0, -1.0)
+
+        monkeypatch.setattr(ichol, "mic_factor", breaks)
+        mesh = ball_mesh(2, 5)
+        op, _ = setup(mesh, 0.5, "fft", m=512)
+        with pytest.raises(IncompleteCholeskyError):
+            build_sparse_preconditioner(op)
+        u, report = solve(op, mesh, "sparse")
+        assert not report.converged and report.stop_reason == "preconditioner_indefinite"
+        assert report.iterations == 0 and report.residual_history == []
+        assert report.true_residual == 1.0 and np.all(u == 0.0)
+        assert report.preconditioner == "sparse9" and report.precond_shift == 0.0
+        assert report.l2_error > 0.0
 
     def test_preconditioner_carries_retry_shift(self):
         factor = mic_factor_with_retry(grid_laplacian(3))
