@@ -19,7 +19,6 @@ from .stiffness import (SCHEMES, DecayProfile, StiffnessKernel, analytic_1d, dec
                         fft_corrected, fft_uniform, modified_spectral, nonuniform, restrict,
                         spectral)
 from .toeplitz import ToeplitzPlan
-from .transfer import (TransferMatrix, TransferRankWarning, build_transfer, choose_grid,
-                       column_rank_check)
+from .transfer import TransferMatrix, build_transfer, choose_grid, column_rank_check
 
 __version__ = "0.1.0"

@@ -7,7 +7,8 @@ Errors are measured against the unit-ball solution, so a solve on another
 domain prints l2_error=nan and a convergence study refuses it.  Exit code 0
 means every requested run completed and converged, 1 that a run did not
 (a numerical breakdown included; its stop_reason says why), and 2 invalid
-input, a resource limit, a rank-deficient transfer or a failed internal check.
+input, a resource limit, a rank-deficient transfer or a failed internal check,
+reported as the run's one stderr line, 'error: <message>'.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,8 +263,9 @@ def cmd_precond(config: ExperimentConfig) -> int:
         u, report = solve(op, mesh, variant, tol=config.tol)
         histories[variant] = report.residual_history
         converged &= report.converged
-        status = report.iterations if report.converged else "no convergence"
-        print(f"precond={variant} iterations={status}")
+        status = (f"iterations={report.iterations}" if report.converged
+                  else f"stop_reason={report.stop_reason}")
+        print(f"precond={variant} {status}")
     longest = max(len(h) for h in histories.values())
     _write_csv(config, "iteration," + ",".join(variants),
                (f"{i}," + ",".join(f"{histories[v][i]:.16e}" if i < len(histories[v]) else ""
@@ -357,26 +358,18 @@ _COMMANDS = {
 }
 
 
-def _print_warning(message, category, filename, lineno, file=None, line=None):
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
-    with warnings.catch_warnings():
-        # library warnings (a rank-deficient transfer) print as one line each,
-        # in the order raised, without the source location
-        warnings.showwarning = _print_warning
-        try:
-            config = parse_config(argv)
-            if config.command in ("solve", "convergence", "precond"):
-                check_tolerance(config.tol)  # before any mesh, kernel or setup work
-            return _COMMANDS[config.command](config)
-        except (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as exc:
-            # MemoryError is also what the size caps raise: a resource limit;
-            # ArithmeticError is a failed internal check.  A breakdown inside
-            # a solve raises nothing: its report says it and the run exits 1
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        config = parse_config(argv)
+        if config.command in ("solve", "convergence", "precond"):
+            check_tolerance(config.tol)  # before any mesh, kernel or setup work
+        return _COMMANDS[config.command](config)
+    except (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as exc:
+        # MemoryError is also what the size caps raise: a resource limit;
+        # ArithmeticError is a failed internal check.  A breakdown inside
+        # a solve raises nothing: its report says it and the run exits 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -33,10 +33,13 @@ __all__ = ["IncompleteCholeskyError", "MicFactor", "mic_factor", "mic_factor_wit
 
 
 class IncompleteCholeskyError(RuntimeError):
-    def __init__(self, column: int, pivot: float):
+    """A nonpositive pivot in the factorisation pre-shifted by shift*I."""
+
+    def __init__(self, column: int, pivot: float, shift: float = 0.0):
         super().__init__(f"nonpositive pivot {pivot:.6e} in column {column}")
         self.column = column
         self.pivot = pivot
+        self.shift = shift
 
 
 class MicFactor:
@@ -104,7 +107,7 @@ def mic_factor(matrix, drop_tol: float = 1e-3, shift: float = 0.0) -> MicFactor:
         # from Python 3.12 on), pairwise from 8 on
         pivot += reduce(add, dropped, 0.0) if len(dropped) < 8 else np.array(dropped).sum()
         if not pivot > 0.0:
-            raise IncompleteCholeskyError(j, pivot)
+            raise IncompleteCholeskyError(j, pivot, shift)
         root = math.sqrt(pivot)
         p = len(rows)
         rows.append(j)

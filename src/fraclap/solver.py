@@ -153,10 +153,12 @@ class SparsePreconditioner(Preconditioner):
 
 
 class _BrokenDown(Preconditioner):
-    """Zero on every residual: stands in for a build that broke down."""
+    """Zero on every residual: stands in for a build that broke down at
+    diagonal shift ``shift``."""
 
-    def __init__(self, variant: str):
+    def __init__(self, variant: str, shift: float):
         self.variant = variant
+        self.shift = shift
 
     def apply(self, r):
         return np.zeros_like(r)
@@ -388,7 +390,8 @@ def setup(mesh: SimplicialMesh, s, scheme: str = "fft", *, n_fd: int | None = No
     the cap) before any kernel is built.  A supplied kernel of another scheme,
     dim, n_fd or order is refused (ValueError) before the transfer is built.
     RuntimeError unless column_rank_check ("auto" mode) finds the transfer's
-    columns independent."""
+    columns independent; the message counts the columns with zero sum and
+    names the first eight, when there are any."""
     s = order_value(s)
     times = {}
     t0 = time.perf_counter()
@@ -413,7 +416,10 @@ def setup(mesh: SimplicialMesh, s, scheme: str = "fft", *, n_fd: int | None = No
 
     t0 = time.perf_counter()
     if not column_rank_check(transfer):
-        raise RuntimeError("rank_check: transfer matrix is rank deficient; "
+        empty = np.flatnonzero(transfer.column_sums == 0.0)
+        detail = (f" ({empty.size} interior vertex column(s) received no grid node, "
+                  f"first few: {empty[:8].tolist()})" if empty.size else "")
+        raise RuntimeError(f"rank_check: transfer matrix is rank deficient{detail}; "
                            "refine the overlay grid (a larger n_fd) or the mesh")
     times["rank_check"] = time.perf_counter() - t0
     return OverlayOperator(transfer=transfer, plan=plan, grid=grid, s=s), times
@@ -446,8 +452,8 @@ def solve(op: OverlayOperator, mesh: SimplicialMesh, precond: str = "auto", *, f
     its retry gives CG's first-residual stop (preconditioner_indefinite,
     u = 0).  Returns the nodal solution over all vertices (boundary entries
     zero) and a SolveReport with per-phase timings and precond_shift, the
-    diagonal shift of the sparse preconditioner's MIC retry (0.0 if none,
-    and for the other preconditioners)."""
+    diagonal shift of the sparse preconditioner's MIC retry, failed or not
+    (0.0 if none, and for the other preconditioners)."""
     s = op.plan.kernel.s
     times = {}
     t0 = time.perf_counter()
@@ -460,9 +466,9 @@ def solve(op: OverlayOperator, mesh: SimplicialMesh, precond: str = "auto", *, f
         raise ValueError(f"unknown preconditioner {precond!r}")
     try:
         preconditioner = builders[precond](op)
-    except IncompleteCholeskyError:
+    except IncompleteCholeskyError as exc:
         # MIC broke down after its shift retry: CG reports it at the first residual
-        preconditioner = _BrokenDown(f"sparse{3 ** op.grid.dim}")
+        preconditioner = _BrokenDown(f"sparse{3 ** op.grid.dim}", exc.shift)
     times["precond"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

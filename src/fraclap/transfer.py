@@ -5,7 +5,8 @@ evaluated at grid node k, i.e. the barycentric coordinate of the node within
 its containing simplex.  Grid nodes outside the domain carry no entry (the
 basis functions vanish outside), and boundary vertices contribute no column
 since their values are pinned to zero.  The column sums d_j form the diagonal
-matrix that makes the grid-to-mesh transpose transfer preserve constants.
+matrix that makes the grid-to-mesh transpose transfer preserve constants;
+a zero d_j (no grid node in the vertex's support) makes I rank deficient.
 The transfer is stored once, on the bounding box of the nodes holding a
 positive entry, with its CSR transpose.  Each simplex's inverse edge matrix,
 which screens the candidate nodes, is its adjugate over its determinant from
@@ -16,7 +17,6 @@ element height.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +30,6 @@ from .mesh import MeshQuality, SimplicialMesh, simplex_adjugates
 __all__ = [
     "TransferMatrix",
     "GramSolver",
-    "TransferRankWarning",
     "N_FD_CAPS",
     "capped_grid",
     "choose_grid",
@@ -60,10 +59,6 @@ GRAM_LOWER = 0.1
 # Jacobi sweeps allowed to each side of the rank certificate; on rotated
 # 2D and 3D balls no side has needed more than 7
 RANK_SWEEPS = 30
-
-
-class TransferRankWarning(UserWarning):
-    """Signals interior vertices whose basis support contains no grid node."""
 
 
 @dataclass(frozen=True)
@@ -282,8 +277,8 @@ def build_transfer(mesh: SimplicialMesh, grid: OverlayGrid) -> TransferMatrix:
     entry (the whole grid when none does), so coordinates that clip to zero
     do not widen it; those inside it stay stored, those outside are dropped.
     The result is a canonical CSR matrix (sorted indices, no duplicates) over
-    the box's nodes.  Columns with zero sum are reported as a
-    TransferRankWarning; the rank check refuses such a transfer.
+    the box's nodes.  A column with zero sum fails column_rank_check, and
+    setup's refusal of the transfer counts such columns.
     """
     if mesh.dim != grid.dim:
         raise ValueError(f"mesh dim {mesh.dim} does not match grid dim {grid.dim}")
@@ -310,12 +305,6 @@ def build_transfer(mesh: SimplicialMesh, grid: OverlayGrid) -> TransferMatrix:
                                      shape=(math.prod(shape), mesh.n_interior))
     matrix.sort_indices()
     column_sums = np.asarray(matrix.sum(axis=0)).ravel()
-
-    dead = np.nonzero(column_sums == 0.0)[0]
-    if dead.size:
-        warnings.warn(f"{dead.size} interior vertex column(s) received no grid node "
-                      f"(first few: {dead[:8].tolist()}); the transfer is rank deficient",
-                      TransferRankWarning, stacklevel=2)
     return TransferMatrix(matrix=matrix, column_sums=column_sums, grid=grid, box=box)
 
 

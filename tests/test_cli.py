@@ -9,12 +9,16 @@ import fraclap.solver
 from fraclap.cli import main, parse_config
 from fraclap.mesh import SimplicialMesh, generate_ball_mesh, mesh_quality, save_mesh
 from fraclap.stiffness import StiffnessKernel, analytic_1d, decay_profile
-from fraclap.transfer import TransferRankWarning, choose_grid
+from fraclap.transfer import choose_grid
 
 from conftest import ball_mesh, square_mesh
 
 # the settings after m in every test below that leaves them at their defaults
 TAIL = "n_g=64 r_fd=1.2 precond=auto tol=1e-10 delta=12"
+# setup's refusal of the h=0.1 disk on an n_fd=3 grid, which leaves 218 columns empty
+RANK_DEFICIENT = ("rank_check: transfer matrix is rank deficient (218 interior vertex "
+                  "column(s) received no grid node, first few: [1, 2, 3, 4, 5, 6, 7, 8]); "
+                  "refine the overlay grid (a larger n_fd) or the mesh")
 
 
 def read_lines(path):
@@ -337,31 +341,31 @@ class TestSolveCommand:
         assert main(["solve", "--dim", "2"]) == 2
 
     # every kind of failure that main() sees: invalid input, a resource cap,
-    # a rank-deficient transfer (after its one warning) and a missing file
-    @pytest.mark.parametrize("argv,warnings", [
-        (["--dim", "1", "--ball", "0.05"], 0),
-        (["--dim", "2", "--ball", "0.3", "--nfd", "5000"], 0),
-        (["--dim", "2", "--ball", "0.1", "--nfd", "3"], 1),
-        (["--dim", "2", "--mesh", "missing.mesh"], 0),
+    # a rank-deficient transfer and a missing file; each is one error line
+    @pytest.mark.parametrize("argv", [
+        ["--dim", "1", "--ball", "0.05"],
+        ["--dim", "2", "--ball", "0.3", "--nfd", "5000"],
+        ["--dim", "2", "--ball", "0.1", "--nfd", "3"],
+        ["--dim", "2", "--mesh", "missing.mesh"],
     ], ids=["invalid_input", "nfd_cap", "rank_deficient", "missing_mesh"])
-    def test_every_failure_kind_exit_2(self, argv, warnings, tmp_path, monkeypatch, capsys):
+    def test_every_failure_kind_exit_2(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["solve", *argv, "--out", "s.csv"]) == 2
         err = capsys.readouterr().err
         lines = err.splitlines()
-        assert len(lines) == warnings + 1
-        assert sum(line.startswith("warning: ") for line in lines) == warnings
-        assert lines[-1].startswith("error: ") and "Traceback" not in err
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "Traceback" not in err
 
     # a numerical breakdown inside a solve is a reported outcome: the MIC
-    # factor of the modspec near field, which breaks down after its retry,
-    # and the modspec circulant at s=0.75, indefinite on the first residual
-    # (both exited 2)
-    @pytest.mark.parametrize("argv,preconditioner", [
-        (["--precond", "sparse", "--ball", "0.1"], "sparse9"),
-        (["--precond", "circulant", "--ball", "0.05", "--s", "0.75"], "circulant"),
+    # factor of the modspec near field, which breaks down after its retry
+    # (the report gives the retry's shift), and the modspec circulant at
+    # s=0.75, indefinite on the first residual (both exited 2)
+    @pytest.mark.parametrize("argv,preconditioner,shifted", [
+        (["--precond", "sparse", "--ball", "0.1"], "sparse9", True),
+        (["--precond", "circulant", "--ball", "0.05", "--s", "0.75"], "circulant", False),
     ], ids=["mic_breakdown", "circulant_first_residual"])
-    def test_breakdown_exit_1(self, argv, preconditioner, tmp_path, monkeypatch, capsys):
+    def test_breakdown_exit_1(self, argv, preconditioner, shifted, tmp_path, monkeypatch,
+                              capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["solve", "--dim", "2", "--scheme", "modspec", *argv,
                      "--out", "s.csv"]) == 1
@@ -369,22 +373,23 @@ class TestSolveCommand:
         lines = captured.out.splitlines()
         for line in ("converged=False", "stop_reason=preconditioner_indefinite",
                      "iterations=0", "true_residual=1.0000000000000000e+00",
-                     f"preconditioner={preconditioner}",
-                     "precond_shift=0.0000000000000000e+00"):
+                     f"preconditioner={preconditioner}"):
             assert line in lines
+        shift = float(captured.out.split("precond_shift=")[1].split()[0])
+        assert (shift > 0.0) if shifted else (shift == 0.0)
         assert captured.err == ""
         assert read_lines(tmp_path / "s.csv")[1:] == ["iteration,relative_residual"]
 
     def test_precond_breakdowns_exit_1(self, tmp_path, capsys):
         # modspec at s=0.75: the sparse factor breaks down after its retry and
-        # the circulant on the first residual; each printed "failed:"
+        # the circulant on the first residual; each line says why it stopped
         out = tmp_path / "p.csv"
         assert main(["precond", "--dim", "2", "--ball", "0.05", "--s", "0.75",
                      "--scheme", "modspec", "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out.splitlines() == [
-            "precond=none iterations=51", "precond=sparse iterations=no convergence",
-            "precond=circulant iterations=no convergence", f"wrote {out}"]
+            "precond=none iterations=51", "precond=sparse stop_reason=preconditioner_indefinite",
+            "precond=circulant stop_reason=preconditioner_indefinite", f"wrote {out}"]
         assert captured.err == ""
         assert read_lines(out)[1] == "iteration,none,sparse,circulant"
         assert read_lines(out)[2] == "0,1.0000000000000000e+00,,"
@@ -489,22 +494,19 @@ class TestSolveCommand:
         assert err.startswith("error: SuperLU permuted")
         assert "Traceback" not in err
 
-    def test_rank_warning_printed_as_one_line(self, tmp_path, capsys):
+    def test_rank_deficiency_printed_as_one_line(self, tmp_path, capsys):
         code = main(["solve", "--dim", "2", "--nfd", "3", "--ball", "0.1", "--m", "256",
                      "--out", str(tmp_path / "s.csv")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.splitlines() == [
-            "warning: 218 interior vertex column(s) received no grid node (first few: "
-            "[1, 2, 3, 4, 5, 6, 7, 8]); the transfer is rank deficient",
-            "error: rank_check: transfer matrix is rank deficient; refine the overlay grid "
-            "(a larger n_fd) or the mesh"]
+        assert err.splitlines() == [f"error: {RANK_DEFICIENT}"]
         assert ".py:" not in err and "Traceback" not in err
 
-    def test_library_callers_still_get_the_warning(self):
-        with pytest.warns(TransferRankWarning, match="218 interior vertex column"):
-            with pytest.raises(RuntimeError, match="rank deficient"):
-                fraclap.solver.solve_bvp(generate_ball_mesh(2, 0.1), 0.5, n_fd=3, m=256)
+    def test_solve_bvp_names_the_empty_columns(self):
+        # library callers get the same text, from setup's RuntimeError
+        with pytest.raises(RuntimeError) as err:
+            fraclap.solver.solve_bvp(generate_ball_mesh(2, 0.1), 0.5, n_fd=3, m=256)
+        assert str(err.value) == RANK_DEFICIENT
 
     @pytest.mark.parametrize("h", ["0.1", "0.05"])
     def test_spectral_circulant_not_converged_exit_1(self, h, tmp_path, capsys):
@@ -646,11 +648,7 @@ class TestPrecondCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "warning: 218 interior vertex column(s) received no grid node (first few: "
-            "[1, 2, 3, 4, 5, 6, 7, 8]); the transfer is rank deficient",
-            "error: rank_check: transfer matrix is rank deficient; refine the overlay grid "
-            "(a larger n_fd) or the mesh"]
+        assert captured.err.splitlines() == [f"error: {RANK_DEFICIENT}"]
 
     def test_kernel_built_once(self, tmp_path, capsys, monkeypatch):
         built = count_calls(monkeypatch, "build_kernel")

@@ -26,8 +26,8 @@ from fraclap.solver import (CirculantPreconditioner, OverlayOperator, Preconditi
                             exact_solution, setup, solve, solve_bvp, _near_field_stencil)
 from fraclap.stiffness import analytic_1d, fft_uniform, restrict, spectral
 from fraclap.toeplitz import ToeplitzPlan
-from fraclap.transfer import (GRAM_DEGREE, GRAM_LOWER, GramSolver, TransferRankWarning,
-                              build_transfer, choose_grid, column_rank_check)
+from fraclap.transfer import (GRAM_DEGREE, GRAM_LOWER, GramSolver, build_transfer,
+                              choose_grid, column_rank_check)
 
 from conftest import (ball_mesh, dense_materialize, hand_transfer, rotated, scattered_ball,
                       square_mesh, whole_grid)
@@ -456,8 +456,9 @@ class TestMic:
 
     def test_breakdown_raises(self):
         a = scipy.sparse.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        with pytest.raises(IncompleteCholeskyError):
+        with pytest.raises(IncompleteCholeskyError) as err:
             mic_factor(a, drop_tol=0.0)
+        assert err.value.shift == 0.0
 
     def test_retry_shift(self):
         # a clean SPD matrix factors on the first attempt, without the shift
@@ -466,11 +467,13 @@ class TestMic:
         assert factor.shift == 0.0
 
     def test_retry_reraises_when_the_shift_also_breaks_down(self):
-        # the 1e-8 shift cannot lift column 1's pivot 1 - 2^2 = -3
+        # the 1e-8 shift cannot lift column 1's pivot 1 - 2^2 = -3; the
+        # error carries the retry's shift
         a = scipy.sparse.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(IncompleteCholeskyError) as err:
             mic_factor_with_retry(a)
         assert err.value.column == 1 and err.value.pivot < -2.9
+        assert err.value.shift == 1e-8
 
 
 def reference_mic_factor(matrix, drop_tol=1e-3, shift=0.0):
@@ -1057,8 +1060,7 @@ class TestGramSolver:
         # an n_fd=3 grid leaves 218 of the h=0.1 disk's columns empty
         mesh = generate_ball_mesh(2, 0.1)
         grid = OverlayGrid(dim=2, r_fd=1.2, n_fd=3)
-        with pytest.warns(TransferRankWarning, match="218 interior vertex column"):
-            transfer = build_transfer(mesh, grid)
+        transfer = build_transfer(mesh, grid)
         with pytest.raises(ArithmeticError, match="218 zero diagonal entries"):
             GramSolver(transfer.matrix)
         op = OverlayOperator(transfer=transfer, plan=ToeplitzPlan(fft_uniform(0.5, 2, 3, 16)),
@@ -1223,21 +1225,27 @@ class TestSolveBvp:
 
     def test_sparse_breakdown_reported(self, monkeypatch):
         # a MIC factor that breaks down after its retry is CG's first-residual
-        # stop in solve(); it raised IncompleteCholeskyError from solve_bvp.
-        # build_sparse_preconditioner itself still raises it
+        # stop in solve(), reported with the retry's shift; it raised
+        # IncompleteCholeskyError from solve_bvp.  build_sparse_preconditioner
+        # itself still raises it
+        shifts = []
+
         def breaks(matrix, drop_tol=1e-3, shift=0.0):
-            raise IncompleteCholeskyError(0, -1.0)
+            shifts.append(shift)
+            raise IncompleteCholeskyError(0, -1.0, shift)
 
         monkeypatch.setattr(ichol, "mic_factor", breaks)
         mesh = ball_mesh(2, 5)
         op, _ = setup(mesh, 0.5, "fft", m=512)
-        with pytest.raises(IncompleteCholeskyError):
+        with pytest.raises(IncompleteCholeskyError) as err:
             build_sparse_preconditioner(op)
+        assert shifts[0] == 0.0 and err.value.shift == shifts[-1] > 0.0
         u, report = solve(op, mesh, "sparse")
         assert not report.converged and report.stop_reason == "preconditioner_indefinite"
         assert report.iterations == 0 and report.residual_history == []
         assert report.true_residual == 1.0 and np.all(u == 0.0)
-        assert report.preconditioner == "sparse9" and report.precond_shift == 0.0
+        assert report.preconditioner == "sparse9" and report.precond_shift == shifts[-1]
+        assert f"\nprecond_shift={shifts[-1]:.16e}\n" in report.to_text()
         assert report.l2_error > 0.0
 
     def test_preconditioner_carries_retry_shift(self):
@@ -1301,9 +1309,18 @@ class TestSetup:
     def test_rank_deficient_transfer(self):
         # n_fd = 3 leaves 218 interior vertices of this disk without a grid node
         mesh = generate_ball_mesh(2, 0.1)
-        with pytest.warns(TransferRankWarning), \
-                pytest.raises(RuntimeError, match="transfer matrix is rank deficient"):
+        with pytest.raises(RuntimeError, match=r"rank deficient \(218 interior vertex "
+                           r"column\(s\) received no grid node, first few: \[1, 2, 3, 4, "
+                           r"5, 6, 7, 8\]\); refine"):
             setup(mesh, 0.5, "fft", n_fd=3, m=256)
+
+    def test_rank_deficiency_without_empty_columns(self, monkeypatch):
+        # a verdict of False with every column sum positive keeps the short text
+        monkeypatch.setattr(fraclap.solver, "column_rank_check", lambda transfer: False)
+        with pytest.raises(RuntimeError) as err:
+            setup(ball_mesh(2, 4), 0.5, "fft", m=256)
+        assert str(err.value) == ("rank_check: transfer matrix is rank deficient; refine "
+                                  "the overlay grid (a larger n_fd) or the mesh")
 
 
     @pytest.mark.parametrize("kernel_args", [(0.5, 2, 9), (0.5, 3, 8), (0.75, 2, 8)],

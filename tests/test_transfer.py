@@ -17,8 +17,8 @@ from fraclap.mesh import (MeshQuality, SimplicialMesh, _orient_positive, generat
 from fraclap.solver import OverlayOperator
 from fraclap.stiffness import fft_uniform
 from fraclap.toeplitz import ToeplitzPlan
-from fraclap.transfer import (N_FD_CAPS, TransferMatrix, TransferRankWarning, build_transfer,
-                              capped_grid, choose_grid, column_rank_check)
+from fraclap.transfer import (N_FD_CAPS, TransferMatrix, build_transfer, capped_grid,
+                              choose_grid, column_rank_check)
 
 from conftest import ball_mesh, hand_transfer, rotated, scattered_ball, sliver_mesh, whole_grid
 
@@ -161,17 +161,24 @@ class TestBuildTransfer:
                         break
             assert found
 
-    def test_zero_column_warning_and_rank_refusal(self):
+    def test_zero_column_rank_refusal(self):
         # a mesh with one interior vertex whose support has no grid node:
         # shrink the fan so the grid (n_fd=1) misses the center support
         pts = np.array([[0.55, 0.56], [0.5, 0.71], [0.7, 0.4], [0.3, 0.37]])
         simplices = _orient_positive(pts, np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1]]))
         mesh = SimplicialMesh(dim=2, vertices=pts, simplices=simplices, n_interior=1)
         grid = OverlayGrid(dim=2, r_fd=1.2, n_fd=1)
-        with pytest.warns(TransferRankWarning):
-            transfer = build_transfer(mesh, grid)
+        transfer = build_transfer(mesh, grid)
         assert transfer.column_sums[0] == 0.0
         assert not column_rank_check(transfer)
+
+    def test_empty_columns_raise_no_warning(self):
+        # n_fd = 3 leaves 218 columns of the h=0.1 disk empty; the build
+        # reports nothing, and setup's rank refusal is the one report
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            transfer = build_transfer(generate_ball_mesh(2, 0.1), capped_grid(2, 1.2, 3))
+        assert np.count_nonzero(transfer.column_sums == 0.0) == 218
 
     def test_requires_containment(self):
         mesh = ball_mesh(2, 4)
@@ -501,9 +508,7 @@ class TestBoxedTransferProperties:
     def test_box_transfer(self, seed, n_r, amplitude, n_fd):
         mesh = scattered_ball(n_r, amplitude, seed)
         grid = capped_grid(2, 1.2, n_fd)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TransferRankWarning)
-            t = build_transfer(mesh, grid)
+        t = build_transfer(mesh, grid)
         boxed = assert_box_holds_the_positive_entries(t, reference_matrix(mesh, grid))
         np.testing.assert_array_equal(t.matrix.indptr, boxed.indptr)
         np.testing.assert_array_equal(t.matrix.indices, boxed.indices)
@@ -696,8 +701,7 @@ class TestDominanceCertificate:
 
     def test_rank_deficient_transfer_falls_back(self, monkeypatch):
         # fraclap solve --dim 2 --nfd 3 --ball 0.1: 218 columns get no node
-        with pytest.warns(TransferRankWarning):
-            t = build_transfer(ball_mesh(2, 10), capped_grid(2, 1.2, 3))
+        t = build_transfer(ball_mesh(2, 10), capped_grid(2, 1.2, 3))
         assert transfer_module._dominance_certificate(t.matrix)[0] == 0.0
         calls = self.count_inertia_tests(monkeypatch)
         assert column_rank_check(t) is dense_full_rank(t.matrix) is False
@@ -731,9 +735,7 @@ class TestDominanceCertificate:
            amplitude=st.floats(0.0, 0.3), n_fd=st.integers(2, 24))
     def test_certificate_implies_dense_full_rank(self, seed, n_r, amplitude, n_fd):
         mesh = scattered_ball(n_r, amplitude, seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TransferRankWarning)
-            t = build_transfer(mesh, capped_grid(2, 1.2, n_fd))
+        t = build_transfer(mesh, capped_grid(2, 1.2, n_fd))
         bound, sigma = transfer_module._dominance_certificate(t.matrix)
         if bound > sigma:
             assert dense_full_rank(t.matrix)
