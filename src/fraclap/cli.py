@@ -61,6 +61,10 @@ class ExperimentConfig:
         return " ".join(parts)
 
 
+# what main reports as one 'error:' line (exit 2); anything else keeps its traceback
+_REPORTED = (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError)
+
+
 def _meshes(config: ExperimentConfig):
     """Mesh sequence from --mesh paths or --ball target_h values.  Every 3D
     mesh is held to the desk-scale cap of 2e5 elements (--large lifts it)
@@ -232,7 +236,7 @@ def cmd_convergence(config: ExperimentConfig) -> int:
                 mesh, config.s, config.scheme, n_fd=grid.n_fd,
                 kernel=restrict(shared, grid.n_fd), n_g=config.n_g,
                 r_fd=config.r_fd, precond=config.precond, tol=config.tol, max_n_fd=cap)
-        except Exception as exc:
+        except _REPORTED as exc:
             raise RuntimeError(f"convergence level {level} failed: {exc}") from exc
         if not report.converged:
             failures += 1
@@ -287,9 +291,9 @@ def _load_config_file(path) -> dict:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="fraclap",
+        prog="fraclap", exit_on_error=exit_on_error,
         description="Experiments for the overlay-grid fractional Laplacian solver")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
@@ -300,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("convergence", "run a refinement study and fit the observed order"),
         ("precond", "compare CG iteration counts across preconditioners"),
     ]:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, exit_on_error=exit_on_error)
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--dim", type=int)
         p.add_argument("--s", type=float)
@@ -320,31 +324,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CASTS = {"dim": int, "s": float, "scheme": str, "n_fd": int, "m": int, "n_g": int,
-          "r_fd": float, "precond": str, "tol": float, "delta": int, "out": str,
-          "large": lambda v: str(v).lower() in ("1", "true", "yes")}
-
-
 def parse_config(argv=None) -> ExperimentConfig:
+    """Flags over an optional --config file.  Each file entry becomes its
+    flag (the key without underscores) ahead of the command line's, so one
+    parser checks both, before any mesh work, and the later flag wins."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    merged = {}
+    keys = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "command"]
     if args.config:
+        tokens = []
         for key, value in _load_config_file(args.config).items():
-            if key in ("ball", "mesh"):
-                merged[key] = value
-            elif key in _CASTS:
-                merged[key] = _CASTS[key](value)
-            else:
+            if key not in keys:
                 raise ValueError(f"unknown config key {key!r}")
-    for key in (f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "command"):
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+            if key != "large":
+                tokens.append(f"--{key.replace('_', '')}={value}")
+            elif value.lower() in ("1", "true", "yes"):
+                tokens.append("--large")
+            elif value.lower() not in ("0", "false", "no"):
+                raise ValueError(f"config key 'large' must be true or false, got {value!r}")
+        try:  # the command line parsed above, so a bad value is the file's
+            args = build_parser(exit_on_error=False).parse_args([argv[0], *tokens, *argv[1:]])
+        except argparse.ArgumentError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
+    merged = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     if isinstance(merged.get("ball"), str):
         merged["ball"] = [float(tok) for tok in merged["ball"].split(",") if tok]
     if isinstance(merged.get("mesh"), str):
         merged["mesh"] = [tok for tok in merged["mesh"].split(",") if tok]
-    merged["large"] = bool(merged.get("large"))
     return ExperimentConfig(command=args.command, **merged)
 
 
@@ -364,7 +370,7 @@ def main(argv=None) -> int:
         if config.command in ("solve", "convergence", "precond"):
             check_tolerance(config.tol)  # before any mesh, kernel or setup work
         return _COMMANDS[config.command](config)
-    except (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as exc:
+    except _REPORTED as exc:
         # MemoryError is also what the size caps raise: a resource limit;
         # ArithmeticError is a failed internal check.  A breakdown inside
         # a solve raises nothing: its report says it and the run exits 1

@@ -2,9 +2,10 @@
 quasi-uniform unit-ball mesher for tests and experiments, and the geometric
 quantities the solver needs (minimum element height, volumes, vertex-lumped
 L2 norms).  All simplex geometry comes from one routine, simplex_adjugates:
-the closed-form adjugate and determinant of each edge matrix give volumes and
-orientation (det / d!), the transfer screen's inverses, and the minimum
-element height |det| / max adjugate-row norm.
+the closed-form adjugate and determinant of each edge matrix give volumes
+(|det| / d!), the transfer screen's inverses, and the minimum element height
+|det| / max adjugate-row norm.  A simplex may list its vertices in either
+orientation; nothing reads the sign of det, and the order is kept as given.
 
 Vertices are ordered interior-first: indices 0..n_interior-1 are interior,
 the rest lie on the boundary of the simplicial complex.  Boundary facets are
@@ -67,8 +68,9 @@ class SimplicialMesh:
     n_interior: int
 
     def __post_init__(self):
-        vertices = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
-        simplices = np.ascontiguousarray(np.asarray(self.simplices, dtype=np.int64))
+        # copies, so that freezing them leaves the caller's arrays writable
+        vertices = np.array(self.vertices, dtype=float, order="C")
+        simplices = np.array(self.simplices, dtype=np.int64, order="C")
         check_dim(self.dim)
         if vertices.ndim != 2 or vertices.shape[1] != self.dim:
             raise ValueError(f"vertices must have shape (n, {self.dim})")
@@ -81,12 +83,12 @@ class SimplicialMesh:
             raise ValueError("n_interior out of range")
 
         adjugate, det = simplex_adjugates(vertices[simplices])[1:]
-        volumes = det / math.factorial(self.dim)
+        volumes = np.abs(det) / math.factorial(self.dim)
         scale = np.max(np.abs(vertices)) if n_v else 1.0
         bad = np.nonzero(volumes <= 1e-14 * max(scale, 1.0) ** self.dim)[0]
         if bad.size:
             raise DegenerateElementError(
-                f"simplices {bad[:10].tolist()} have nonpositive or vanishing volume")
+                f"simplices {bad[:10].tolist()} have vanishing volume")
         rows = np.concatenate([adjugate, adjugate.sum(axis=1, keepdims=True)], axis=1)
         heights = np.abs(det) / np.sqrt(np.einsum("efk,efk->ef", rows, rows).max(axis=1))
         del adjugate, rows  # not held through the boundary mask's own peak
@@ -132,14 +134,14 @@ class MeshQuality:
 def simplex_adjugates(corners):
     """Edge matrices S, adjugates adj(S) = det(S) S^-1 and determinants of
     the simplices with corner coordinates ``corners`` (elements, d + 1, d),
-    d <= 3, by closed form: every simplex volume, orientation, facet measure
-    and inverse in fraclap comes from here.
+    d <= 3, by closed form: every simplex volume, facet measure and inverse
+    in fraclap comes from here.
 
     S[e] holds simplex e's edge vectors from its vertex 0 as columns, so its
-    signed volume is det / d!.  Row i of adj(S) is normal to the facet
-    opposite vertex i + 1, and the sum of the rows to the facet opposite
-    vertex 0; each norm is (d - 1)! times that facet's measure (in 1D the
-    facets are points of measure 1).
+    volume is |det| / d! in either orientation.  Row i of adj(S) is normal
+    to the facet opposite vertex i + 1, and the sum of the rows to the facet
+    opposite vertex 0; each norm is (d - 1)! times that facet's measure (in
+    1D the facets are points of measure 1).
     """
     spans = (corners[:, 1:] - corners[:, :1]).transpose(0, 2, 1)
     dim = spans.shape[1]
@@ -154,17 +156,6 @@ def simplex_adjugates(corners):
         adjugate = np.stack([np.cross(e1, e2), np.cross(e2, e0), np.cross(e0, e1)], axis=1)
     det = np.einsum("ek,ek->e", adjugate[:, 0, :], spans[:, :, 0])
     return spans, adjugate, det
-
-
-def _orient_positive(vertices, simplices):
-    """Swap two vertices of negatively oriented simplices; vertex order inside
-    a simplex carries no other meaning here."""
-    simplices = np.array(simplices, dtype=np.int64, copy=True)
-    flip = simplex_adjugates(vertices[simplices])[2] < 0
-    if np.any(flip):
-        simplices[flip, 0], simplices[flip, 1] = (
-            simplices[flip, 1].copy(), simplices[flip, 0].copy())
-    return simplices
 
 
 def _boundary_vertex_mask(simplices, n_vertices, dim):
@@ -191,11 +182,10 @@ def _boundary_vertex_mask(simplices, n_vertices, dim):
 
 
 def _build_mesh(dim, vertices, simplices):
-    """Orient every simplex positively, put the interior vertices first
-    (stable within each group) and construct the mesh, which validates the
+    """Put the interior vertices first (stable within each group, each
+    simplex's vertex order kept) and construct the mesh, which validates the
     result on its own.  Returns the mesh and the boundary mask of the input
     vertex numbering."""
-    simplices = _orient_positive(vertices, simplices)
     boundary = _boundary_vertex_mask(simplices, vertices.shape[0], dim)
     order = np.concatenate([np.flatnonzero(~boundary), np.flatnonzero(boundary)])
     mesh = SimplicialMesh(dim=dim, vertices=vertices[order],
@@ -205,12 +195,12 @@ def _build_mesh(dim, vertices, simplices):
 
 
 def load_mesh(path) -> SimplicialMesh:
-    """Read a mesh file, reorder interior-first, and orient all simplices
-    positively.  Parse failures carry the offending line number, as do an
-    integer token past the int64 range and a simplex index outside
-    1..n_vertices; repeated vertex indices in a simplex surface as
-    degenerate-element errors.  A boundary section must list each
-    facet-incidence boundary vertex once.
+    """Read a mesh file and reorder its vertices interior-first; each
+    simplex keeps its vertex order, in either orientation.  Parse failures
+    carry the offending line number, as do an integer token past the int64
+    range and a simplex index outside 1..n_vertices; repeated vertex indices
+    in a simplex surface as degenerate-element errors.  A boundary section
+    must list each facet-incidence boundary vertex once.
 
     Each section converts with one numpy call; only when that fails are the
     section's tokens walked one by one, with their line numbers, to name the

@@ -82,7 +82,7 @@ class StiffnessKernel:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        coeffs = np.asarray(self.coeffs, dtype=float)
+        coeffs = np.array(self.coeffs, dtype=float)  # a copy: the caller's stays writable
         expected = (2 * self.n_fd + 1,) * self.dim
         if coeffs.shape != expected:
             raise ValueError(f"coefficient tensor has shape {coeffs.shape}, expected {expected}")
@@ -291,7 +291,7 @@ def restrict(kernel: StiffnessKernel, n_fd: int) -> StiffnessKernel:
     n_fd = check_n_fd(n_fd)
     sl = (slice(0, 2 * n_fd + 1),) * kernel.dim
     return StiffnessKernel(dim=kernel.dim, s=kernel.s, n_fd=n_fd,
-                           scheme=kernel.scheme, coeffs=kernel.coeffs[sl].copy())
+                           scheme=kernel.scheme, coeffs=kernel.coeffs[sl])
 
 
 def ball_radius(dim: int) -> float:

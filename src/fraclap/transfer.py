@@ -273,9 +273,9 @@ def build_transfer(mesh: SimplicialMesh, grid: OverlayGrid) -> TransferMatrix:
     one batched barycentric solve per chunk and no loop over elements.  Each
     covered node keeps the barycentric coordinates, clipped to [0, 1], from
     the lowest-index simplex containing it, with containment tolerance
-    1e-12.  The box is the bounding box of the nodes holding a positive
-    entry (the whole grid when none does), so coordinates that clip to zero
-    do not widen it; those inside it stay stored, those outside are dropped.
+    1e-12.  The box is the bounding box of the nodes holding an entry above
+    that tolerance (the whole grid when none does); the entries inside it
+    stay stored, and those outside, each at most 1e-12, are dropped.
     The result is a canonical CSR matrix (sorted indices, no duplicates) over
     the box's nodes.  A column with zero sum fails column_rank_check, and
     setup's refusal of the transfer counts such columns.
@@ -291,8 +291,8 @@ def build_transfer(mesh: SimplicialMesh, grid: OverlayGrid) -> TransferMatrix:
     simp = mesh.simplices[owners]
     lam = np.clip(lam, 0.0, 1.0)
     nodes = np.unravel_index(node_ids, grid.shape)
-    # nodes whose entries all clip to zero (stored zeros) do not widen the box
-    positive = np.any((simp < mesh.n_interior) & (lam > 0.0), axis=1)
+    # entries within the tolerance of 0 (a rounding residue at a tie) do not widen the box
+    positive = np.any((simp < mesh.n_interior) & (lam > _CONTAIN_TOL), axis=1)
     box = tuple(slice(int(k[positive].min()), int(k[positive].max()) + 1) if positive.any()
                 else slice(0, n) for k, n in zip(nodes, grid.shape))
     shape = tuple(b.stop - b.start for b in box)

@@ -7,7 +7,7 @@ import numpy as np
 import scipy.sparse
 from scipy.spatial import Delaunay
 
-from fraclap.mesh import SimplicialMesh, _build_mesh, _orient_positive, generate_ball_mesh
+from fraclap.mesh import SimplicialMesh, _build_mesh, generate_ball_mesh
 from fraclap.transfer import TransferMatrix
 
 
@@ -59,7 +59,7 @@ def sliver_mesh():
     (-1, -1) to (1, 1); simplex 0 is the sliver along that diagonal, with a
     condition estimate above 1e7."""
     pts = np.array([[-1e-7, 1e-7], [-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-    simplices = _orient_positive(pts, np.array([[1, 2, 0], [2, 3, 0], [3, 1, 0]]))
+    simplices = np.array([[1, 2, 0], [2, 3, 0], [3, 1, 0]])
     return SimplicialMesh(dim=2, vertices=pts, simplices=simplices, n_interior=1)
 
 
@@ -106,11 +106,11 @@ def whole_grid(transfer):
 def hand_transfer(matrix, grid, column_sums=None):
     """TransferMatrix of a hand-made matrix with a row for every grid node,
     cut to its box as build_transfer cuts: the bounding box of the nodes
-    holding a positive entry, or the whole grid when none does.  The column
-    sums default to the matrix's."""
+    holding an entry above the containment tolerance 1e-12, or the whole
+    grid when none does.  The column sums default to the matrix's."""
     matrix = scipy.sparse.csr_matrix(matrix)
     assert matrix.shape[0] == grid.n_nodes
-    nodes = np.unravel_index(np.flatnonzero((matrix > 0.0).getnnz(axis=1)), grid.shape)
+    nodes = np.unravel_index(np.flatnonzero((matrix > 1e-12).getnnz(axis=1)), grid.shape)
     box = tuple(slice(int(k.min()), int(k.max()) + 1) if k.size else slice(0, n)
                 for k, n in zip(nodes, grid.shape))
     if column_sums is None:

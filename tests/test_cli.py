@@ -74,6 +74,36 @@ class TestParsing:
         cfg.write_text("volume=11\n")
         assert main(["kernel", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("entry,message", [
+        ("precond=bogus", "argument --precond: invalid choice: 'bogus'"),
+        ("n_fd=ten", "argument --nfd: invalid int value: 'ten'"),
+        ("large=maybe", "config key 'large' must be true or false, got 'maybe'")])
+    def test_config_file_values_refused_before_any_work(self, entry, message, monkeypatch,
+                                                        tmp_path, capsys):
+        # a file's precond=bogus was refused only by solve(), after setup, and
+        # large=maybe meant False
+        def refuse(*args, **kwargs):
+            raise AssertionError("work ran before the config file's values were checked")
+        for name in ("generate_ball_mesh", "load_mesh", "build_kernel", "setup"):
+            monkeypatch.setattr(fraclap.cli, name, refuse)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dim=2\n{entry}\n")
+        out = tmp_path / "s.csv"
+        assert main(["solve", "--config", str(cfg), "--ball", "0.3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line
+
+    @pytest.mark.parametrize("value,large", [("yes", True), ("True", True), ("1", True),
+                                             ("no", False), ("false", False), ("0", False)])
+    def test_config_file_large(self, value, large, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"large={value}\nprecond=sparse\n")
+        config = parse_config(["solve", "--config", str(cfg)])
+        assert config.large is large and config.precond == "sparse"
+        assert parse_config(["solve", "--config", str(cfg), "--large"]).large is True
+
     def test_ball_list(self):
         config = parse_config(["convergence", "--ball", "0.2,0.1,0.05"])
         assert config.ball == [0.2, 0.1, 0.05]
@@ -620,6 +650,14 @@ class TestConvergenceCommand:
                      "--out", str(tmp_path / "conv.csv")]) == 2
         assert built == []
         assert "share one dimension, got dims [2, 3]" in capsys.readouterr().err
+
+    def test_programming_error_keeps_its_traceback(self, monkeypatch):
+        # a level's TypeError became an exit-2 'error:' line
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected keyword")
+        monkeypatch.setattr(fraclap.cli, "solve_bvp", broken)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            main(["convergence", "--dim", "2", "--m", "64", "--ball", "0.4,0.3,0.2"])
 
     def test_kernel_of_another_order_exit_2(self, monkeypatch, capsys):
         real = fraclap.cli.build_kernel

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraclap.mesh as mesh_module
 from fraclap.mesh import (DegenerateElementError, MeshFormatError, SimplicialMesh,
                           _boundary_vertex_mask, _build_mesh, _icosahedron, generate_ball_mesh,
                           load_mesh, lumped_l2_error, mesh_quality, save_mesh,
@@ -76,11 +77,18 @@ class TestLoadMesh:
         with pytest.raises(MeshFormatError, match="unexpected end"):
             load_mesh(path)
 
-    def test_negative_orientation_fixed(self, tmp_path):
+    def test_negative_orientation_kept(self, tmp_path):
+        # a clockwise triangle keeps its vertex order, built directly or
+        # loaded, and gets a positive volume
         path = tmp_path / "flip.msh"
-        write_lines(path, ["2 3 1", "0 0", "0 1", "1 0", "1 2 3"])  # clockwise
-        mesh = load_mesh(path)
-        assert mesh.element_volumes()[0] > 0
+        write_lines(path, ["2 3 1", "0 0", "0 1", "1 0", "1 2 3"])
+        vertices = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        built = SimplicialMesh(dim=2, vertices=vertices, simplices=[[0, 1, 2]], n_interior=0)
+        for mesh in (built, load_mesh(path)):
+            np.testing.assert_array_equal(mesh.vertices, vertices)
+            np.testing.assert_array_equal(mesh.simplices, [[0, 1, 2]])
+            assert simplex_adjugates(mesh.vertices[mesh.simplices])[2][0] < 0.0  # clockwise
+            assert mesh.element_volumes()[0] == 0.5
 
     def test_round_trip_exact(self, tmp_path):
         mesh = ball_mesh(2, 6)
@@ -629,9 +637,10 @@ class TestMeshQuality:
 
 
 def reference_volumes(mesh):
-    """Signed volumes by LAPACK determinants of the edge matrices."""
+    """Volumes by LAPACK determinants of the edge matrices, unsigned: a
+    simplex may list its vertices in either orientation."""
     pts = mesh.vertices[mesh.simplices]
-    return np.linalg.det(pts[:, 1:] - pts[:, :1]) / math.factorial(mesh.dim)
+    return np.abs(np.linalg.det(pts[:, 1:] - pts[:, :1])) / math.factorial(mesh.dim)
 
 
 def reference_facet_measures(mesh):
@@ -698,6 +707,36 @@ def test_a_h_is_bitwise_the_adjugate_formula(dim, n_r):
         rows = np.concatenate([adjugate, adjugate.sum(axis=1, keepdims=True)], axis=1)
         heights = np.abs(det) / np.sqrt(np.einsum("efk,efk->ef", rows, rows).max(axis=1))
         assert mesh_quality(mesh).a_h == float(heights.min())
+
+
+def test_one_adjugate_pass_per_mesh(monkeypatch, tmp_path):
+    # the constructor's pass is the only one: no other pass orients the simplices
+    path = tmp_path / "ball.msh"
+    save_mesh(ball_mesh(3, 2), path)
+    calls = []
+
+    def counting(corners, real=mesh_module.simplex_adjugates):
+        calls.append(corners.shape[0])
+        return real(corners)
+
+    monkeypatch.setattr(mesh_module, "simplex_adjugates", counting)
+    for make in (lambda: generate_ball_mesh(2, 0.2), lambda: generate_ball_mesh(3, 0.5),
+                 lambda: load_mesh(path)):
+        calls.clear()
+        mesh = make()
+        assert calls == [mesh.n_elements]
+
+
+def test_constructor_leaves_the_callers_arrays_writable():
+    base = ball_mesh(2, 3)
+    vertices, simplices = base.vertices.copy(), base.simplices.copy()
+    mesh = SimplicialMesh(dim=2, vertices=vertices, simplices=simplices,
+                          n_interior=base.n_interior)
+    vertices[0, 0] = 5.0
+    simplices[0, 0] = 1
+    np.testing.assert_array_equal(mesh.vertices, base.vertices)
+    np.testing.assert_array_equal(mesh.simplices, base.simplices)
+    assert not (mesh.vertices.flags.writeable or mesh.simplices.flags.writeable)
 
 
 class TestLumpedL2:

@@ -112,7 +112,7 @@ class TestOperator:
 
 
 def mapped(mesh, matrix, shift):
-    """The mesh under x -> matrix x + shift (orientation-preserving)."""
+    """The mesh under x -> matrix x + shift."""
     vertices = mesh.vertices @ np.asarray(matrix, dtype=float).T + shift
     return SimplicialMesh(dim=mesh.dim, vertices=vertices, simplices=mesh.simplices,
                           n_interior=mesh.n_interior)
@@ -206,21 +206,22 @@ class TestOperatorBox:
         mesh = mapped(ball_mesh(dim, n_r), 1.2 * np.eye(dim), 0.0)
         op = overlay_operator(mesh)
         assert stored_extent(mesh, op.grid) == op.grid.shape
-        # (a rounding residue can still reach an edge node on some axis)
+        # nor do rounding residues there: the box loses both edge nodes per axis
         box = op.box_plan.grid_shape
-        assert box == touched_extent(op) != op.grid.shape
+        assert box == touched_extent(op) == tuple(n - 2 for n in op.grid.shape)
         assert op.transfer.matrix.shape[0] == math.prod(box)
         u = np.random.default_rng(1).standard_normal(op.n_unknowns)
         ref = full_grid_product(op, u)
         assert np.linalg.norm(op.apply(u) - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_unrotated_disk_box_by_nonzero_entries(self):
-        # the CLI's --ball 0.025 disk: stored zeros span 111 x 111 nodes
+        # the CLI's --ball 0.025 disk: stored zeros span 111 x 111 nodes, and
+        # rounding residues reach a 110 x 111 box, which the tolerance drops
         mesh = generate_ball_mesh(2, 0.025)
         op = overlay_operator(mesh)
         assert stored_extent(mesh, op.grid) == (111, 111)
-        assert op.box_plan.grid_shape == (110, 111)
-        assert op.transfer.matrix.shape[0] == 110 * 111
+        assert op.box_plan.grid_shape == (109, 109)
+        assert op.transfer.matrix.shape[0] == 109 * 109
         rng = np.random.default_rng(2)
         for _ in range(2):
             u = rng.standard_normal(op.n_unknowns)
@@ -1123,6 +1124,20 @@ class TestUnitBallReference:
                             exact=lambda pts: exact_solution(mesh.dim, 0.5, pts))
         assert report.converged and 0.0 < report.l2_error < 0.1
         assert report.l2_error == explicit.l2_error
+
+    @pytest.mark.parametrize("dim,n_r", [(2, 8), (3, 3)])
+    def test_mirror_image_solves_alike(self, dim, n_r):
+        # x -> -x reverses every simplex's orientation, which nothing reads:
+        # the mirror image keeps the volumes, a_h and the solve of the ball
+        mesh = ball_mesh(dim, n_r)
+        mirror = mapped(mesh, np.diag([-1.0] + [1.0] * (dim - 1)), 0.0)
+        np.testing.assert_array_equal(mirror.element_volumes(), mesh.element_volumes())
+        assert mesh_quality(mirror).a_h == mesh_quality(mesh).a_h
+        (_, report), (_, mirrored) = (solve_bvp(m, 0.5, "fft", m=256, precond="circulant")
+                                      for m in (mesh, mirror))
+        assert report.converged and mirrored.converged
+        assert mirrored.iterations == report.iterations
+        assert mirrored.l2_error == pytest.approx(report.l2_error, rel=1e-12, abs=0.0)
 
     def test_square_has_no_default_error(self):
         mesh = square_mesh(20)

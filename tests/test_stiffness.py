@@ -803,6 +803,14 @@ class TestKernelStructure:
             StiffnessKernel(dim=1, s=0.5, n_fd=2, scheme="bogus",
                             coeffs=np.ones(5))
 
+    def test_constructor_leaves_the_callers_array_writable(self):
+        coeffs = np.array([1.0, 0.1, 0.1, 0.1, 0.1])
+        kernel = StiffnessKernel(dim=1, s=0.5, n_fd=2, scheme="fft", coeffs=coeffs)
+        coeffs[0] = 2.0
+        assert kernel.coeffs[0] == 1.0 and not kernel.coeffs.flags.writeable
+        # a restricted kernel owns its slice rather than viewing the larger one
+        assert restrict(fft_uniform(0.45, 2, 10, 64), 4).coeffs.flags.owndata
+
     def test_circulant_spectrum_real_after_symmetrization(self):
         import scipy.fft
         for kernel in (fft_uniform(0.5, 2, 8, 64), nonuniform(0.5, 2, 8, 65),

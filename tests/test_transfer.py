@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraclap.transfer as transfer_module
 from fraclap.core import OverlayGrid
-from fraclap.mesh import (MeshQuality, SimplicialMesh, _orient_positive, generate_ball_mesh,
-                          mesh_quality, simplex_adjugates)
+from fraclap.mesh import (MeshQuality, SimplicialMesh, generate_ball_mesh, mesh_quality,
+                          simplex_adjugates)
 from fraclap.solver import OverlayOperator
 from fraclap.stiffness import fft_uniform
 from fraclap.toeplitz import ToeplitzPlan
@@ -90,7 +90,7 @@ def unit_triangle_mesh():
     """One triangle with an interior-vertex-free boundary: use a fan around a
     center so the center vertex is interior."""
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-    simplices = _orient_positive(pts, np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1]]))
+    simplices = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1]])
     return SimplicialMesh(dim=2, vertices=pts, simplices=simplices, n_interior=1)
 
 
@@ -109,10 +109,10 @@ class TestBuildTransfer:
             [0.0, 0.5], [0.5, -0.25], [-0.5, -0.25],     # interior triangle
             [0.0, 2.0], [1.9, -1.2], [-1.9, -1.2],       # boundary shell
         ])
-        simplices = _orient_positive(pts, np.array([
+        simplices = np.array([
             [0, 1, 2],
             [0, 3, 1], [1, 3, 4], [1, 4, 2], [2, 4, 5], [2, 5, 0], [0, 5, 3],
-        ]))
+        ])
         mesh = SimplicialMesh(dim=2, vertices=pts, simplices=simplices, n_interior=3)
         # centroid of the interior triangle is the origin
         grid = OverlayGrid(dim=2, r_fd=2.0, n_fd=2)
@@ -165,7 +165,7 @@ class TestBuildTransfer:
         # a mesh with one interior vertex whose support has no grid node:
         # shrink the fan so the grid (n_fd=1) misses the center support
         pts = np.array([[0.55, 0.56], [0.5, 0.71], [0.7, 0.4], [0.3, 0.37]])
-        simplices = _orient_positive(pts, np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1]]))
+        simplices = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1]])
         mesh = SimplicialMesh(dim=2, vertices=pts, simplices=simplices, n_interior=1)
         grid = OverlayGrid(dim=2, r_fd=1.2, n_fd=1)
         transfer = build_transfer(mesh, grid)
@@ -505,6 +505,9 @@ class TestBoxedTransferProperties:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), n_r=st.integers(3, 7),
            amplitude=st.floats(0.0, 0.3), n_fd=st.integers(2, 24))
+    # a grid node within 1.2e-16 of a boundary vertex: the batched solve gives
+    # an interior vertex the weight 1.1e-16 there, the loop reference 0.0
+    @example(seed=0, n_r=7, amplitude=0.125, n_fd=18)
     def test_box_transfer(self, seed, n_r, amplitude, n_fd):
         mesh = scattered_ball(n_r, amplitude, seed)
         grid = capped_grid(2, 1.2, n_fd)
