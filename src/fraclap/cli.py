@@ -291,9 +291,17 @@ def _load_config_file(path) -> dict:
     return out
 
 
-def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fraclap", exit_on_error=exit_on_error,
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser (and, by inheritance, its subparsers) whose errors
+    raise ValueError, so main() reports a bad flag as its one 'error:' line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="fraclap",
         description="Experiments for the overlay-grid fractional Laplacian solver")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
@@ -304,7 +312,7 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
         ("convergence", "run a refinement study and fit the observed order"),
         ("precond", "compare CG iteration counts across preconditioners"),
     ]:
-        p = sub.add_parser(name, help=help_text, exit_on_error=exit_on_error)
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--dim", type=int)
         p.add_argument("--s", type=float)
@@ -343,8 +351,8 @@ def parse_config(argv=None) -> ExperimentConfig:
             elif value.lower() not in ("0", "false", "no"):
                 raise ValueError(f"config key 'large' must be true or false, got {value!r}")
         try:  # the command line parsed above, so a bad value is the file's
-            args = build_parser(exit_on_error=False).parse_args([argv[0], *tokens, *argv[1:]])
-        except argparse.ArgumentError as exc:
+            args = build_parser().parse_args([argv[0], *tokens, *argv[1:]])
+        except ValueError as exc:
             raise ValueError(f"{args.config}: {exc}") from None
     merged = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     if isinstance(merged.get("ball"), str):

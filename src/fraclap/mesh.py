@@ -3,9 +3,10 @@ quasi-uniform unit-ball mesher for tests and experiments, and the geometric
 quantities the solver needs (minimum element height, volumes, vertex-lumped
 L2 norms).  All simplex geometry comes from one routine, simplex_adjugates:
 the closed-form adjugate and determinant of each edge matrix give volumes
-(|det| / d!), the transfer screen's inverses, and the minimum element height
-|det| / max adjugate-row norm.  A simplex may list its vertices in either
-orientation; nothing reads the sign of det, and the order is kept as given.
+(|det| / d!), the inverses behind the transfer's barycentric coordinates,
+and the minimum element height |det| / max adjugate-row norm.  A simplex may
+list its vertices in either orientation; nothing reads the sign of det, and
+the order is kept as given.
 
 Vertices are ordered interior-first: indices 0..n_interior-1 are interior,
 the rest lie on the boundary of the simplicial complex.  Boundary facets are
@@ -82,7 +83,7 @@ class SimplicialMesh:
         if not (0 <= self.n_interior <= n_v):
             raise ValueError("n_interior out of range")
 
-        adjugate, det = simplex_adjugates(vertices[simplices])[1:]
+        adjugate, det = simplex_adjugates(vertices[simplices])
         volumes = np.abs(det) / math.factorial(self.dim)
         scale = np.max(np.abs(vertices)) if n_v else 1.0
         bad = np.nonzero(volumes <= 1e-14 * max(scale, 1.0) ** self.dim)[0]
@@ -132,10 +133,10 @@ class MeshQuality:
 
 
 def simplex_adjugates(corners):
-    """Edge matrices S, adjugates adj(S) = det(S) S^-1 and determinants of
-    the simplices with corner coordinates ``corners`` (elements, d + 1, d),
-    d <= 3, by closed form: every simplex volume, facet measure and inverse
-    in fraclap comes from here.
+    """Adjugates adj(S) = det(S) S^-1 and determinants of the edge matrices
+    S of the simplices with corner coordinates ``corners`` (elements, d + 1,
+    d), d <= 3, by closed form: every simplex volume, facet measure and
+    inverse in fraclap comes from here.
 
     S[e] holds simplex e's edge vectors from its vertex 0 as columns, so its
     volume is |det| / d! in either orientation.  Row i of adj(S) is normal
@@ -155,7 +156,7 @@ def simplex_adjugates(corners):
         e0, e1, e2 = edges
         adjugate = np.stack([np.cross(e1, e2), np.cross(e2, e0), np.cross(e0, e1)], axis=1)
     det = np.einsum("ek,ek->e", adjugate[:, 0, :], spans[:, :, 0])
-    return spans, adjugate, det
+    return adjugate, det
 
 
 def _boundary_vertex_mask(simplices, n_vertices, dim):

@@ -346,18 +346,12 @@ def _psi_integrand(s):
 
 
 def _regularized_integrand(s):
+    psi = _psi_integrand(s)
+
     def evaluate(axes):
-        sin_total = None
-        sq_total = None
-        for a in axes:
-            q = 4.0 * np.sin(0.5 * a) ** 2
-            sin_total = q if sin_total is None else sin_total + q
-            r = a * a
-            sq_total = r if sq_total is None else sq_total + r
-        sin_total **= s
-        sq_total **= s
-        sin_total -= sq_total
-        return sin_total
+        out = psi(axes)
+        out -= sum(a * a for a in axes) ** s
+        return out
     return evaluate
 
 

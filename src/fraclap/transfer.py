@@ -8,8 +8,8 @@ since their values are pinned to zero.  The column sums d_j form the diagonal
 matrix that makes the grid-to-mesh transpose transfer preserve constants;
 a zero d_j (no grid node in the vertex's support) makes I rank deficient.
 The transfer is stored once, on the bounding box of the nodes holding a
-positive entry, with its CSR transpose.  Each simplex's inverse edge matrix,
-which screens the candidate nodes, is its adjugate over its determinant from
+positive entry, with its CSR transpose.  Each coordinate comes from the
+simplex's inverse edge matrix, its adjugate over its determinant from
 mesh.simplex_adjugates, the routine that also gives volumes and the minimum
 element height.
 """
@@ -45,10 +45,6 @@ N_FD_CAPS = {1: 4096, 2: 4096, 3: 128}
 # about 128 KiB per int64 temporary; on a 2-vCPU host, builds from 2D
 # h=0.025 to 3D h=0.1 take the same time as at 1 << 16 and peak 1-5 MiB lower
 _CHUNK = 1 << 14
-# _screen's slack on the approximate coordinates, and the condition
-# estimate from which a simplex skips the screen
-_SCREEN_TOL = 1e-6
-_SCREEN_COND = 1e6
 # GramSolver's Chebyshev degree (GRAM_DEGREE - 1 sparse products per solve)
 # and the lower end of its interval as a fraction of the upper end.  On
 # rotated 2D balls (h = 0.1 to 0.035) and the 3D h=0.2 ball, degree 6 costs
@@ -162,20 +158,6 @@ def capped_grid(dim: int, r_fd: float, n_fd: int, max_n_fd: int | None = None) -
     return grid
 
 
-def _screen(inverse: np.ndarray, elem: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Mask of the candidates (inverse[elem], rhs) whose dim + 1 coordinates
-    by the closed-form inverse are all >= -_SCREEN_TOL."""
-    dim = inverse.shape[1]
-    approx = [inverse[elem, i, 0] * rhs[:, 0] for i in range(dim)]
-    for i in range(dim):
-        for j in range(1, dim):
-            approx[i] += inverse[elem, i, j] * rhs[:, j]
-    near = sum(approx) <= 1.0 + _SCREEN_TOL
-    for coordinate in approx:
-        near &= coordinate >= -_SCREEN_TOL
-    return near
-
-
 def _locate_nodes(mesh: SimplicialMesh, grid: OverlayGrid):
     """Covered grid nodes, their owner simplices and barycentric coordinates.
 
@@ -185,16 +167,15 @@ def _locate_nodes(mesh: SimplicialMesh, grid: OverlayGrid):
     that contains it.  Candidates are processed in element order, in chunks
     of about _CHUNK, so memory stays bounded on large meshes: only the
     bounding boxes are formed for the whole mesh, and each chunk forms the
-    corners, edge matrices, inverses and screen flags of its own elements
-    (the same arithmetic per element, so the result does not depend on the
-    chunking).  Returns (node_ids, owners, lam) with lam of shape
-    (n_covered, dim + 1), sorted by node id.
+    corners, edge matrices and inverses of its own elements (the same
+    arithmetic per element, so the result does not depend on the chunking).
+    Returns (node_ids, owners, lam) with lam of shape (n_covered, dim + 1),
+    sorted by node id.
 
-    Coordinates come from one batched LAPACK solve per chunk, which only
-    the candidates that pass _screen enter.  On a candidate the solve
-    places inside, coordinates are O(1), so the screen's error is about
-    cond * eps < 1e-9, far inside _SCREEN_TOL: it drops only candidates the
-    solve places outside.
+    lam[:, 1:] is each simplex's closed-form inverse, adjugate / det from
+    simplex_adjugates, applied to the node's offset from vertex 0, and
+    lam[:, 0] is one minus their sum; the rounding error is of order
+    cond * eps, as for a pivoted LU solve.
     """
     dim = mesh.dim
     h = grid.h_fd
@@ -221,12 +202,8 @@ def _locate_nodes(mesh: SimplicialMesh, grid: OverlayGrid):
     while e0 < mesh.n_elements:
         e1 = max(e0 + 1, int(np.searchsorted(first, first[e0] + _CHUNK, side="right")) - 1)
         pts = mesh.vertices[mesh.simplices[e0:e1]]  # (chunk elements, dim + 1, dim)
-        spans, adjugate, det = simplex_adjugates(pts)
+        adjugate, det = simplex_adjugates(pts)
         inverse = adjugate / det[:, None, None]
-        # simplices whose condition estimate ||S||_F ||S^-1||_F reaches
-        # _SCREEN_COND skip the screen: all their candidates take the exact solve
-        unscreened = (np.sqrt(np.einsum("eij,eij->e", spans, spans))
-                      * np.sqrt(np.einsum("eij,eij->e", inverse, inverse))) >= _SCREEN_COND
 
         # elem numbers the chunk's elements from 0; the mesh numbers them elem + e0
         elem = np.repeat(np.arange(e1 - e0), counts[e0:e1])
@@ -241,22 +218,20 @@ def _locate_nodes(mesh: SimplicialMesh, grid: OverlayGrid):
         elem, k_multi, node_ids = elem[fresh], k_multi[fresh], node_ids[fresh]
 
         rhs = k_multi * h - pts[elem, 0]
-        near = _screen(inverse, elem, rhs) | unscreened[elem]
-        elem, node_ids, rhs = elem[near], node_ids[near], rhs[near]
-
-        lam_rest = np.linalg.solve(spans[elem], rhs[:, :, None])[:, :, 0]
-        lam = np.empty((elem.size, dim + 1))
-        lam[:, 1:] = lam_rest
-        lam[:, 0] = 1.0 - sum(lam_rest[:, c] for c in range(dim))
-        inside = lam[:, 0] >= -_CONTAIN_TOL
-        for c in range(dim):
-            inside &= lam_rest[:, c] >= -_CONTAIN_TOL
+        # one row per coordinate, so each is a contiguous array
+        lam = np.empty((dim + 1, elem.size))
+        for i in range(dim):
+            lam[i + 1] = inverse[elem, i, 0] * rhs[:, 0]
+            for j in range(1, dim):
+                lam[i + 1] += inverse[elem, i, j] * rhs[:, j]
+        lam[0] = 1.0 - sum(lam[1:])
+        inside = np.flatnonzero(np.all(lam >= -_CONTAIN_TOL, axis=0))
         # candidates run in element order, so the first hit is the lowest index
         node_ids, pick = np.unique(node_ids[inside], return_index=True)
         claimed[node_ids] = True
         found_nodes.append(node_ids)
-        found_owners.append(elem[inside][pick] + e0)
-        found_lam.append(lam[inside][pick])
+        found_owners.append(elem[inside[pick]] + e0)
+        found_lam.append(lam[:, inside[pick]].T)
         e0 = e1
 
     node_ids = np.concatenate(found_nodes)
@@ -269,16 +244,16 @@ def build_transfer(mesh: SimplicialMesh, grid: OverlayGrid) -> TransferMatrix:
     """Assemble the transfer matrix by locating every grid node inside the
     mesh.
 
-    The location is vectorised over (simplex, bounding-box node) pairs with
-    one batched barycentric solve per chunk and no loop over elements.  Each
-    covered node keeps the barycentric coordinates, clipped to [0, 1], from
-    the lowest-index simplex containing it, with containment tolerance
-    1e-12.  The box is the bounding box of the nodes holding an entry above
-    that tolerance (the whole grid when none does); the entries inside it
-    stay stored, and those outside, each at most 1e-12, are dropped.
-    The result is a canonical CSR matrix (sorted indices, no duplicates) over
-    the box's nodes.  A column with zero sum fails column_rank_check, and
-    setup's refusal of the transfer counts such columns.
+    The location is vectorised over (simplex, bounding-box node) pairs,
+    chunk by chunk, with no loop over elements.  Each covered node keeps the
+    barycentric coordinates, clipped to [0, 1], from the lowest-index
+    simplex containing it, with containment tolerance 1e-12.  The box is
+    the bounding box of the nodes holding an entry above that tolerance (the
+    whole grid when none does); the entries inside it stay stored, and those
+    outside, each at most 1e-12, are dropped.  The result is a canonical CSR
+    matrix (sorted indices, no duplicates) over the box's nodes.  A column
+    with zero sum fails column_rank_check, and setup's refusal of the
+    transfer counts such columns.
     """
     if mesh.dim != grid.dim:
         raise ValueError(f"mesh dim {mesh.dim} does not match grid dim {grid.dim}")

@@ -95,6 +95,24 @@ class TestParsing:
         [line] = captured.err.splitlines()
         assert line.startswith("error: ") and message in line
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--precond", "bogus"], "error: argument --precond: invalid choice: 'bogus'"),
+        (["--nfd", "x"], "error: argument --nfd: invalid int value: 'x'"),
+        (["--bogus", "1"], "error: unrecognized arguments: --bogus 1")])
+    def test_bad_flag_is_one_error_line(self, flags, message, tmp_path, capsys):
+        # a bad flag is invalid input like any other: one 'error:' line, no usage block
+        out = tmp_path / "s.csv"
+        assert main(["solve", *flags, "--ball", "0.3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        [line] = captured.err.splitlines()
+        assert line.startswith(message)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["solve", "--help"])
+        assert stop.value.code == 0 and "--precond" in capsys.readouterr().out
+
     @pytest.mark.parametrize("value,large", [("yes", True), ("True", True), ("1", True),
                                              ("no", False), ("false", False), ("0", False)])
     def test_config_file_large(self, value, large, tmp_path):

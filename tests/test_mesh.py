@@ -87,7 +87,7 @@ class TestLoadMesh:
         for mesh in (built, load_mesh(path)):
             np.testing.assert_array_equal(mesh.vertices, vertices)
             np.testing.assert_array_equal(mesh.simplices, [[0, 1, 2]])
-            assert simplex_adjugates(mesh.vertices[mesh.simplices])[2][0] < 0.0  # clockwise
+            assert simplex_adjugates(mesh.vertices[mesh.simplices])[1][0] < 0.0  # clockwise
             assert mesh.element_volumes()[0] == 0.5
 
     def test_round_trip_exact(self, tmp_path):
@@ -703,7 +703,7 @@ def test_a_h_is_bitwise_the_adjugate_formula(dim, n_r):
     # the constructor's pass keeps the height that mesh_quality computed
     # with a pass of its own
     for mesh in (ball_mesh(dim, n_r), rotated(ball_mesh(dim, n_r), 1)):
-        _, adjugate, det = simplex_adjugates(mesh.vertices[mesh.simplices])
+        adjugate, det = simplex_adjugates(mesh.vertices[mesh.simplices])
         rows = np.concatenate([adjugate, adjugate.sum(axis=1, keepdims=True)], axis=1)
         heights = np.abs(det) / np.sqrt(np.einsum("efk,efk->ef", rows, rows).max(axis=1))
         assert mesh_quality(mesh).a_h == float(heights.min())

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -299,6 +300,25 @@ def reference_locate(mesh, grid):
     return node_ids[order], np.concatenate(owners)[order], np.concatenate(lams)[order]
 
 
+def exact_coordinates(corners, x):
+    """Barycentric coordinates of the point x in the simplex with corners
+    ``corners``, in exact rational arithmetic on the given floats
+    (Gauss-Jordan elimination on the edge matrix)."""
+    v = [[Fraction(c) for c in p] for p in corners.tolist()]
+    d = len(x)
+    rows = [[v[j + 1][i] - v[0][i] for j in range(d)] + [Fraction(x[i]) - v[0][i]]
+            for i in range(d)]
+    for c in range(d):
+        pivot = next(r for r in range(c, d) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(d):
+            if r != c:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    rest = [rows[i][d] / rows[i][i] for i in range(d)]
+    return [1 - sum(rest), *rest]
+
+
 def reference_matrix(mesh, grid):
     node_ids, owners, lam = reference_locate(mesh, grid)
     rows, cols, vals = [], [], []
@@ -389,7 +409,7 @@ EQUIVALENCE_CASES = {
     "fan_vertex": lambda: (unit_triangle_mesh(), OverlayGrid(dim=2, r_fd=2.0, n_fd=2)),
     "fan_edges": lambda: (unit_triangle_mesh(), OverlayGrid(dim=2, r_fd=2.0, n_fd=4)),
     "fan_fine": lambda: (unit_triangle_mesh(), OverlayGrid(dim=2, r_fd=2.0, n_fd=16)),
-    # nodes on the sliver's long edge, which only the exact solve places
+    # nodes on the long edge of a sliver whose condition estimate exceeds 1e7
     "sliver": lambda: (sliver_mesh(), OverlayGrid(dim=2, r_fd=2.0, n_fd=4)),
 }
 
@@ -416,8 +436,10 @@ class TestVectorisedAssembly:
         np.testing.assert_array_equal(transfer.matrix.indptr, boxed.indptr)
         np.testing.assert_array_equal(transfer.matrix.indices, boxed.indices)
         np.testing.assert_allclose(transfer.matrix.data, boxed.data, rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(transfer.column_sums, np.asarray(ref.sum(axis=0)).ravel(),
-                                   rtol=0.0, atol=1e-14)
+        # each stored entry may differ by 1e-15, so a column sum by its count of them
+        stored = np.diff(transfer.matrix.tocsc().indptr)
+        assert np.all(np.abs(transfer.column_sums - np.asarray(ref.sum(axis=0)).ravel())
+                      <= stored * 1e-15)
 
     def test_chunking_does_not_change_the_result(self, case, monkeypatch):
         mesh, grid = case
@@ -450,43 +472,25 @@ class TestVectorisedAssembly:
             tracemalloc.stop()
         assert peak < 20 * 2 ** 20
 
-    @staticmethod
-    def spy_on_solve(monkeypatch):
-        """The coefficient stacks that np.linalg.solve receives."""
-        real = np.linalg.solve
-        stacks = []
-
-        def spy(a, b):
-            stacks.append(a)
-            return real(a, b)
-        monkeypatch.setattr(np.linalg, "solve", spy)
-        return stacks
-
-    def test_sliver_candidates_all_take_the_exact_solve(self, monkeypatch):
-        mesh, grid = EQUIVALENCE_CASES["sliver"]()
-        spans, adjugate, det = simplex_adjugates(mesh.vertices[mesh.simplices[:1]])
-        span = spans[0]
-        condition = np.linalg.norm(span) * np.linalg.norm(adjugate[0] / det[0])
-        assert condition >= transfer_module._SCREEN_COND
-        stacks = self.spy_on_solve(monkeypatch)
-        transfer_module._locate_nodes(mesh, grid)
-        # the sliver's bounding box is [-1, 1]^2: all 5 x 5 nodes, of which
-        # only the 5 on the diagonal are inside
-        assert sum(np.count_nonzero(np.all(a == span, axis=(1, 2))) for a in stacks) == 25
-
-    def test_screen_spares_outside_candidates(self, monkeypatch):
-        mesh, grid = with_grid(rotated(ball_mesh(2, 10), 3))
-        stacks = self.spy_on_solve(monkeypatch)
-        nodes, _, _ = transfer_module._locate_nodes(mesh, grid)
-        assert nodes.size <= sum(a.shape[0] for a in stacks) < 2 * nodes.size
+    @pytest.mark.parametrize("name", ["rotated_disk", "rotated_ball3d", "sliver"])
+    def test_coordinates_against_exact_rationals(self, name):
+        # worst errors over these nodes: 2.6e-16 (disk), 3.2e-16 (3D ball)
+        # and 2.5e-17 (sliver); a batched LAPACK solve gave 2.2e-16, 2.3e-16
+        # and 2.8e-17
+        mesh, grid = EQUIVALENCE_CASES[name]()
+        nodes, owners, lam = transfer_module._locate_nodes(mesh, grid)
+        sample = np.unique(np.linspace(0, nodes.size - 1, 150).astype(int))
+        k = np.column_stack(np.unravel_index(nodes[sample], grid.shape)) - grid.n_fd
+        for x, e, coordinates in zip(k * grid.h_fd, owners[sample], lam[sample]):
+            exact = exact_coordinates(mesh.vertices[mesh.simplices[e]], x.tolist())
+            assert max(abs(Fraction(c) - q) for c, q in zip(coordinates.tolist(), exact)) <= 1e-15
 
     def test_closed_form_inverses(self):
         rng = np.random.default_rng(2)
         for dim in (1, 2, 3):
             corners = rng.standard_normal((20, dim + 1, dim))
-            spans, adjugate, det = simplex_adjugates(corners)
-            np.testing.assert_array_equal(
-                spans, (corners[:, 1:] - corners[:, :1]).transpose(0, 2, 1))
+            spans = (corners[:, 1:] - corners[:, :1]).transpose(0, 2, 1)
+            adjugate, det = simplex_adjugates(corners)
             np.testing.assert_allclose(det, np.linalg.det(spans), rtol=1e-9)
             np.testing.assert_allclose(adjugate / det[:, None, None], np.linalg.inv(spans),
                                        rtol=1e-9, atol=1e-12)
@@ -505,8 +509,9 @@ class TestBoxedTransferProperties:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), n_r=st.integers(3, 7),
            amplitude=st.floats(0.0, 0.3), n_fd=st.integers(2, 24))
-    # a grid node within 1.2e-16 of a boundary vertex: the batched solve gives
-    # an interior vertex the weight 1.1e-16 there, the loop reference 0.0
+    # a grid node within 1.2e-16 of a boundary vertex: the closed-form
+    # coordinates give an interior vertex the weight 1.1e-16 there, the loop
+    # reference 0.0
     @example(seed=0, n_r=7, amplitude=0.125, n_fd=18)
     def test_box_transfer(self, seed, n_r, amplitude, n_fd):
         mesh = scattered_ball(n_r, amplitude, seed)
