@@ -21,11 +21,14 @@ Mesh file format (plain text, '#' comments and blank lines ignored):
     <one-based boundary vertex indices, any line breaks>
 
 Boundary vertices are detected by facet incidence; a boundary section, if
-present, must list exactly those vertices, each once.
+present, must list exactly those vertices, each once.  load_mesh converts
+plain numeric files section by section and leaves every other file, '#'
+comments included, to a token walk with the same outcome.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -59,10 +62,22 @@ class DegenerateElementError(ValueError):
 
 # integer tokens of a mesh file must fit the int64 index arrays
 _INT64 = np.iinfo(np.int64)
+# elements per simplex_adjugates call of the mesh constructor's geometry pass
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
 class SimplicialMesh:
+    """A simplicial complex with its vertices ordered interior-first.
+
+    The constructor copies and freezes the arrays, checks the shapes, the
+    index range and the interior-first order against the facet-incidence
+    boundary, and keeps each element's volume and the minimum element
+    height from one simplex_adjugates pass over chunks of _CHUNK elements,
+    so its transients stay bounded on large meshes; an element of vanishing
+    volume raises DegenerateElementError naming the first ten.
+    """
+
     dim: int
     vertices: np.ndarray
     simplices: np.ndarray
@@ -83,16 +98,25 @@ class SimplicialMesh:
         if not (0 <= self.n_interior <= n_v):
             raise ValueError("n_interior out of range")
 
-        adjugate, det = simplex_adjugates(vertices[simplices])
-        volumes = np.abs(det) / math.factorial(self.dim)
+        # one simplex_adjugates pass in chunks of _CHUNK elements, keeping
+        # the volumes and the running minimum height
+        volumes = np.empty(simplices.shape[0])
         scale = np.max(np.abs(vertices)) if n_v else 1.0
-        bad = np.nonzero(volumes <= 1e-14 * max(scale, 1.0) ** self.dim)[0]
+        tol = 1e-14 * max(scale, 1.0) ** self.dim
+        min_height = np.inf
+        for start in range(0, simplices.shape[0], _CHUNK):
+            adjugate, det = simplex_adjugates(vertices[simplices[start:start + _CHUNK]])
+            chunk = volumes[start:start + _CHUNK]
+            chunk[:] = np.abs(det) / math.factorial(self.dim)
+            if np.any(chunk <= tol):
+                continue  # reported below, once every volume is known
+            rows = np.concatenate([adjugate, adjugate.sum(axis=1, keepdims=True)], axis=1)
+            heights = np.abs(det) / np.sqrt(np.einsum("efk,efk->ef", rows, rows).max(axis=1))
+            min_height = np.minimum(min_height, heights.min())  # NaN propagates
+        bad = np.nonzero(volumes <= tol)[0]
         if bad.size:
             raise DegenerateElementError(
                 f"simplices {bad[:10].tolist()} have vanishing volume")
-        rows = np.concatenate([adjugate, adjugate.sum(axis=1, keepdims=True)], axis=1)
-        heights = np.abs(det) / np.sqrt(np.einsum("efk,efk->ef", rows, rows).max(axis=1))
-        del adjugate, rows  # not held through the boundary mask's own peak
 
         boundary = _boundary_vertex_mask(simplices, n_v, self.dim)
         expected = np.zeros(n_v, dtype=bool)
@@ -107,7 +131,7 @@ class SimplicialMesh:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "simplices", simplices)
         object.__setattr__(self, "_volumes", volumes)
-        object.__setattr__(self, "_min_height", float(heights.min(initial=np.inf)))
+        object.__setattr__(self, "_min_height", float(min_height))
 
     @property
     def n_vertices(self) -> int:
@@ -160,19 +184,34 @@ def simplex_adjugates(corners):
 
 
 def _boundary_vertex_mask(simplices, n_vertices, dim):
-    """Vertices of the facets that belong to one simplex only."""
+    """Vertices of the facets that belong to one simplex only.
+
+    While (n_vertices)^dim fits in int64, each sorted facet is one int64
+    key, taken one facet combination at a time, so only the (dim + 1) N
+    keys are held whole; past that the facets are compared row by row
+    after a lexsort."""
     mask = np.zeros(n_vertices, dtype=bool)
-    if simplices.shape[0] == 0:
+    n = simplices.shape[0]
+    if n == 0:
         return mask
-    faces = np.concatenate(
-        [simplices[:, list(c)] for c in combinations(range(dim + 1), dim)])
-    faces = np.sort(faces, axis=1)
+    combos = [list(c) for c in combinations(range(dim + 1), dim)]
     shape = (n_vertices,) * dim
     if int(n_vertices) ** dim <= _INT64.max:
-        # each sorted facet as one int64 key
-        keys, counts = np.unique(np.ravel_multi_index(faces.T, shape), return_counts=True)
-        mask[np.concatenate(np.unravel_index(keys[counts == 1], shape))] = True
+        keys = np.empty(len(combos) * n, dtype=np.int64)
+        for k, c in enumerate(combos):
+            faces = simplices[:, c]
+            faces.sort(axis=1)
+            keys[k * n:(k + 1) * n] = np.ravel_multi_index(faces.T, shape)
+        keys.sort()
+        # in sorted order, a key unequal to both neighbours is a facet of one
+        # simplex only
+        single = np.ones(keys.size, dtype=bool)
+        differs = keys[1:] != keys[:-1]
+        single[1:] &= differs
+        single[:-1] &= differs
+        mask[np.concatenate(np.unravel_index(keys[single], shape))] = True
         return mask
+    faces = np.sort(np.concatenate([simplices[:, c] for c in combos]), axis=1)
     faces = faces[np.lexsort(faces.T)]
     # runs of equal rows: a facet owned by one simplex lies on the boundary
     starts = np.flatnonzero(np.concatenate(
@@ -203,11 +242,134 @@ def load_mesh(path) -> SimplicialMesh:
     in a simplex surface as degenerate-element errors.  A boundary section
     must list each facet-incidence boundary vertex once.
 
-    Each section converts with one numpy call; only when that fails are the
-    section's tokens walked one by one, with their line numbers, to name the
-    first that does not convert."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    The file is read once, as bytes.  A file of ASCII numbers separated by
+    C whitespace (space, tab, newline, \\v, \\f, \\r) converts section by
+    section with one numpy call each (see _convert_sections), in memory
+    proportional to the arrays it returns.  Every other file, and every file
+    with an error, takes the token walk (see _walk_tokens), which decodes
+    the same bytes as UTF-8 text and names the first bad token with its
+    line number; '#' comments always take the walk.  Both give the same
+    mesh, bit for bit, or the same error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    sections = _convert_sections(data)
+    if sections is None:
+        sections = _walk_tokens(data)
+    else:
+        _reject_repeats(sections[2])
+    del data  # not held through the mesh build
+    dim, vertices, simplices, listed = sections
+
+    mesh, boundary = _build_mesh(dim, vertices, simplices)
+    if listed is None:
+        return mesh
+    n_vertices = vertices.shape[0]
+    out = np.flatnonzero((listed < 0) | (listed >= n_vertices))
+    if out.size:
+        raise MeshFormatError(f"boundary section lists vertex {listed[out[0]] + 1}, "
+                              f"outside 1..{n_vertices}")
+    counts = np.bincount(listed, minlength=n_vertices)
+    for bad, what in ((counts[listed] > 1, "more than once"),
+                      (~boundary[listed], "but it is not on the facet-incidence boundary")):
+        if bad.any():
+            raise MeshFormatError(f"boundary section lists vertex "
+                                  f"{listed[np.argmax(bad)] + 1} {what}")
+    missing = np.flatnonzero(boundary & (counts == 0))
+    if missing.size:
+        raise MeshFormatError(f"boundary section omits vertex {missing[0] + 1}, which is on "
+                              "the facet-incidence boundary")
+    return mesh
+
+
+# bytes.translate table: 1 for the bytes that C's isspace, and so
+# np.fromstring, reads as whitespace, 0 for every other byte
+_C_SPACE = bytes(int(b in b" \t\n\v\f\r") for b in range(256))
+# what the fast path's integer and coordinate sections may hold
+_INT_BYTES = b" \t\n\v\f\r+-0123456789"
+_FLOAT_BYTES = _INT_BYTES + b".eE"
+# np.fromstring saturates past int64 without an error; 18 characters always fit
+_INT_CHARS = 18
+
+
+def _convert_sections(data):
+    """load_mesh's fast path: (dim, vertices, zero-based simplices, zero-based
+    boundary list or None), or None for a file it leaves to the token walk.
+
+    Tokens are the runs of bytes between C whitespace.  Each section is one
+    np.fromstring call on bytes that hold only signs and digits (and '.eE'
+    in coordinates), which must give one number per token; fromstring never
+    splits a token in two, so equal counts mean every token converted
+    whole, exactly as float() or int() converts it.  The header must be
+    three valid ints of at most 18 characters, anything after the simplices
+    must start with 'boundary', and every simplex index must lie in
+    1..n_vertices.  Every byte is whitespace or inside a checked token, so
+    a file with '#', non-ASCII bytes or the bytes 0x1c-0x1f (which
+    str.split, unlike C, reads as whitespace) is left to the walk."""
+    space = np.ones(len(data) + 2, dtype=bool)
+    space[1:-1] = np.frombuffer(data.translate(_C_SPACE), dtype=bool)
+    # token k is data[edges[2k]:edges[2k + 1]]
+    edges = np.flatnonzero(space[1:] != space[:-1])
+    del space
+    n_tokens = edges.size // 2
+
+    def convert(first, stop, kind):
+        if stop == first:
+            return np.empty(0, dtype=kind)
+        text = data[edges[2 * first]:edges[2 * stop - 1]]
+        if text.translate(None, _FLOAT_BYTES if kind is float else _INT_BYTES):
+            return None
+        if kind is not float and np.max(edges[2 * first + 1:2 * stop:2]
+                                        - edges[2 * first:2 * stop:2]) > _INT_CHARS:
+            return None
+        try:
+            values = np.fromstring(text, dtype=kind, sep=" ")
+        except ValueError:
+            return None
+        return values if values.size == stop - first else None
+
+    header = convert(0, 3, np.int64) if n_tokens >= 3 else None
+    if header is None:
+        return None
+    dim, n_vertices, n_simplices = (int(v) for v in header)
+    if dim not in (1, 2, 3) or min(n_vertices, n_simplices) < 0:
+        return None
+    coords_end = 3 + n_vertices * dim
+    idx_end = coords_end + n_simplices * (dim + 1)
+    if idx_end > n_tokens:
+        return None
+    coords = convert(3, coords_end, float)
+    idx = convert(coords_end, idx_end, np.int64)
+    if coords is None or idx is None or (idx.size and (idx.min() < 1 or idx.max() > n_vertices)):
+        return None
+    listed = None
+    if idx_end < n_tokens:
+        if data[edges[2 * idx_end]:edges[2 * idx_end + 1]] != b"boundary":
+            return None
+        listed = convert(idx_end + 1, n_tokens, np.int64)
+        if listed is None:
+            return None
+        listed -= 1
+    idx -= 1
+    return dim, coords.reshape(n_vertices, dim), idx.reshape(n_simplices, dim + 1), listed
+
+
+def _reject_repeats(simplices):
+    """DegenerateElementError for the first simplex that repeats a vertex."""
+    ordered = np.sort(simplices, axis=1)
+    repeats = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
+    if repeats.size:
+        e = repeats[0]
+        raise DegenerateElementError(
+            f"simplex {e} repeats a vertex index: {(simplices[e] + 1).tolist()}")
+
+
+def _walk_tokens(data):
+    """load_mesh's general path, with _convert_sections' result: the bytes
+    decode as UTF-8 text with universal newlines, '#' starts a comment, and
+    tokens split at str.split's whitespace.  Each section converts with one
+    numpy call; only when that fails are the section's tokens walked one by
+    one, with their line numbers, to name the first that does not convert."""
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
     text = "".join(lines)
     if "#" in text:
         text = "\n".join(line.split("#", 1)[0] for line in lines)
@@ -256,12 +418,7 @@ def load_mesh(path) -> SimplicialMesh:
         raise MeshFormatError(f"line {numbered()[start + out[0]][0]}: simplex vertex index "
                               f"{idx[out[0]]} outside 1..{n_vertices}")
     simplices = idx.reshape(n_simplices, dim + 1) - 1
-    ordered = np.sort(simplices, axis=1)
-    repeats = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
-    if repeats.size:
-        e = repeats[0]
-        raise DegenerateElementError(
-            f"simplex {e} repeats a vertex index: {(simplices[e] + 1).tolist()}")
+    _reject_repeats(simplices)
 
     listed = None
     if pos < len(tokens):
@@ -271,25 +428,7 @@ def load_mesh(path) -> SimplicialMesh:
         pos += 1
         listed = np.asarray(take(len(tokens) - pos, int, "the boundary section"),
                             dtype=np.int64) - 1
-
-    mesh, boundary = _build_mesh(dim, vertices, simplices)
-    if listed is None:
-        return mesh
-    out = np.flatnonzero((listed < 0) | (listed >= n_vertices))
-    if out.size:
-        raise MeshFormatError(f"boundary section lists vertex {listed[out[0]] + 1}, "
-                              f"outside 1..{n_vertices}")
-    counts = np.bincount(listed, minlength=n_vertices)
-    for bad, what in ((counts[listed] > 1, "more than once"),
-                      (~boundary[listed], "but it is not on the facet-incidence boundary")):
-        if bad.any():
-            raise MeshFormatError(f"boundary section lists vertex "
-                                  f"{listed[np.argmax(bad)] + 1} {what}")
-    missing = np.flatnonzero(boundary & (counts == 0))
-    if missing.size:
-        raise MeshFormatError(f"boundary section omits vertex {missing[0] + 1}, which is on "
-                              "the facet-incidence boundary")
-    return mesh
+    return dim, vertices, simplices, listed
 
 
 def save_mesh(mesh: SimplicialMesh, path):

@@ -358,8 +358,9 @@ def build_kernel(scheme: str, s, dim: int, n_fd: int, m: int | None = None,
     """Dispatch a kernel build by scheme name.
 
     fft: with m=None the aliasing-corrected kernel fft_corrected at its
-    default m (2^11 in 1D and 2D and 2^8 in 3D, or the smallest power of two
-    >= 16 n_fd if larger); an explicit m gives the paper's raw trapezoid
+    default m (2^11 in 1D and 2D, or the smallest power of two >= 16 n_fd if
+    larger; 2^8 in 3D, or the smallest even m >= 16 n_fd whose half is
+    5-smooth if larger); an explicit m gives the paper's raw trapezoid
     rule fft_uniform at that m.  nufft and modspec: m defaults to
     DEFAULT_M[dim], 2^14 (dim <= 2) or 2^10 (dim 3).
     """

@@ -167,9 +167,12 @@ def fft_corrected(s, dim: int, n_fd: int, m: int | None = None) -> StiffnessKern
     C M^{-a} Z_d(p/M) to leading order, Z_d(x) = sum_{k != 0} |k + x|^{-a}
     (see _alias_lattice_sum), and that is subtracted.
 
-    The default m is the larger of 2^11 (dims 1, 2) or 2^8 (dim 3) and the
-    smallest power of two >= 16 n_fd, which keeps p/M <= 1/8 and the Taylor
-    remainder of Z_d negligible.  An explicit m must be even (an odd M gives
+    The default m keeps p/M <= 1/8, which makes the Taylor remainder of Z_d
+    negligible: in 1D and 2D the larger of 2^11 and the smallest power of
+    two >= 16 n_fd; in 3D the larger of 2^8 and the smallest even m >=
+    16 n_fd whose half is a fast DCT length (5-smooth), since a power of two
+    there would cost up to 8x the symbol samples for no accuracy (at n_fd =
+    72, m = 1152 rather than 2048).  An explicit m must be even (an odd M gives
     the aliases alternating signs) and >= 4 n_fd (p/M <= 1/2; past that the
     nearest alias is a short-range coefficient, not the continuum tail).
     Raises ValueError otherwise; the scheme tag is "fft".
@@ -177,7 +180,9 @@ def fft_corrected(s, dim: int, n_fd: int, m: int | None = None) -> StiffnessKern
     s = order_value(s)
     n_fd = check_n_fd(n_fd)
     check_dim(dim)
-    if m is None:
+    if m is None and dim == 3:
+        m = max(_CORRECTED_M_MIN[dim], 2 * scipy.fft.next_fast_len(8 * n_fd, real=True))
+    elif m is None:
         m = max(_CORRECTED_M_MIN[dim], 1 << (16 * n_fd - 1).bit_length())
     elif m % 2 or m < 4 * n_fd:
         raise ValueError(f"the aliasing correction needs an even m >= 4*n_fd = {4 * n_fd}, "

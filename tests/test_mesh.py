@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -477,10 +479,23 @@ def load_outcome(loader, path):
             mesh.simplices.tolist())
 
 
+def walk_load_mesh(path):
+    """load_mesh with every file left to the token walk."""
+    with mock.patch.object(mesh_module, "_convert_sections", lambda data: None):
+        return load_mesh(path)
+
+
 def assert_same_outcome(path):
+    # the fast path, where it takes the file, and the token walk agree with
+    # the per-token reference
     expected = load_outcome(reference_load_mesh, path)
     assert load_outcome(load_mesh, path) == expected
+    assert load_outcome(walk_load_mesh, path) == expected
     return expected
+
+
+def fast_path_takes(path):
+    return mesh_module._convert_sections(path.read_bytes()) is not None
 
 
 # the pentagon fan with a boundary section; each slot names (line, token) of
@@ -501,6 +516,7 @@ class TestLoadMeshAgainstReference:
         mesh = make()
         path = tmp_path / "mesh.msh"
         save_mesh(mesh, path)
+        assert fast_path_takes(path)
         dim, n_interior, bits, simplices = assert_same_outcome(path)
         assert (dim, n_interior) == (mesh.dim, mesh.n_interior)
         assert bits == mesh.vertices.view(np.int64).tolist()
@@ -600,6 +616,138 @@ class TestLoadMeshAgainstReference:
         assert_same_outcome(path)
         write_lines(path, [" ".join(r) for r in rows])
         assert_same_outcome(path)
+
+
+def fan_file(path, lines, separator="\n"):
+    path.write_bytes((separator.join(lines) + separator).encode("utf-8"))
+    return path
+
+
+class TestParserPaths:
+    """load_mesh converts a file of plain ASCII numbers section by section;
+    every other file goes to the token walk, with the per-token parser's
+    outcome."""
+
+    def test_fast_path_takes(self, tmp_path):
+        plain = load_outcome(load_mesh, fan_file(tmp_path / "plain.msh", FAN_WITH_BOUNDARY))
+        assert isinstance(plain[0], int)
+        words = " ".join(FAN_WITH_BOUNDARY).split()
+        variants = {
+            "crlf": fan_file(tmp_path / "crlf.msh", FAN_WITH_BOUNDARY, "\r\n"),
+            "tabs": fan_file(tmp_path / "tabs.msh", [
+                "\t" + line.replace(" ", "\t\t") + " \t" for line in FAN_WITH_BOUNDARY]),
+            "records_per_line": fan_file(
+                tmp_path / "records.msh",
+                [" ".join(FAN_WITH_BOUNDARY[k:k + 3]) for k in range(0, 14, 3)]),
+            "one_line": fan_file(tmp_path / "one_line.msh", [" ".join(words)], "\v\f\r"),
+        }
+        for name, path in variants.items():
+            assert fast_path_takes(path), name
+            assert assert_same_outcome(path) == plain, name
+        # an empty trailing boundary section converts; the check after the
+        # build names the boundary vertex it omits
+        path = fan_file(tmp_path / "empty_boundary.msh", PENTAGON_FAN + ["boundary"])
+        assert fast_path_takes(path)
+        assert assert_same_outcome(path) == (
+            MeshFormatError, "boundary section omits vertex 2, which is on the "
+                             "facet-incidence boundary")
+
+    @pytest.mark.parametrize("slot,token,expected", [
+        ("coordinate", "1_000", None), ("coordinate", "nan", None),
+        ("index", "+-1", "line 8: expected int for simplex indices, got '+-1'"),
+        ("coordinate", "1e5e5", "line 3: expected float for vertex coordinates, got '1e5e5'"),
+        ("coordinate", "1+2", "line 3: expected float for vertex coordinates, got '1+2'"),
+        ("index", "1+2", "line 8: expected int for simplex indices, got '1+2'"),
+        # 19 characters: past what np.fromstring converts without saturating
+        ("index", "1000000000000000000",
+         "line 8: simplex vertex index 1000000000000000000 outside 1..6"),
+        ("index", "0000000000000000001", None),
+        ("boundary", "+000000000000000004", None),
+        ("index", "0", "line 8: simplex vertex index 0 outside 1..6"),
+        ("index", "7", "line 8: simplex vertex index 7 outside 1..6"),
+        ("dim", "4", "line 1: dim must be 1, 2 or 3, got 4"),
+        ("n_vertices", "-6", "line 1: vertex and simplex counts must be nonnegative, got -6 "
+                             "and 5")])
+    def test_hands_back(self, slot, token, expected, tmp_path):
+        line, k = SLOTS[slot]
+        lines = list(FAN_WITH_BOUNDARY)
+        words = lines[line].split()
+        words[k] = token
+        lines[line] = " ".join(words)
+        path = fan_file(tmp_path / "unusual.msh", lines)
+        assert not fast_path_takes(path)
+        outcome = assert_same_outcome(path)
+        if expected is None:
+            assert isinstance(outcome[0], int)
+        else:
+            assert outcome == (MeshFormatError, expected)
+
+    @pytest.mark.parametrize("edit", ["file_separator", "comment", "non_ascii", "trailer",
+                                      "truncated"])
+    def test_hands_back_whole_file(self, edit, tmp_path):
+        lines = list(FAN_WITH_BOUNDARY)
+        if edit == "file_separator":
+            # str.split splits at 0x1c-0x1f, C's isspace does not
+            lines[2] = lines[2].replace(" ", "\x1c")
+        elif edit == "comment":
+            lines[0] += " # header"
+        elif edit == "non_ascii":
+            lines[1] = lines[1].replace(" ", "\u2003")
+        elif edit == "trailer":
+            lines[12] = "boundaries"
+        else:
+            lines = lines[:10]
+        path = fan_file(tmp_path / "edited.msh", lines)
+        assert not fast_path_takes(path)
+        assert_same_outcome(path)
+
+
+class TestLoadMemory:
+    """Loading takes memory in proportion to the arrays it returns, and the
+    constructor's chunked geometry pass is the whole-mesh formula."""
+
+    @pytest.fixture(scope="class")
+    def ball(self):
+        mesh = generate_ball_mesh(3, 0.1)
+        assert mesh.n_elements > 2 * mesh_module._CHUNK  # at least three chunks
+        return mesh
+
+    def test_load_peak(self, ball, tmp_path):
+        path = tmp_path / "ball.msh"
+        save_mesh(ball, path)
+        tracemalloc.start()
+        try:
+            mesh = load_mesh(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(mesh.vertices.view(np.int64), ball.vertices.view(np.int64))
+        assert np.array_equal(mesh.simplices, ball.simplices)
+        # 12-14 MiB traced for 1.7 MiB of arrays; the per-token parser peaked
+        # at 37.9 MiB
+        assert peak < 20 * 2 ** 20
+
+    def test_chunked_geometry_is_the_whole_mesh_formula(self, ball):
+        for mesh in (ball, rotated(ball, 2)):
+            adjugate, det = simplex_adjugates(mesh.vertices[mesh.simplices])
+            rows = np.concatenate([adjugate, adjugate.sum(axis=1, keepdims=True)], axis=1)
+            heights = np.abs(det) / np.sqrt(np.einsum("efk,efk->ef", rows, rows).max(axis=1))
+            volumes = np.abs(det) / math.factorial(mesh.dim)
+            assert mesh.element_volumes().view(np.int64).tolist() == \
+                volumes.view(np.int64).tolist()
+            assert mesh_quality(mesh).a_h == float(heights.min())
+
+    def test_degenerate_element_in_a_later_chunk(self, ball):
+        # the volumes of every chunk are checked before the error names the
+        # first ten degenerate simplices
+        vertices = ball.vertices.copy()
+        simplices = ball.simplices.copy()
+        late = [mesh_module._CHUNK + 5, 2 * mesh_module._CHUNK + 1]
+        simplices[late, 1] = simplices[late, 0]
+        with pytest.raises(DegenerateElementError,
+                           match=rf"simplices \[{late[0]}, {late[1]}\] have vanishing volume"):
+            SimplicialMesh(dim=3, vertices=vertices, simplices=simplices,
+                           n_interior=ball.n_interior)
 
 
 class TestMeshQuality:
@@ -710,21 +858,25 @@ def test_a_h_is_bitwise_the_adjugate_formula(dim, n_r):
 
 
 def test_one_adjugate_pass_per_mesh(monkeypatch, tmp_path):
-    # the constructor's pass is the only one: no other pass orients the simplices
+    # the constructor's chunked pass is the only one: it passes every
+    # element once, in order, and no other pass orients the simplices
     path = tmp_path / "ball.msh"
     save_mesh(ball_mesh(3, 2), path)
     calls = []
 
     def counting(corners, real=mesh_module.simplex_adjugates):
-        calls.append(corners.shape[0])
+        calls.append(corners.copy())
         return real(corners)
 
     monkeypatch.setattr(mesh_module, "simplex_adjugates", counting)
     for make in (lambda: generate_ball_mesh(2, 0.2), lambda: generate_ball_mesh(3, 0.5),
-                 lambda: load_mesh(path)):
+                 lambda: load_mesh(path), lambda: generate_ball_mesh(3, 0.1)):
         calls.clear()
         mesh = make()
-        assert calls == [mesh.n_elements]
+        assert [c.shape[0] for c in calls[:-1]] == [mesh_module._CHUNK] * (len(calls) - 1)
+        assert sum(c.shape[0] for c in calls) == mesh.n_elements
+        assert np.array_equal(np.concatenate(calls), mesh.vertices[mesh.simplices])
+    assert len(calls) == 3  # 43,940 elements
 
 
 def test_constructor_leaves_the_callers_arrays_writable():

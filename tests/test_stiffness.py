@@ -179,9 +179,10 @@ class TestFftCorrected:
     @pytest.mark.parametrize("dim,n_fd,m", [(1, 1, 2 ** 11), (1, 81, 2 ** 11), (1, 128, 2 ** 11),
                                             (1, 129, 2 ** 12), (2, 48, 2 ** 11),
                                             (2, 133, 2 ** 12), (3, 1, 2 ** 8), (3, 16, 2 ** 8),
-                                            (3, 17, 2 ** 9), (3, 27, 2 ** 9)])
+                                            (3, 17, 288), (3, 27, 432)])
     def test_default_m(self, monkeypatch, dim, n_fd, m):
-        # max(2^11, 2^11, 2^8 by dim; the smallest power of two >= 16 n_fd)
+        # 1D, 2D: max(2^11, the smallest power of two >= 16 n_fd); 3D:
+        # max(2^8, the smallest even m >= 16 n_fd with a 5-smooth half)
         seen = []
 
         def record(integrand, dim_, n_fd_, m_):
