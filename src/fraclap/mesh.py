@@ -21,15 +21,16 @@ Mesh file format (plain text, '#' comments and blank lines ignored):
     <one-based boundary vertex indices, any line breaks>
 
 Boundary vertices are detected by facet incidence; a boundary section, if
-present, must list exactly those vertices, each once.  load_mesh converts
-plain numeric files section by section and leaves every other file, '#'
-comments included, to a token walk with the same outcome.
+present, must list exactly those vertices, each once.  Every vertex
+coordinate must be finite.  load_mesh reads every file with one reader,
+which blanks the comments in place and converts each section with one numpy
+call where it can, token by token where it cannot.
 """
 
 from __future__ import annotations
 
-import io
 import math
+import re
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -236,29 +237,15 @@ def _build_mesh(dim, vertices, simplices):
 
 def load_mesh(path) -> SimplicialMesh:
     """Read a mesh file and reorder its vertices interior-first; each
-    simplex keeps its vertex order, in either orientation.  Parse failures
-    carry the offending line number, as do an integer token past the int64
-    range and a simplex index outside 1..n_vertices; repeated vertex indices
-    in a simplex surface as degenerate-element errors.  A boundary section
-    must list each facet-incidence boundary vertex once.
-
-    The file is read once, as bytes.  A file of ASCII numbers separated by
-    C whitespace (space, tab, newline, \\v, \\f, \\r) converts section by
-    section with one numpy call each (see _convert_sections), in memory
-    proportional to the arrays it returns.  Every other file, and every file
-    with an error, takes the token walk (see _walk_tokens), which decodes
-    the same bytes as UTF-8 text and names the first bad token with its
-    line number; '#' comments always take the walk.  Both give the same
-    mesh, bit for bit, or the same error."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    sections = _convert_sections(data)
-    if sections is None:
-        sections = _walk_tokens(data)
-    else:
-        _reject_repeats(sections[2])
-    del data  # not held through the mesh build
-    dim, vertices, simplices, listed = sections
+    simplex keeps its vertex order, in either orientation.  One reader,
+    _read_sections, takes every file: parse failures carry the offending
+    line number, as do an integer token past the int64 range, a simplex
+    index outside 1..n_vertices and a vertex coordinate that is not finite;
+    repeated vertex indices in a simplex surface as degenerate-element
+    errors.  A boundary section must list each facet-incidence boundary
+    vertex once.  The file is read once, as bytes, and a plain numeric file
+    converts in memory proportional to the arrays it returns."""
+    dim, vertices, simplices, listed = _read_sections(path)
 
     mesh, boundary = _build_mesh(dim, vertices, simplices)
     if listed is None:
@@ -284,27 +271,40 @@ def load_mesh(path) -> SimplicialMesh:
 # bytes.translate table: 1 for the bytes that C's isspace, and so
 # np.fromstring, reads as whitespace, 0 for every other byte
 _C_SPACE = bytes(int(b in b" \t\n\v\f\r") for b in range(256))
-# what the fast path's integer and coordinate sections may hold
+# the bytes a file may hold without the UTF-8 decode: ASCII but 0x1c-0x1f,
+# which str.split, unlike C, reads as whitespace
+_PLAIN_BYTES = bytes(range(0x1c)) + bytes(range(0x20, 0x80))
+# what a section's one-call conversion accepts
 _INT_BYTES = b" \t\n\v\f\r+-0123456789"
 _FLOAT_BYTES = _INT_BYTES + b".eE"
 # np.fromstring saturates past int64 without an error; 18 characters always fit
 _INT_CHARS = 18
 
 
-def _convert_sections(data):
-    """load_mesh's fast path: (dim, vertices, zero-based simplices, zero-based
-    boundary list or None), or None for a file it leaves to the token walk.
+def _read_sections(path):
+    """load_mesh's reader: (dim, vertices, zero-based simplices, zero-based
+    boundary list or None) from the file at ``path``.
 
-    Tokens are the runs of bytes between C whitespace.  Each section is one
-    np.fromstring call on bytes that hold only signs and digits (and '.eE'
-    in coordinates), which must give one number per token; fromstring never
-    splits a token in two, so equal counts mean every token converted
-    whole, exactly as float() or int() converts it.  The header must be
-    three valid ints of at most 18 characters, anything after the simplices
-    must start with 'boundary', and every simplex index must lie in
-    1..n_vertices.  Every byte is whitespace or inside a checked token, so
-    a file with '#', non-ASCII bytes or the bytes 0x1c-0x1f (which
-    str.split, unlike C, reads as whitespace) is left to the walk."""
+    A file with a non-ASCII byte or a byte in 0x1c-0x1f first decodes as
+    UTF-8 (an invalid byte raises UnicodeDecodeError at its file offset),
+    and its str.split whitespace other than C's becomes spaces.  Each '#'
+    comment, up to '\\r' or '\\n', becomes spaces in place, so a token's line
+    number is one more than the '\\n', '\\r' and '\\r\\n' breaks before its
+    byte offset.  Tokens are the runs of bytes between C whitespace.
+
+    A section converts with one np.fromstring call when its bytes hold only
+    signs and digits (and '.eE' in coordinates), no integer token is longer
+    than 18 characters, and the call gives one number per token;
+    fromstring never splits a token in two, so equal counts mean every
+    token converted whole, exactly as float() or int() converts it.  Any
+    other section converts token by token with int() or float(), which
+    names the first bad token with its line number."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.translate(None, _PLAIN_BYTES):
+        data = re.sub(r"[^\S \t\n\v\f\r]", " ", data.decode("utf-8")).encode("utf-8")
+    if b"#" in data:
+        data = re.sub(rb"#[^\r\n]*", lambda comment: b" " * len(comment[0]), data)
     space = np.ones(len(data) + 2, dtype=bool)
     space[1:-1] = np.frombuffer(data.translate(_C_SPACE), dtype=bool)
     # token k is data[edges[2k]:edges[2k + 1]]
@@ -312,123 +312,80 @@ def _convert_sections(data):
     del space
     n_tokens = edges.size // 2
 
-    def convert(first, stop, kind):
-        if stop == first:
-            return np.empty(0, dtype=kind)
+    def token(k):
+        return data[edges[2 * k]:edges[2 * k + 1]].decode("utf-8")
+
+    def line(k):
+        end = edges[2 * k]
+        return (1 + data.count(b"\n", 0, end) + data.count(b"\r", 0, end)
+                - data.count(b"\r\n", 0, end))
+
+    def take(first, count, kind, what):
+        stop = first + count
+        if stop > n_tokens:
+            last = line(n_tokens - 1) if n_tokens else 0
+            raise MeshFormatError(f"line {last}: unexpected end of file while reading {what}")
+        dtype = float if kind is float else np.int64
+        if count == 0:
+            return np.empty(0, dtype=dtype)
         text = data[edges[2 * first]:edges[2 * stop - 1]]
-        if text.translate(None, _FLOAT_BYTES if kind is float else _INT_BYTES):
-            return None
-        if kind is not float and np.max(edges[2 * first + 1:2 * stop:2]
-                                        - edges[2 * first:2 * stop:2]) > _INT_CHARS:
-            return None
-        try:
-            values = np.fromstring(text, dtype=kind, sep=" ")
-        except ValueError:
-            return None
-        return values if values.size == stop - first else None
+        if not text.translate(None, _FLOAT_BYTES if kind is float else _INT_BYTES) and (
+                kind is float or np.max(edges[2 * first + 1:2 * stop:2]
+                                        - edges[2 * first:2 * stop:2]) <= _INT_CHARS):
+            try:
+                values = np.fromstring(text, dtype=dtype, sep=" ")
+            except ValueError:
+                values = None
+            if values is not None and values.size == count:
+                return values
+        out = []
+        for k in range(first, stop):
+            try:
+                out.append(kind(token(k)))
+            except ValueError:
+                raise MeshFormatError(f"line {line(k)}: expected {kind.__name__} for {what}, "
+                                      f"got {token(k)!r}") from None
+            if kind is int and not _INT64.min <= out[-1] <= _INT64.max:
+                raise MeshFormatError(f"line {line(k)}: integer {token(k)!r} for {what} does "
+                                      "not fit in 64 bits")
+        return np.array(out, dtype=dtype)
 
-    header = convert(0, 3, np.int64) if n_tokens >= 3 else None
-    if header is None:
-        return None
-    dim, n_vertices, n_simplices = (int(v) for v in header)
-    if dim not in (1, 2, 3) or min(n_vertices, n_simplices) < 0:
-        return None
-    coords_end = 3 + n_vertices * dim
-    idx_end = coords_end + n_simplices * (dim + 1)
-    if idx_end > n_tokens:
-        return None
-    coords = convert(3, coords_end, float)
-    idx = convert(coords_end, idx_end, np.int64)
-    if coords is None or idx is None or (idx.size and (idx.min() < 1 or idx.max() > n_vertices)):
-        return None
-    listed = None
-    if idx_end < n_tokens:
-        if data[edges[2 * idx_end]:edges[2 * idx_end + 1]] != b"boundary":
-            return None
-        listed = convert(idx_end + 1, n_tokens, np.int64)
-        if listed is None:
-            return None
-        listed -= 1
+    dim, n_vertices, n_simplices = (int(v) for v in take(0, 3, int, "the header"))
+    if dim not in (1, 2, 3):
+        raise MeshFormatError(f"line {line(0)}: dim must be 1, 2 or 3, got {dim}")
+    if min(n_vertices, n_simplices) < 0:
+        raise MeshFormatError(f"line {line(0)}: vertex and simplex counts must be "
+                              f"nonnegative, got {n_vertices} and {n_simplices}")
+    pos = 3
+    coords = take(pos, n_vertices * dim, float, "vertex coordinates")
+    bad = np.flatnonzero(~np.isfinite(coords))
+    if bad.size:
+        raise MeshFormatError(f"line {line(pos + bad[0])}: vertex coordinate "
+                              f"{token(pos + bad[0])!r} is not finite")
+    pos += coords.size
+    idx = take(pos, n_simplices * (dim + 1), int, "simplex indices")
+    out = np.flatnonzero((idx < 1) | (idx > n_vertices))
+    if out.size:
+        raise MeshFormatError(f"line {line(pos + out[0])}: simplex vertex index "
+                              f"{idx[out[0]]} outside 1..{n_vertices}")
+    pos += idx.size
     idx -= 1
-    return dim, coords.reshape(n_vertices, dim), idx.reshape(n_simplices, dim + 1), listed
-
-
-def _reject_repeats(simplices):
-    """DegenerateElementError for the first simplex that repeats a vertex."""
-    ordered = np.sort(simplices, axis=1)
-    repeats = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
-    if repeats.size:
-        e = repeats[0]
+    simplices = idx.reshape(n_simplices, dim + 1)
+    repeats = np.zeros(n_simplices, dtype=bool)
+    for i, j in combinations(range(dim + 1), 2):
+        repeats |= simplices[:, i] == simplices[:, j]
+    if repeats.any():
+        e = np.argmax(repeats)
         raise DegenerateElementError(
             f"simplex {e} repeats a vertex index: {(simplices[e] + 1).tolist()}")
 
-
-def _walk_tokens(data):
-    """load_mesh's general path, with _convert_sections' result: the bytes
-    decode as UTF-8 text with universal newlines, '#' starts a comment, and
-    tokens split at str.split's whitespace.  Each section converts with one
-    numpy call; only when that fails are the section's tokens walked one by
-    one, with their line numbers, to name the first that does not convert."""
-    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
-    text = "".join(lines)
-    if "#" in text:
-        text = "\n".join(line.split("#", 1)[0] for line in lines)
-    tokens = text.split()
-    pos = 0
-
-    def numbered():
-        """(line number, token) for every token, as the error messages need."""
-        return [(lineno, tok) for lineno, line in enumerate(lines, start=1)
-                for tok in line.split("#", 1)[0].split()]
-
-    def take(count, kind, what):
-        nonlocal pos
-        start, pos = pos, pos + count
-        if pos > len(tokens):
-            last = numbered()[-1][0] if tokens else 0
-            raise MeshFormatError(f"line {last}: unexpected end of file while reading {what}")
-        try:
-            return np.array(tokens[start:pos], dtype=kind)
-        except (ValueError, OverflowError):
-            pass
-        out = []
-        for lineno, tok in numbered()[start:pos]:
-            try:
-                out.append(kind(tok))
-            except ValueError:
-                raise MeshFormatError(f"line {lineno}: expected {kind.__name__} for {what}, "
-                                      f"got {tok!r}") from None
-            if kind is int and not _INT64.min <= out[-1] <= _INT64.max:
-                raise MeshFormatError(f"line {lineno}: integer {tok!r} for {what} does not "
-                                      "fit in 64 bits")
-        return out
-
-    dim, n_vertices, n_simplices = (int(v) for v in take(3, int, "the header"))
-    if dim not in (1, 2, 3):
-        raise MeshFormatError(f"line {numbered()[0][0]}: dim must be 1, 2 or 3, got {dim}")
-    if min(n_vertices, n_simplices) < 0:
-        raise MeshFormatError(f"line {numbered()[0][0]}: vertex and simplex counts must be "
-                              f"nonnegative, got {n_vertices} and {n_simplices}")
-    coords = take(n_vertices * dim, float, "vertex coordinates")
-    vertices = np.asarray(coords, dtype=float).reshape(n_vertices, dim)
-    start = pos
-    idx = np.asarray(take(n_simplices * (dim + 1), int, "simplex indices"), dtype=np.int64)
-    out = np.flatnonzero((idx < 1) | (idx > n_vertices))
-    if out.size:
-        raise MeshFormatError(f"line {numbered()[start + out[0]][0]}: simplex vertex index "
-                              f"{idx[out[0]]} outside 1..{n_vertices}")
-    simplices = idx.reshape(n_simplices, dim + 1) - 1
-    _reject_repeats(simplices)
-
     listed = None
-    if pos < len(tokens):
-        if tokens[pos] != "boundary":
-            raise MeshFormatError(f"line {numbered()[pos][0]}: expected optional 'boundary' "
-                                  f"section, got {tokens[pos]!r}")
-        pos += 1
-        listed = np.asarray(take(len(tokens) - pos, int, "the boundary section"),
-                            dtype=np.int64) - 1
-    return dim, vertices, simplices, listed
+    if pos < n_tokens:
+        if token(pos) != "boundary":
+            raise MeshFormatError(f"line {line(pos)}: expected optional 'boundary' "
+                                  f"section, got {token(pos)!r}")
+        listed = take(pos + 1, n_tokens - pos - 1, int, "the boundary section") - 1
+    return dim, coords.reshape(n_vertices, dim), simplices, listed
 
 
 def save_mesh(mesh: SimplicialMesh, path):

@@ -472,7 +472,10 @@ class TestSolveCommand:
          "line 7: integer '99999999999999999999999' for simplex indices does not fit in "
          "64 bits"),
         (["2 4 2", "0 0", "1 0", "1 1", "0 1", "1 2 3", "1 3 5"],
-         "line 7: simplex vertex index 5 outside 1..4")])
+         "line 7: simplex vertex index 5 outside 1..4"),
+        # a nan coordinate used to fail in the grid choice, naming no line
+        (["2 5 4", "0 0", "1 0", "1 nan", "0 1", "0.5 0.5", "1 2 5", "2 3 5", "3 4 5",
+          "4 1 5"], "line 4: vertex coordinate 'nan' is not finite")])
     def test_empty_or_mislabelled_mesh_file_exit_2(self, lines, message, tmp_path, capsys):
         mpath = tmp_path / "mesh.msh"
         mpath.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,9 +1,10 @@
 import dataclasses
+import io
 import math
+import re
 import tracemalloc
 from collections import Counter
 from itertools import combinations
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,7 +116,9 @@ class TestLoadMesh:
                       "facet-incidence boundary"),
         ("5 1 2 3", "boundary section lists vertex 5 but it is not on the "
                     "facet-incidence boundary"),
-        ("4 1 2", "boundary section omits vertex 3, which is on the facet-incidence boundary")])
+        ("4 1 2", "boundary section omits vertex 3, which is on the facet-incidence boundary"),
+        # an empty trailing section converts, and the check names what it omits
+        ("", "boundary section omits vertex 1, which is on the facet-incidence boundary")])
     def test_boundary_section_lists_other_vertices(self, listed, message, tmp_path):
         # a count check alone accepts "5 0 99 -3": four entries, four boundary vertices
         path = tmp_path / "wrongset.msh"
@@ -387,13 +390,14 @@ class TestBoundaryMaskAgainstReference:
 
 
 def reference_load_mesh(path) -> SimplicialMesh:
-    """The per-token parser that the per-section numpy conversion replaces."""
+    """The per-token parser that defines the mesh file format."""
     tokens = []  # (line_number, token)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0]
-            for tok in body.split():
-                tokens.append((lineno, tok))
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        body = line.split("#", 1)[0]
+        for tok in body.split():
+            tokens.append((lineno, tok))
     pos = 0
 
     def take(count, kind, what):
@@ -421,7 +425,12 @@ def reference_load_mesh(path) -> SimplicialMesh:
     if n_vertices < 0 or n_simplices < 0:
         raise MeshFormatError(f"line {tokens[0][0]}: vertex and simplex counts must be "
                               f"nonnegative, got {n_vertices} and {n_simplices}")
+    start = pos
     coords = take(n_vertices * dim, float, "vertex coordinates")
+    for offset, x in enumerate(coords):
+        if not math.isfinite(x):
+            lineno, tok = tokens[start + offset]
+            raise MeshFormatError(f"line {lineno}: vertex coordinate {tok!r} is not finite")
     vertices = np.asarray(coords, dtype=float).reshape(n_vertices, dim)
     start = pos
     idx = take(n_simplices * (dim + 1), int, "simplex indices")
@@ -479,23 +488,11 @@ def load_outcome(loader, path):
             mesh.simplices.tolist())
 
 
-def walk_load_mesh(path):
-    """load_mesh with every file left to the token walk."""
-    with mock.patch.object(mesh_module, "_convert_sections", lambda data: None):
-        return load_mesh(path)
-
-
 def assert_same_outcome(path):
-    # the fast path, where it takes the file, and the token walk agree with
-    # the per-token reference
+    # load_mesh agrees with the per-token reference
     expected = load_outcome(reference_load_mesh, path)
     assert load_outcome(load_mesh, path) == expected
-    assert load_outcome(walk_load_mesh, path) == expected
     return expected
-
-
-def fast_path_takes(path):
-    return mesh_module._convert_sections(path.read_bytes()) is not None
 
 
 # the pentagon fan with a boundary section; each slot names (line, token) of
@@ -508,15 +505,12 @@ UNUSUAL = ["+1", "1_000", "1.0", "nan", "inf", "1e400", "-nan", "-0", "1e", "zap
            "-9223372036854775809", "7", "0"]
 
 
-# nan coordinates reach np.linalg.det in both loaders
-@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
 class TestLoadMeshAgainstReference:
     @pytest.mark.parametrize("make", MASK_MESHES + [lambda: ball_mesh(3, 2)])
     def test_round_trip_matches_reference(self, make, tmp_path):
         mesh = make()
         path = tmp_path / "mesh.msh"
         save_mesh(mesh, path)
-        assert fast_path_takes(path)
         dim, n_interior, bits, simplices = assert_same_outcome(path)
         assert (dim, n_interior) == (mesh.dim, mesh.n_interior)
         assert bits == mesh.vertices.view(np.int64).tolist()
@@ -525,6 +519,7 @@ class TestLoadMeshAgainstReference:
     def test_comments_blank_lines_and_split_records(self, tmp_path):
         plain = tmp_path / "plain.msh"
         save_mesh(ball_mesh(2, 4), plain)
+        expected = load_outcome(load_mesh, plain)
         lines = plain.read_text(encoding="utf-8").splitlines()
         edited = ["# leading comment", "", lines[0] + "  # header", ""]
         for k, line in enumerate(lines[1:], start=1):
@@ -538,12 +533,19 @@ class TestLoadMeshAgainstReference:
             else:
                 edited.append(line)
         edited.append("# trailing comment")
-        path = tmp_path / "commented.msh"
-        write_lines(path, edited)
-        assert assert_same_outcome(path) == load_outcome(load_mesh, plain)
-        crlf = tmp_path / "crlf.msh"
-        crlf.write_bytes("\r\n".join(edited).encode("utf-8"))
-        assert assert_same_outcome(crlf) == load_outcome(load_mesh, plain)
+        layouts = {
+            "commented": "\n".join(edited),
+            "crlf": "\r\n".join(edited),
+            "cr": "\r".join(edited),
+            "tabs": "\n".join("\t" + line.replace(" ", "\t\t") + " \t" for line in lines),
+            "records_per_line": "\n".join(" ".join(lines[k:k + 3])
+                                          for k in range(0, len(lines), 3)),
+            "one_line": " ".join(lines).replace(" ", "\v\f\r"),
+        }
+        for name, text in layouts.items():
+            path = tmp_path / f"{name}.msh"
+            path.write_bytes(text.encode("utf-8"))
+            assert assert_same_outcome(path) == expected, name
 
     @pytest.mark.parametrize("slot", sorted(SLOTS))
     @pytest.mark.parametrize("token", UNUSUAL)
@@ -557,13 +559,23 @@ class TestLoadMeshAgainstReference:
         write_lines(path, lines)
         assert_same_outcome(path)
 
+    @pytest.mark.parametrize("layout", ["\n", "\r", "\r\n", "#"])
     @pytest.mark.parametrize("slot,token,expected", [
-        ("index", "+1", None), ("coordinate", "nan", None),
+        ("index", "+1", None), ("coordinate", "1_000", None),
+        ("index", "0000000000000000001", None), ("boundary", "+000000000000000004", None),
+        ("coordinate", "nan", "line 3: vertex coordinate 'nan' is not finite"),
+        ("coordinate", "1e400", "line 3: vertex coordinate '1e400' is not finite"),
         # 1_000 parses as vertex 1000, which the six-vertex fan does not have
         ("boundary", "1_000", MeshFormatError),
-        ("coordinate", "1e400", DegenerateElementError),
         ("index", "1.0", "line 8: expected int for simplex indices, got '1.0'"),
+        ("index", "+-1", "line 8: expected int for simplex indices, got '+-1'"),
+        ("index", "1+2", "line 8: expected int for simplex indices, got '1+2'"),
+        ("coordinate", "1e5e5", "line 3: expected float for vertex coordinates, got '1e5e5'"),
+        ("coordinate", "1+2", "line 3: expected float for vertex coordinates, got '1+2'"),
         ("dim", "1_000", "line 1: dim must be 1, 2 or 3, got 1000"),
+        ("dim", "4", "line 1: dim must be 1, 2 or 3, got 4"),
+        ("n_vertices", "-6", "line 1: vertex and simplex counts must be nonnegative, got -6 "
+                             "and 5"),
         ("boundary", "99999999999999999999999",
          "line 14: integer '99999999999999999999999' for the boundary section does not "
          "fit in 64 bits"),
@@ -578,18 +590,28 @@ class TestLoadMeshAgainstReference:
         # the largest int64 converts, and is then out of range
         ("index", "9223372036854775807",
          "line 8: simplex vertex index 9223372036854775807 outside 1..6"),
+        # 19 characters: past what np.fromstring converts without saturating
+        ("index", "1000000000000000000",
+         "line 8: simplex vertex index 1000000000000000000 outside 1..6"),
         ("index", "7", "line 8: simplex vertex index 7 outside 1..6"),
         ("index", "0", "line 8: simplex vertex index 0 outside 1..6")])
-    def test_unusual_token_outcomes(self, slot, token, expected, tmp_path):
-        # pinned, so that the comparison with the reference is not vacuous
+    def test_unusual_token_outcomes(self, slot, token, expected, layout, tmp_path):
+        # pinned, so that the comparison with the reference is not vacuous;
+        # lines break at LF, lone CR or CRLF, or each line follows a comment
+        # line, which doubles every line number
         line, k = SLOTS[slot]
         lines = list(FAN_WITH_BOUNDARY)
         words = lines[line].split()
         words[k] = token
         lines[line] = " ".join(words)
+        if layout == "#":
+            lines = [text for n, line in enumerate(lines) for text in (f"# line {n}", line)]
+            layout = "\n"
+            if isinstance(expected, str):
+                expected = re.sub(r"^line (\d+)", lambda m: f"line {2 * int(m[1])}", expected)
         path = tmp_path / "unusual.msh"
-        write_lines(path, lines)
-        outcome = load_outcome(load_mesh, path)
+        path.write_bytes((layout.join(lines) + layout).encode("utf-8"))
+        outcome = assert_same_outcome(path)
         if expected is None:
             assert isinstance(outcome[0], int)
         elif isinstance(expected, str):
@@ -599,12 +621,30 @@ class TestLoadMeshAgainstReference:
 
     def test_truncated_and_trailing(self, tmp_path):
         path = tmp_path / "t.msh"
+        fan = FAN_WITH_BOUNDARY
         for lines in (["2 4 2", "0.0 0.0", "# end"], [], ["# only a comment"], ["2"],
                       ["4 1 1", "0 0 0 0", "1 1 1 1 1"], ["2 -1 0"], ["2 0 0", "7"],
                       SQUARE + ["boundary"], SQUARE + ["bound", "1 2 3 4"],
-                      SQUARE + ["boundary", "1 2 3 x"], ["2 4 2", "0 0", "1 0", "1 1"]):
+                      SQUARE + ["boundary", "1 2 3 x"], ["2 4 2", "0 0", "1 0", "1 1"],
+                      # str.split splits at 0x1c-0x1f and at non-ASCII spaces, C does not
+                      fan[:2] + [fan[2].replace(" ", "\x1c")] + fan[3:],
+                      fan[:1] + [fan[1].replace(" ", "\u2003")] + fan[2:],
+                      fan[:1] + [fan[1].replace(" ", "\x85")] + fan[2:],
+                      [fan[0] + " # header"] + fan[1:], fan[:12] + ["boundaries"], fan[:10]):
             write_lines(path, lines)
             assert_same_outcome(path)
+
+    def test_invalid_utf8_names_its_file_offset(self, tmp_path):
+        # the whole file decodes at once, so the position is the byte's
+        # offset in the file, not in an 8,192-byte chunk
+        head = ("\n".join(PENTAGON_FAN[:3]) + "\n# " + "x" * 10_000 + "\n").encode("utf-8")
+        path = tmp_path / "bad_utf8.msh"
+        path.write_bytes(head + b"0.5 \xff\n" + "\n".join(PENTAGON_FAN[4:]).encode("utf-8"))
+        offset = len(head) + 4
+        assert offset > 8192
+        assert assert_same_outcome(path) == (
+            UnicodeDecodeError,
+            f"'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte")
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.sampled_from(
@@ -615,90 +655,6 @@ class TestLoadMeshAgainstReference:
         write_lines(path, ["2 3 1", "0 0", "1 0", "0 1"] + [" ".join(r) for r in rows])
         assert_same_outcome(path)
         write_lines(path, [" ".join(r) for r in rows])
-        assert_same_outcome(path)
-
-
-def fan_file(path, lines, separator="\n"):
-    path.write_bytes((separator.join(lines) + separator).encode("utf-8"))
-    return path
-
-
-class TestParserPaths:
-    """load_mesh converts a file of plain ASCII numbers section by section;
-    every other file goes to the token walk, with the per-token parser's
-    outcome."""
-
-    def test_fast_path_takes(self, tmp_path):
-        plain = load_outcome(load_mesh, fan_file(tmp_path / "plain.msh", FAN_WITH_BOUNDARY))
-        assert isinstance(plain[0], int)
-        words = " ".join(FAN_WITH_BOUNDARY).split()
-        variants = {
-            "crlf": fan_file(tmp_path / "crlf.msh", FAN_WITH_BOUNDARY, "\r\n"),
-            "tabs": fan_file(tmp_path / "tabs.msh", [
-                "\t" + line.replace(" ", "\t\t") + " \t" for line in FAN_WITH_BOUNDARY]),
-            "records_per_line": fan_file(
-                tmp_path / "records.msh",
-                [" ".join(FAN_WITH_BOUNDARY[k:k + 3]) for k in range(0, 14, 3)]),
-            "one_line": fan_file(tmp_path / "one_line.msh", [" ".join(words)], "\v\f\r"),
-        }
-        for name, path in variants.items():
-            assert fast_path_takes(path), name
-            assert assert_same_outcome(path) == plain, name
-        # an empty trailing boundary section converts; the check after the
-        # build names the boundary vertex it omits
-        path = fan_file(tmp_path / "empty_boundary.msh", PENTAGON_FAN + ["boundary"])
-        assert fast_path_takes(path)
-        assert assert_same_outcome(path) == (
-            MeshFormatError, "boundary section omits vertex 2, which is on the "
-                             "facet-incidence boundary")
-
-    @pytest.mark.parametrize("slot,token,expected", [
-        ("coordinate", "1_000", None), ("coordinate", "nan", None),
-        ("index", "+-1", "line 8: expected int for simplex indices, got '+-1'"),
-        ("coordinate", "1e5e5", "line 3: expected float for vertex coordinates, got '1e5e5'"),
-        ("coordinate", "1+2", "line 3: expected float for vertex coordinates, got '1+2'"),
-        ("index", "1+2", "line 8: expected int for simplex indices, got '1+2'"),
-        # 19 characters: past what np.fromstring converts without saturating
-        ("index", "1000000000000000000",
-         "line 8: simplex vertex index 1000000000000000000 outside 1..6"),
-        ("index", "0000000000000000001", None),
-        ("boundary", "+000000000000000004", None),
-        ("index", "0", "line 8: simplex vertex index 0 outside 1..6"),
-        ("index", "7", "line 8: simplex vertex index 7 outside 1..6"),
-        ("dim", "4", "line 1: dim must be 1, 2 or 3, got 4"),
-        ("n_vertices", "-6", "line 1: vertex and simplex counts must be nonnegative, got -6 "
-                             "and 5")])
-    def test_hands_back(self, slot, token, expected, tmp_path):
-        line, k = SLOTS[slot]
-        lines = list(FAN_WITH_BOUNDARY)
-        words = lines[line].split()
-        words[k] = token
-        lines[line] = " ".join(words)
-        path = fan_file(tmp_path / "unusual.msh", lines)
-        assert not fast_path_takes(path)
-        outcome = assert_same_outcome(path)
-        if expected is None:
-            assert isinstance(outcome[0], int)
-        else:
-            assert outcome == (MeshFormatError, expected)
-
-    @pytest.mark.parametrize("edit", ["file_separator", "comment", "non_ascii", "trailer",
-                                      "truncated"])
-    def test_hands_back_whole_file(self, edit, tmp_path):
-        lines = list(FAN_WITH_BOUNDARY)
-        if edit == "file_separator":
-            # str.split splits at 0x1c-0x1f, C's isspace does not
-            lines[2] = lines[2].replace(" ", "\x1c")
-        elif edit == "comment":
-            lines[0] += " # header"
-        elif edit == "non_ascii":
-            lines[1] = lines[1].replace(" ", "\u2003")
-        elif edit == "trailer":
-            lines[12] = "boundaries"
-        else:
-            lines = lines[:10]
-        path = fan_file(tmp_path / "edited.msh", lines)
-        assert not fast_path_takes(path)
         assert_same_outcome(path)
 
 
@@ -715,17 +671,25 @@ class TestLoadMemory:
     def test_load_peak(self, ball, tmp_path):
         path = tmp_path / "ball.msh"
         save_mesh(ball, path)
-        tracemalloc.start()
-        try:
-            mesh = load_mesh(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(mesh.vertices.view(np.int64), ball.vertices.view(np.int64))
-        assert np.array_equal(mesh.simplices, ball.simplices)
-        # 12-14 MiB traced for 1.7 MiB of arrays; the per-token parser peaked
-        # at 37.9 MiB
-        assert peak < 20 * 2 ** 20
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[0] += "  # dim n_vertices n_simplices"
+        for k in range(100, len(lines), 100):
+            lines[k] += f" # line {k + 1}"
+        commented = tmp_path / "commented.msh"
+        write_lines(commented, lines)
+        for file in (path, commented):
+            tracemalloc.start()
+            try:
+                mesh = load_mesh(file)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(mesh.vertices.view(np.int64), ball.vertices.view(np.int64))
+            assert np.array_equal(mesh.simplices, ball.simplices)
+            assert mesh.n_interior == ball.n_interior
+            # 12-14 MiB traced for 1.7 MiB of arrays, with or without the
+            # comments; the per-token parser peaked at 37.9 MiB
+            assert peak < 20 * 2 ** 20, file.name
 
     def test_chunked_geometry_is_the_whole_mesh_formula(self, ball):
         for mesh in (ball, rotated(ball, 2)):
