@@ -191,12 +191,23 @@ def cmd_impact(config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_solve(config: ExperimentConfig) -> int:
+def _one_setup(config: ExperimentConfig):
+    """The one mesh of a solve or precond run, its setup and the config that
+    the '# config:' line states: the mesh's dim and the n_fd that ran.  More
+    than one --mesh or --ball is refused before any mesh is built; a failure
+    in setup is the run's and reaches main (exit 2)."""
+    sources = config.mesh or config.ball or []
+    if len(sources) > 1:
+        raise ValueError(f"{config.command} takes one mesh, got {len(sources)}; "
+                         "a refinement study is the convergence command")
     mesh = _meshes(config)[0]
     op, times = setup(mesh, config.s, config.scheme, n_fd=config.n_fd, m=config.m,
                       n_g=config.n_g, r_fd=config.r_fd, max_n_fd=_max_n_fd(config))
-    # the '# config:' line states what ran
-    config = dataclasses.replace(config, dim=mesh.dim, n_fd=op.grid.n_fd)
+    return mesh, op, times, dataclasses.replace(config, dim=mesh.dim, n_fd=op.grid.n_fd)
+
+
+def cmd_solve(config: ExperimentConfig) -> int:
+    mesh, op, times, config = _one_setup(config)
     u, report = solve(op, mesh, config.precond, tol=config.tol)
     report.wall_times = {**times, **report.wall_times}
     print(report.to_text(), end="")
@@ -254,12 +265,7 @@ def cmd_convergence(config: ExperimentConfig) -> int:
 
 
 def cmd_precond(config: ExperimentConfig) -> int:
-    mesh = _meshes(config)[0]
-    # one setup serves every variant; a failure there is the run's, not a
-    # variant's, and reaches main (exit 2)
-    op, _ = setup(mesh, config.s, config.scheme, n_fd=config.n_fd, m=config.m,
-                  n_g=config.n_g, r_fd=config.r_fd, max_n_fd=_max_n_fd(config))
-    config = dataclasses.replace(config, dim=mesh.dim, n_fd=op.grid.n_fd)
+    mesh, op, _, config = _one_setup(config)  # one setup serves every variant
     variants = ("none", "sparse", "circulant")
     histories = {}
     converged = True

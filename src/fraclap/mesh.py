@@ -22,9 +22,10 @@ Mesh file format (plain text, '#' comments and blank lines ignored):
 
 Boundary vertices are detected by facet incidence; a boundary section, if
 present, must list exactly those vertices, each once.  Every vertex
-coordinate must be finite.  load_mesh reads every file with one reader,
-which blanks the comments in place and converts each section with one numpy
-call where it can, token by token where it cannot.
+coordinate must be finite, in a file or not.  load_mesh reads every file
+with one reader, which blanks the comments in place and converts each
+section with one numpy call where it can, token by token where it cannot,
+naming the line of a bad token or of a byte that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -72,11 +73,12 @@ class SimplicialMesh:
     """A simplicial complex with its vertices ordered interior-first.
 
     The constructor copies and freezes the arrays, checks the shapes, the
-    index range and the interior-first order against the facet-incidence
-    boundary, and keeps each element's volume and the minimum element
-    height from one simplex_adjugates pass over chunks of _CHUNK elements,
-    so its transients stay bounded on large meshes; an element of vanishing
-    volume raises DegenerateElementError naming the first ten.
+    index range, that every coordinate is finite and the interior-first
+    order against the facet-incidence boundary, and keeps each element's
+    volume and the minimum element height from one simplex_adjugates pass
+    over chunks of _CHUNK elements, so its transients stay bounded on large
+    meshes; an element of vanishing volume raises DegenerateElementError
+    naming the first ten.
     """
 
     dim: int
@@ -98,6 +100,10 @@ class SimplicialMesh:
             raise ValueError("simplex vertex index out of range")
         if not (0 <= self.n_interior <= n_v):
             raise ValueError("n_interior out of range")
+        bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+        if bad.size:
+            raise ValueError(f"vertex {bad[0]} has a coordinate that is not finite: "
+                             f"{vertices[bad[0]].tolist()}")
 
         # one simplex_adjugates pass in chunks of _CHUNK elements, keeping
         # the volumes and the running minimum height
@@ -148,13 +154,12 @@ class SimplicialMesh:
 
 @dataclass(frozen=True)
 class MeshQuality:
-    """Minimum element height a_h, average element diameter N^{-1/d}, and the
-    element count."""
+    """Minimum element height a_h and average element diameter h_bar =
+    N^{-1/d} of a mesh with N elements."""
 
     dim: int
     a_h: float
     h_bar: float
-    n_elements: int
 
 
 def simplex_adjugates(corners):
@@ -239,12 +244,12 @@ def load_mesh(path) -> SimplicialMesh:
     """Read a mesh file and reorder its vertices interior-first; each
     simplex keeps its vertex order, in either orientation.  One reader,
     _read_sections, takes every file: parse failures carry the offending
-    line number, as do an integer token past the int64 range, a simplex
-    index outside 1..n_vertices and a vertex coordinate that is not finite;
-    repeated vertex indices in a simplex surface as degenerate-element
-    errors.  A boundary section must list each facet-incidence boundary
-    vertex once.  The file is read once, as bytes, and a plain numeric file
-    converts in memory proportional to the arrays it returns."""
+    line number, as do a byte that is not UTF-8, an integer token past the
+    int64 range, a simplex index outside 1..n_vertices and a coordinate
+    that is not finite; a simplex that repeats a vertex index is a
+    degenerate element.  A boundary section must list each facet-incidence
+    boundary vertex once.  The file is read once, as bytes, and a plain
+    numeric file converts in memory proportional to the arrays it returns."""
     dim, vertices, simplices, listed = _read_sections(path)
 
     mesh, boundary = _build_mesh(dim, vertices, simplices)
@@ -286,11 +291,11 @@ def _read_sections(path):
     boundary list or None) from the file at ``path``.
 
     A file with a non-ASCII byte or a byte in 0x1c-0x1f first decodes as
-    UTF-8 (an invalid byte raises UnicodeDecodeError at its file offset),
-    and its str.split whitespace other than C's becomes spaces.  Each '#'
-    comment, up to '\\r' or '\\n', becomes spaces in place, so a token's line
-    number is one more than the '\\n', '\\r' and '\\r\\n' breaks before its
-    byte offset.  Tokens are the runs of bytes between C whitespace.
+    UTF-8, and its str.split whitespace other than C's becomes spaces.  Each
+    '#' comment, up to '\\r' or '\\n', becomes spaces in place.  The line of
+    a token, or of a byte that is not UTF-8, is one more than the '\\n',
+    '\\r' and '\\r\\n' breaks before its offset.  Tokens are the runs of
+    bytes between C whitespace.
 
     A section converts with one np.fromstring call when its bytes hold only
     signs and digits (and '.eE' in coordinates), no integer token is longer
@@ -301,8 +306,18 @@ def _read_sections(path):
     names the first bad token with its line number."""
     with open(path, "rb") as fh:
         data = fh.read()
+
+    def line_at(end):
+        return (1 + data.count(b"\n", 0, end) + data.count(b"\r", 0, end)
+                - data.count(b"\r\n", 0, end))
+
     if data.translate(None, _PLAIN_BYTES):
-        data = re.sub(r"[^\S \t\n\v\f\r]", " ", data.decode("utf-8")).encode("utf-8")
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MeshFormatError(f"line {line_at(exc.start)}: byte {data[exc.start]:#04x} at "
+                                  f"file offset {exc.start} is not UTF-8") from None
+        data = re.sub(r"[^\S \t\n\v\f\r]", " ", text).encode("utf-8")
     if b"#" in data:
         data = re.sub(rb"#[^\r\n]*", lambda comment: b" " * len(comment[0]), data)
     space = np.ones(len(data) + 2, dtype=bool)
@@ -316,9 +331,7 @@ def _read_sections(path):
         return data[edges[2 * k]:edges[2 * k + 1]].decode("utf-8")
 
     def line(k):
-        end = edges[2 * k]
-        return (1 + data.count(b"\n", 0, end) + data.count(b"\r", 0, end)
-                - data.count(b"\r\n", 0, end))
+        return line_at(edges[2 * k])
 
     def take(first, count, kind, what):
         stop = first + count
@@ -464,24 +477,18 @@ def _ball_mesh_2d(target_h):
 
 
 def _icosahedron():
-    """Vertices (unit circumradius) and faces of the regular icosahedron."""
+    """Vertices (unit circumradius) and faces of the regular icosahedron: the
+    triples of mutually nearest vertices, in lexicographic order."""
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     raw = []
     for a in (-1.0, 1.0):
         for b in (-phi, phi):
             raw.extend([(0.0, a, b), (a, b, 0.0), (b, 0.0, a)])
     verts = np.asarray(raw) / math.sqrt(1.0 + phi * phi)
-    # faces by nearest-neighbor triples: every edge has the minimal length
-    edge = 2.0 / math.sqrt(1.0 + phi * phi)
-    faces = []
-    for i in range(12):
-        for j in range(i + 1, 12):
-            if abs(np.linalg.norm(verts[i] - verts[j]) - edge) > 1e-9:
-                continue
-            for k in range(j + 1, 12):
-                if (abs(np.linalg.norm(verts[i] - verts[k]) - edge) < 1e-9
-                        and abs(np.linalg.norm(verts[j] - verts[k]) - edge) < 1e-9):
-                    faces.append((i, j, k))
+    dist = np.linalg.norm(verts[:, None] - verts[None], axis=-1)
+    near = np.isclose(dist, dist[dist > 0].min())
+    faces = [f for f in combinations(range(12), 3)
+             if all(near[i, j] for i, j in combinations(f, 2))]
     return verts, faces
 
 
@@ -553,7 +560,6 @@ def mesh_quality(mesh: SimplicialMesh) -> MeshQuality:
         dim=mesh.dim,
         a_h=mesh._min_height,
         h_bar=float(mesh.n_elements ** (-1.0 / mesh.dim)),
-        n_elements=mesh.n_elements,
     )
 
 

@@ -112,10 +112,6 @@ class OverlayOperator:
         v = self.box_plan.apply(g.reshape(self.box_plan.grid_shape))
         return self.transfer.transpose @ v.ravel()
 
-    @property
-    def n_unknowns(self) -> int:
-        return self.transfer.cols
-
 
 def assemble_rhs(mesh: SimplicialMesh, transfer: TransferMatrix, s, f=1.0) -> np.ndarray:
     """b_j = h_fd^{2s} * d_j * f(x_j) over the interior vertices."""
@@ -143,10 +139,7 @@ class SparsePreconditioner(Preconditioner):
     def __init__(self, factor: MicFactor, stencil: int):
         self.factor = factor
         self.variant = f"sparse{stencil}"
-
-    @property
-    def shift(self):
-        return self.factor.shift
+        self.shift = factor.shift
 
     def apply(self, r):
         return self.factor.solve(r)
@@ -345,10 +338,7 @@ def exact_solution(dim: int, s, x) -> np.ndarray:
     Gamma(d/2) / (2^{2s} Gamma(1+s) Gamma(d/2+s)) * (1 - |x|^2)_+^s."""
     s = order_value(s)
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        sq = np.array(np.dot(x, x))
-    else:
-        sq = np.sum(x * x, axis=-1)
+    sq = np.sum(x * x, axis=-1)
     coeff = gamma(0.5 * dim) / (2.0 ** (2.0 * s) * gamma(1.0 + s) * gamma(0.5 * dim + s))
     return coeff * np.clip(1.0 - sq, 0.0, None) ** s
 

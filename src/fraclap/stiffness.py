@@ -281,9 +281,10 @@ def modified_spectral(s, dim: int, n_fd: int, m: int, n_g: int = 64) -> Stiffnes
     psi(xi) - |xi|^{2s} and the spectral ball term.  In one dimension the ball
     is exactly the interval (-pi, pi), so the construction targets the true
     kernel and can be compared against the closed form directly."""
-    reg, ball = _modified_spectral_parts(s, dim, n_fd, m, n_g)
-    return StiffnessKernel(dim=dim, s=order_value(s), n_fd=n_fd, scheme="modspec",
-                           coeffs=reg + ball.coeffs)
+    s = order_value(s)
+    reg = _uniform_fourier(_regularized_integrand(s), dim, n_fd, m)
+    return StiffnessKernel(dim=dim, s=s, n_fd=n_fd, scheme="modspec",
+                           coeffs=reg + spectral(s, dim, n_fd, n_g).coeffs)
 
 
 def restrict(kernel: StiffnessKernel, n_fd: int) -> StiffnessKernel:
@@ -611,9 +612,3 @@ def _graded_origin_integral(s, dim, upper, gl_nodes, gl_weights):
     # closed leading-order contribution of the last sliver [0, hi]
     lead = hi ** (exponent + 1.0) / ((exponent + 1.0) * 2.0 ** (0.5 * dim - 1.0) * gamma(0.5 * dim))
     return total + lead
-
-
-def _modified_spectral_parts(s, dim, n_fd, m, n_g):
-    reg = _uniform_fourier(_regularized_integrand(order_value(s)), dim, n_fd, m)
-    ball = spectral(s, dim, n_fd, n_g)
-    return reg, ball

@@ -388,6 +388,22 @@ class TestSolveCommand:
     def test_missing_mesh_source(self):
         assert main(["solve", "--dim", "2"]) == 2
 
+    @pytest.mark.parametrize("command", ["solve", "precond"])
+    @pytest.mark.parametrize("source", [["--ball", "0.3,0.2"], ["--mesh", "a.mesh,b.mesh"]])
+    def test_more_than_one_mesh_exit_2_before_any_mesh(self, command, source, tmp_path,
+                                                       monkeypatch, capsys):
+        # --ball 0.3,0.2 built both meshes, solved on the first and stated
+        # ball=0.3,0.2 in its '# config:' line
+        built = count_calls(monkeypatch, "generate_ball_mesh")
+        loaded = count_calls(monkeypatch, "load_mesh")
+        out = tmp_path / "out.csv"
+        assert main([command, "--dim", "2", *source, "--out", str(out)]) == 2
+        assert built == [] and loaded == [] and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {command} takes one mesh, got 2; a refinement study "
+                                "is the convergence command\n")
+
     # every kind of failure that main() sees: invalid input, a resource cap,
     # a rank-deficient transfer and a missing file; each is one error line
     @pytest.mark.parametrize("argv", [
@@ -475,10 +491,13 @@ class TestSolveCommand:
          "line 7: simplex vertex index 5 outside 1..4"),
         # a nan coordinate used to fail in the grid choice, naming no line
         (["2 5 4", "0 0", "1 0", "1 nan", "0 1", "0.5 0.5", "1 2 5", "2 3 5", "3 4 5",
-          "4 1 5"], "line 4: vertex coordinate 'nan' is not finite")])
+          "4 1 5"], "line 4: vertex coordinate 'nan' is not finite"),
+        # "\udcff" is the byte 0xff; the message gave its offset and no line
+        (["2 3 1", "0 0", "1 0", "0 \udcff1"],
+         "line 4: byte 0xff at file offset 16 is not UTF-8")])
     def test_empty_or_mislabelled_mesh_file_exit_2(self, lines, message, tmp_path, capsys):
         mpath = tmp_path / "mesh.msh"
-        mpath.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        mpath.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         code = main(["solve", "--dim", "2", "--m", "256", "--mesh", str(mpath),
                      "--out", str(tmp_path / "s.csv")])
         assert code == 2

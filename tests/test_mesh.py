@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import math
 import re
@@ -285,6 +286,26 @@ class TestBallMesh3dAgainstReference:
             generate_ball_mesh(3, 0.02)
 
 
+# n_interior and the SHA-1 of the little-endian int64 simplices of
+# generate_ball_mesh: integer topology, the same on every platform
+BALL_TOPOLOGY = {
+    (2, 0.3): (37, "aa979a8a1eabc3b8ae4729c06584cd8ffc2ea659"),
+    (2, 0.1): (271, "6520dc3c640f309b39a613a47d160b41172e5a75"),
+    (2, 0.05): (1141, "ead1c4395a921e8daad7b1de1c5cfbaf4bfa006c"),
+    (3, 0.5): (55, "0b5dc858673ed9c269ba7f355dff4f9a50ae7820"),
+    (3, 0.3): (309, "eb8ac34307e18fc2278ae0f42c1e2e23e64f8f45"),
+    (3, 0.2): (923, "b35358ec03fc9f34a30074c9c73e8e656e47915c"),
+}
+
+
+@pytest.mark.parametrize("dim,target_h", sorted(BALL_TOPOLOGY))
+def test_ball_mesh_topology_is_pinned(dim, target_h):
+    mesh = generate_ball_mesh(dim, target_h)
+    simplices = np.ascontiguousarray(mesh.simplices, dtype="<i8")
+    assert (mesh.n_interior, hashlib.sha1(simplices.tobytes()).hexdigest()) == \
+        BALL_TOPOLOGY[dim, target_h]
+
+
 class TestBoundaryDetection:
     def test_invariant_under_permutation(self, tmp_path):
         mesh = ball_mesh(2, 5)
@@ -393,7 +414,14 @@ def reference_load_mesh(path) -> SimplicialMesh:
     """The per-token parser that defines the mesh file format."""
     tokens = []  # (line_number, token)
     with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line breaks before the byte, read with universal newlines
+        lineno = 1 + io.StringIO(raw[:exc.start].decode("utf-8"), newline=None).read().count("\n")
+        raise MeshFormatError(f"line {lineno}: byte {raw[exc.start]:#04x} at file offset "
+                              f"{exc.start} is not UTF-8") from None
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         body = line.split("#", 1)[0]
         for tok in body.split():
@@ -643,8 +671,23 @@ class TestLoadMeshAgainstReference:
         offset = len(head) + 4
         assert offset > 8192
         assert assert_same_outcome(path) == (
-            UnicodeDecodeError,
-            f"'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte")
+            MeshFormatError, f"line 5: byte 0xff at file offset {offset} is not UTF-8")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"])
+    @pytest.mark.parametrize("bad,where", [(b"\xff", 0), (b"\xc3(", 2), (b"\xe2\x82", 7),
+                                           (b"\x80", 11)])
+    def test_invalid_utf8_names_its_line(self, newline, bad, where, tmp_path):
+        # the bad bytes open line where + 1 under every kind of line break;
+        # '\r\n' counts once
+        lines = list(PENTAGON_FAN)
+        lines[where] = "@" + lines[where]
+        data = newline.join(lines).encode("utf-8")
+        offset = data.index(b"@")
+        path = tmp_path / "bad_utf8.msh"
+        path.write_bytes(data[:offset] + bad + data[offset + 1:])
+        assert assert_same_outcome(path) == (
+            MeshFormatError,
+            f"line {where + 1}: byte {bad[0]:#04x} at file offset {offset} is not UTF-8")
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.sampled_from(
@@ -745,7 +788,6 @@ class TestMeshQuality:
         mesh = ball_mesh(2, 5)
         q = mesh_quality(mesh)
         assert q.h_bar == pytest.approx(mesh.n_elements ** -0.5, rel=1e-14)
-        assert q.n_elements == mesh.n_elements
 
 
 def reference_volumes(mesh):
@@ -841,6 +883,15 @@ def test_one_adjugate_pass_per_mesh(monkeypatch, tmp_path):
         assert sum(c.shape[0] for c in calls) == mesh.n_elements
         assert np.array_equal(np.concatenate(calls), mesh.vertices[mesh.simplices])
     assert len(calls) == 3  # 43,940 elements
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructor_refuses_a_coordinate_that_is_not_finite(bad):
+    # a nan vertex built a mesh of volume nan and a_h nan
+    with pytest.raises(ValueError, match=re.escape(
+            f"vertex 2 has a coordinate that is not finite: [{bad!r}, 1.0]")):
+        SimplicialMesh(dim=2, vertices=[[0, 0], [1, 0], [bad, 1]], simplices=[[0, 1, 2]],
+                       n_interior=0)
 
 
 def test_constructor_leaves_the_callers_arrays_writable():

@@ -56,13 +56,13 @@ def identity_transfer(grid):
 class TestOperator:
     def test_zero(self):
         mesh, op = small_operator()
-        assert np.all(op.apply(np.zeros(op.n_unknowns)) == 0.0)
+        assert np.all(op.apply(np.zeros(op.transfer.cols)) == 0.0)
 
     def test_matches_dense_oracle(self):
         mesh, op = small_operator()
         dense = dense_operator_matrix(op)
         rng = np.random.default_rng(0)
-        u = rng.standard_normal(op.n_unknowns)
+        u = rng.standard_normal(op.transfer.cols)
         got = op.apply(u)
         ref = dense @ u
         assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
@@ -71,8 +71,8 @@ class TestOperator:
         mesh, op = small_operator()
         rng = np.random.default_rng(1)
         for _ in range(5):
-            u = rng.standard_normal(op.n_unknowns)
-            w = rng.standard_normal(op.n_unknowns)
+            u = rng.standard_normal(op.transfer.cols)
+            w = rng.standard_normal(op.transfer.cols)
             a = op.apply(u) @ w
             b = u @ op.apply(w)
             assert abs(a - b) <= 1e-11 * max(abs(a), 1.0)
@@ -81,7 +81,7 @@ class TestOperator:
         mesh, op = small_operator()
         rng = np.random.default_rng(2)
         for _ in range(20):
-            u = rng.standard_normal(op.n_unknowns)
+            u = rng.standard_normal(op.transfer.cols)
             assert op.apply(u) @ u > 0.0
 
     @pytest.mark.parametrize("n_fd", [9, 11])
@@ -179,7 +179,7 @@ class TestOperatorBox:
             assert len(set(box)) > 1
         rng = np.random.default_rng(0)
         for _ in range(3):
-            u = rng.standard_normal(op.n_unknowns)
+            u = rng.standard_normal(op.transfer.cols)
             ref = full_grid_product(op, u)
             got = op.apply(u)
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
@@ -195,8 +195,8 @@ class TestOperatorBox:
         assert touched_extent(op) == op.grid.shape
         assert op.transfer.box == tuple(slice(0, n) for n in op.grid.shape)
         assert op.box_plan.grid_shape == op.plan.grid_shape == op.grid.shape
-        assert op.transfer.matrix.shape == (op.grid.n_nodes, op.n_unknowns)
-        u = np.random.default_rng(1).standard_normal(op.n_unknowns)
+        assert op.transfer.matrix.shape == (op.grid.n_nodes, op.transfer.cols)
+        u = np.random.default_rng(1).standard_normal(op.transfer.cols)
         np.testing.assert_array_equal(op.apply(u), full_grid_product(op, u))
 
     @pytest.mark.parametrize("dim,n_r", [(2, 6), (3, 3)])
@@ -210,7 +210,7 @@ class TestOperatorBox:
         box = op.box_plan.grid_shape
         assert box == touched_extent(op) == tuple(n - 2 for n in op.grid.shape)
         assert op.transfer.matrix.shape[0] == math.prod(box)
-        u = np.random.default_rng(1).standard_normal(op.n_unknowns)
+        u = np.random.default_rng(1).standard_normal(op.transfer.cols)
         ref = full_grid_product(op, u)
         assert np.linalg.norm(op.apply(u) - ref) <= 1e-14 * np.linalg.norm(ref)
 
@@ -224,7 +224,7 @@ class TestOperatorBox:
         assert op.transfer.matrix.shape[0] == 109 * 109
         rng = np.random.default_rng(2)
         for _ in range(2):
-            u = rng.standard_normal(op.n_unknowns)
+            u = rng.standard_normal(op.transfer.cols)
             ref = full_grid_product(op, u)
             assert np.linalg.norm(op.apply(u) - ref) <= 1e-14 * np.linalg.norm(ref)
 
@@ -244,7 +244,7 @@ class TestOperatorBox:
         op = overlay_operator(BOX_MESHES[name]())
         pre = build_circulant_preconditioner(op)
         rng = np.random.default_rng(3)
-        u = rng.standard_normal(op.n_unknowns)
+        u = rng.standard_normal(op.transfer.cols)
         t = op.transfer
         g = op.box_plan.apply((t.matrix @ u).reshape(op.box_plan.grid_shape))
         np.testing.assert_array_equal(op.apply(u), t.matrix.T @ g.ravel())
@@ -294,7 +294,7 @@ class TestAssembleRhs:
 class TestCgSolve:
     def test_zero_rhs(self):
         mesh, op = small_operator()
-        x, report = cg_solve(op, np.zeros(op.n_unknowns))
+        x, report = cg_solve(op, np.zeros(op.transfer.cols))
         assert report.converged and report.iterations == 0
         assert report.residual_history == []
         assert np.all(x == 0.0)
@@ -735,7 +735,11 @@ def reference_near_field_matrix(kernel, grid):
 def assembled_near_field(op, monkeypatch):
     """The matrix build_sparse_preconditioner hands to its MIC factorization."""
     seen = []
-    monkeypatch.setattr(fraclap.solver, "mic_factor_with_retry", seen.append)
+
+    def capture(matrix):
+        seen.append(matrix)
+        return SimpleNamespace(shift=0.0)  # the preconditioner reads the factor's shift
+    monkeypatch.setattr(fraclap.solver, "mic_factor_with_retry", capture)
     build_sparse_preconditioner(op)
     return seen[0]
 
@@ -839,7 +843,7 @@ class TestSparsePreconditioner:
         a_mesh = t.T @ (near @ t)
         rng = np.random.default_rng(4)
         for _ in range(5):
-            v = rng.standard_normal(op.n_unknowns)
+            v = rng.standard_normal(op.transfer.cols)
             w = precond.apply(a_mesh @ v)
             assert np.linalg.norm(w - v) <= 0.5 * np.linalg.norm(v)
 
@@ -849,8 +853,8 @@ class TestSparsePreconditioner:
             precond = build(op)
             rng = np.random.default_rng(5)
             for _ in range(5):
-                u = rng.standard_normal(op.n_unknowns)
-                v = rng.standard_normal(op.n_unknowns)
+                u = rng.standard_normal(op.transfer.cols)
+                v = rng.standard_normal(op.transfer.cols)
                 pu = precond.apply(u)
                 pv = precond.apply(v)
                 assert u @ pu > 0.0
@@ -978,13 +982,13 @@ class TestPreconditionersReadTheWindow:
         op = CIRCULANT_WINDOW_CASES[name]()
         box = op.transfer.box
         assert tuple(b.stop - b.start for b in box) == op.box_plan.grid_shape
-        assert op.transfer.matrix.shape == (math.prod(op.box_plan.grid_shape), op.n_unknowns)
+        assert op.transfer.matrix.shape == (math.prod(op.box_plan.grid_shape), op.transfer.cols)
         if name == "identity transfer":
             assert box == tuple(slice(0, n) for n in op.grid.shape)
         pre = build_circulant_preconditioner(op)
         rng = np.random.default_rng(4)
         for _ in range(2):
-            r = rng.standard_normal(op.n_unknowns)
+            r = rng.standard_normal(op.transfer.cols)
             np.testing.assert_array_equal(pre.apply(r), whole_grid_circulant(pre, op, r))
 
     # (the identity transfer has as many unknowns as grid nodes)
@@ -1043,7 +1047,7 @@ class TestGramSolver:
     def test_solve_is_symmetric_positive_definite(self, name):
         op = overlay_operator(GRAM_MESHES[name]())
         solver = op.transfer.gram_solver
-        dense = dense_gram_solve(solver, op.n_unknowns)
+        dense = dense_gram_solve(solver, op.transfer.cols)
         assert np.max(np.abs(dense - dense.T)) <= 1e-14 * np.max(np.abs(dense))
         assert np.linalg.eigvalsh(0.5 * (dense + dense.T))[0] > 0.0
         # on the scaled spectrum, x p(x) = 1 - r(x) with |r| < 1, and
@@ -1307,7 +1311,7 @@ class TestSetup:
         op, times = setup(mesh, 0.5, "fft", m=256)
         assert list(times) == ["grid", "kernel", "transfer", "rank_check"]
         assert op.grid == choose_grid(mesh_quality(mesh), 1.2)
-        assert op.n_unknowns == mesh.n_interior
+        assert op.transfer.cols == mesh.n_interior
 
     @pytest.mark.parametrize("scheme,kernel_args,message", [
         ("fft", (0.5, 2, 9), "kernel of dim 2 and n_fd 9 on"),

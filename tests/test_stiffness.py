@@ -12,8 +12,7 @@ from fraclap.core import gauss_legendre
 from fraclap.solver import build_kernel
 from fraclap.stiffness import (DecayProfile, StiffnessKernel, analytic_1d, ball_radius,
                                decay_profile, fft_corrected, fft_uniform, modified_spectral,
-                               nonuniform, restrict, spectral, _lattice_sum,
-                               _modified_spectral_parts, _psi_integrand,
+                               nonuniform, restrict, spectral, _lattice_sum, _psi_integrand,
                                _regularized_integrand, _uniform_fourier)
 
 # max-norm errors of the 1D kernels against the closed form, N_FD = 81
@@ -711,19 +710,19 @@ class TestModifiedSpectral:
         assert err <= 3.0 * MODSPEC_ERRORS_1D[(s, m)]
 
     def test_zero_offset_additivity(self):
-        reg, ball = _modified_spectral_parts(0.6, 2, 5, 64, 32)
+        reg = _uniform_fourier(_regularized_integrand(0.6), 2, 5, 64)
+        ball = spectral(0.6, 2, 5, 32)
         combined = modified_spectral(0.6, 2, 5, 64, 32)
         assert combined.coeffs[0, 0] == reg[0, 0] + ball.coeffs[0, 0]
 
     def test_equals_spectral_without_fft_term(self):
         # the construction is exactly trapezoid-term + ball-term, so forcing
         # the trapezoid term to zero leaves precisely the spectral kernel
-        reg, ball = _modified_spectral_parts(0.4, 2, 6, 64, 32)
+        reg = _uniform_fourier(_regularized_integrand(0.4), 2, 6, 64)
+        ball = spectral(0.4, 2, 6, 32)
         combined = modified_spectral(0.4, 2, 6, 64, 32)
         np.testing.assert_array_equal(combined.coeffs, reg + ball.coeffs)
         np.testing.assert_array_equal(np.zeros_like(reg) + ball.coeffs, ball.coeffs)
-        assert ball.scheme == "spectral"
-        np.testing.assert_array_equal(ball.coeffs, spectral(0.4, 2, 6, 32).coeffs)
 
     def test_decay_slope_1d(self):
         profile = decay_profile(modified_spectral(0.5, 1, 81, 2 ** 10, 64))

@@ -25,7 +25,7 @@ from conftest import ball_mesh, hand_transfer, rotated, scattered_ball, sliver_m
 
 
 def quality(dim, a_h):
-    return MeshQuality(dim=dim, a_h=a_h, h_bar=a_h, n_elements=100)
+    return MeshQuality(dim=dim, a_h=a_h, h_bar=a_h)
 
 
 def strict_grid(quality, r_fd):
